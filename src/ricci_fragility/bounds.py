@@ -57,9 +57,6 @@ class PerturbationInstance:
     hop_star: HopDistanceMatrix
     label: str = ""
 
-    def degree_before(self, node) -> int:
-        return self.graph.degree(node)
-
 
 @dataclass(frozen=True)
 class BoundReport:

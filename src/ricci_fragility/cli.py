@@ -298,14 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", required=True, help="output file (.csv or .json)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help=f"parallel workers (default ${JOBS_ENV} or 1)")
 
-    p_ind = sub.add_parser("indicator", parents=[data, window, common],
+    # subsample runs serially, so only the rolling commands take --jobs.
+    parallel = argparse.ArgumentParser(add_help=False)
+    parallel.add_argument("--jobs", type=int, default=None,
+                          help=f"parallel workers (default ${JOBS_ENV} or 1)")
+
+    p_ind = sub.add_parser("indicator", parents=[data, window, common, parallel],
                            help="rolling indicator series")
     p_ind.set_defaults(func=cmd_indicator)
 
-    p_sweep = sub.add_parser("sweep", parents=[data, window, common],
+    p_sweep = sub.add_parser("sweep", parents=[data, window, common, parallel],
                              help="indicator series across a xi or T grid")
     p_sweep.add_argument("--sweep", choices=("xi", "T"), required=True,
                          help="parameter to sweep")

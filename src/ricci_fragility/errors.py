@@ -32,3 +32,8 @@ class InfiniteDistanceError(DataError):
 
 class OracleBudgetError(ConfigError):
     """An exhaustive-search oracle was asked to exceed its stated budget."""
+
+
+class SolverError(DataError):
+    """The transport LP solver failed, or returned a plan that violates
+    its marginals, so the instance has no trustworthy W1 value."""

@@ -1,13 +1,17 @@
 """Neighbor measures, exact Wasserstein-1 on the hop metric, and
 Ollivier-Ricci curvature.
 
-The W1 solver is exact, not approximate. It peels off structure first —
-mass shared between identical atoms never moves under a metric cost, a
-residual problem whose distances take one value has a closed form, one
-with two values reduces to a maximum flow on the cheap cells — and only
-the general case (three or more distinct residual distances) falls back
-to a linear program. Every path returns the exact optimum up to float
-rounding of sums, which keeps closed-form comparisons tight at 1e-12.
+The W1 solver is exact, not approximate. One front end (`_residual`)
+fixes mass shared between identical atoms in place, since it never moves
+under a metric cost, and leaves a residual problem. The value is then
+routed by the residual's shape: no residual costs nothing; one distinct
+distance has a closed form; two reduce to a greedy pass, then a maximum
+flow on the cheap cells; three or more become a pooled transportation
+LP, and every such LP of a window is solved in one batched HiGHS call
+(`_solve_lps`). The optimal plan (`wasserstein1`) is the fixed shared
+mass plus one unpooled LP on the residual. Every route returns the exact
+optimum up to float rounding of sums, which keeps closed-form
+comparisons tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -18,11 +22,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError,
@@ -31,6 +34,7 @@ from .errors import (
     GraphError,
     InfiniteDistanceError,
     OracleBudgetError,
+    SolverError,
 )
 from .graphs import HopDistanceMatrix, MarketGraph, hop_distances
 
@@ -73,12 +77,6 @@ class NodeMeasure:
         masses.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "masses", masses)
-
-    def mass_of(self, node) -> float:
-        for v, m in zip(self.support, self.masses):
-            if v == node:
-                return float(m)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -228,38 +226,38 @@ def _max_flow_float(row_caps: np.ndarray, col_caps: np.ndarray, allowed: np.ndar
     return flow
 
 
-@lru_cache(maxsize=512)
-def _marginal_matrix(m: int, k: int) -> csr_matrix:
-    """Equality-constraint matrix of the (m, k) transportation LP.
+def _solve_lps(blocks: list) -> list:
+    """Solve independent transportation LPs in one HiGHS call.
 
-    Row i sums the i-th source's shipments; row m + j sums the j-th
-    sink's. The sparsity pattern depends only on the shape, so it is
-    cached across calls.
+    Each block is ``(row_caps, col_caps, dist)``. Windows on dense graphs
+    generate hundreds of small residual problems; stacking them into one
+    block-diagonal program gives the same optima for a single solver
+    setup. The constraint matrix is assembled directly in CSR form: row
+    i of a block sums source i's shipments, row m + j sums sink j's.
+    Returns each block's optimal shipment matrix.
     """
-    top_indices = np.arange(m * k)
-    top_indptr = np.arange(0, m * k + 1, k)
-    bot_indices = (np.arange(k)[:, None] + k * np.arange(m)[None, :]).ravel()
-    bot_indptr = m * k + np.arange(0, m * k + 1, m)
-    indices = np.concatenate([top_indices, bot_indices])
-    indptr = np.concatenate([top_indptr, bot_indptr[1:]])
-    data = np.ones(2 * m * k)
-    return csr_matrix((data, indices, indptr), shape=(m + k, m * k))
-
-
-def _lp_transport(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Exact optimal transport via the HiGHS simplex linear program."""
-    m, k = dist.shape
-    total_r = float(row_caps.sum())
-    total_c = float(col_caps.sum())
-    # Equality constraints need matching totals; the inputs agree to
-    # ~1e-12, so rescale the columns onto the row total.
-    col = col_caps * (total_r / total_c)
-    b_eq = np.concatenate([row_caps, col])
-    res = linprog(dist.ravel(), A_eq=_marginal_matrix(m, k), b_eq=b_eq,
+    if not blocks:
+        return []
+    indices, row_nnz, b_eq, costs, offsets = [], [], [], [], [0]
+    for row_caps, col_caps, dist in blocks:
+        m, k = dist.shape
+        cells = offsets[-1] + np.arange(m * k).reshape(m, k)
+        indices += [cells.ravel(), cells.T.ravel()]
+        row_nnz.append(np.repeat((k, m), (m, k)))
+        # Equality constraints need matching totals; the inputs agree to
+        # ~1e-12, so rescale the columns onto the row total.
+        b_eq += [row_caps, col_caps * (float(row_caps.sum()) / float(col_caps.sum()))]
+        costs.append(dist.ravel())
+        offsets.append(offsets[-1] + m * k)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
+    a_eq = csr_matrix((np.ones(indptr[-1]), np.concatenate(indices), indptr),
+                      shape=(indptr.size - 1, offsets[-1]))
+    res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq),
                   bounds=(0, None), method="highs")
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return res.x.reshape(m, k)
+        raise SolverError(f"transport LP failed: {res.message}")
+    return [res.x[s:e].reshape(dist.shape)
+            for (_, _, dist), s, e in zip(blocks, offsets, offsets[1:])]
 
 
 def _group_rows(pattern: np.ndarray, caps: np.ndarray):
@@ -267,179 +265,80 @@ def _group_rows(pattern: np.ndarray, caps: np.ndarray):
 
     Sources (or sinks) whose cost rows coincide can be pooled into one
     super-node with the summed capacity without changing the optimum.
-    Returns representative row indices and pooled capacities.
+    Rows are compared as raw bytes, which is value equality for booleans
+    and for finite nonnegative hop distances. Returns representative row
+    indices and pooled capacities.
     """
-    _, first, inverse = np.unique(pattern, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    rows = np.ascontiguousarray(pattern)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     pooled = np.bincount(inverse, weights=caps, minlength=first.size)
     return first, pooled
 
 
-def _group_bool_rows(pattern: np.ndarray, caps: np.ndarray):
-    """`_group_rows` for boolean patterns, deduplicating on packed bytes."""
-    packed = np.packbits(pattern, axis=1)
-    view = np.ascontiguousarray(packed).view(
-        np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(view, return_index=True, return_inverse=True)
-    pooled = np.bincount(inverse, weights=caps, minlength=first.size)
-    return first, pooled
+def _residual(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
+              mass_b: np.ndarray, dist: np.ndarray):
+    """Split a W1 problem into fixed shared mass and a residual problem.
 
-
-def _sorted_intersect(pos_a: np.ndarray, pos_b: np.ndarray):
-    """Index pairs of equal entries in two sorted arrays of unique ints."""
-    if pos_a.size == 0 or pos_b.size == 0:
-        return None
-    loc = np.searchsorted(pos_a, pos_b)
-    clipped = np.minimum(loc, pos_a.size - 1)
-    valid = pos_a[clipped] == pos_b
-    if not np.any(valid):
-        return None
-    return loc[valid], np.nonzero(valid)[0]
-
-
-@dataclass(frozen=True)
-class _PendingCost:
-    """Placeholder for a transport cost deferred into an `_LpBatch`."""
-
-    index: int
-
-
-class _LpBatch:
-    """Collects small transportation LPs and solves them in one call.
-
-    Windows on dense graphs generate hundreds of residual problems with
-    three or more distinct distances; solving each in its own `linprog`
-    call pays the solver's setup cost every time. The blocks are
-    independent, so stacking them into one block-diagonal program gives
-    identical optima for a single setup.
+    ``dist`` is the distance submatrix between the supports at positions
+    ``pos_a`` and ``pos_b``. Mass that sits on the same node in both
+    supports never moves under a metric cost, so fixing it in place is
+    optimal. Returns the fixed shipments ``(ia, jb, fixed)`` and the
+    residual sources, sinks and their remaining masses.
     """
-
-    def __init__(self):
-        self._blocks = []
-
-    def add(self, row_caps: np.ndarray, col_caps: np.ndarray,
-            dist: np.ndarray) -> _PendingCost:
-        self._blocks.append((row_caps, col_caps, dist))
-        return _PendingCost(len(self._blocks) - 1)
-
-    def solve(self) -> np.ndarray:
-        if not self._blocks:
-            return np.empty(0)
-        mats, b_parts, c_parts, offsets = [], [], [], [0]
-        for rc, cc, d in self._blocks:
-            mats.append(_marginal_matrix(d.shape[0], d.shape[1]))
-            b_parts.append(rc)
-            b_parts.append(cc * (float(rc.sum()) / float(cc.sum())))
-            c_parts.append(d.ravel())
-            offsets.append(offsets[-1] + d.size)
-        c = np.concatenate(c_parts)
-        res = linprog(c, A_eq=block_diag(mats, format="csr"),
-                      b_eq=np.concatenate(b_parts), bounds=(0, None), method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"batched transport LP failed: {res.message}")
-        return np.array([float(np.dot(c[s:e], res.x[s:e]))
-                         for s, e in zip(offsets, offsets[1:])])
+    if not np.all(np.isfinite(dist)):
+        raise InfiniteDistanceError("supports span disconnected components")
+    _, ia, jb = np.intersect1d(pos_a, pos_b, assume_unique=True, return_indices=True)
+    fixed = np.minimum(mass_a[ia], mass_b[jb])
+    ra = mass_a.copy()
+    rb = mass_b.copy()
+    ra[ia] -= fixed
+    rb[jb] -= fixed
+    src = np.nonzero(ra > 0.0)[0]
+    snk = np.nonzero(rb > 0.0)[0]
+    return (ia, jb, fixed), src, snk, ra[src], rb[snk]
 
 
-def _residual_cost(row_caps: np.ndarray, col_caps: np.ndarray, sub: np.ndarray,
-                   vmin: float, vmax: float, moved: float,
-                   batch: _LpBatch | None):
-    """W1 of the residual problem, cost only, on pooled super-nodes.
+def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
+             mass_b: np.ndarray, matrix: np.ndarray, blocks: list):
+    """Exact W1 value, routed by the residual's distinct distances.
 
-    Residual atoms with identical cost rows (columns) are merged;
-    pooling is exact because such atoms are interchangeable in any
-    coupling. On dense market graphs this shrinks a ~90 x 90 residual
-    to a handful of super-nodes, so the flow and LP fallbacks stay
-    cheap. With two distinct distances a full-size greedy pass runs
-    first: if it ships everything at the cheap distance that is a
-    matching lower bound, hence optimal.
+    Zero residual costs nothing and one distance has a closed form. With
+    two, a full-size greedy pass runs first: if it ships everything at
+    the cheap distance that is a matching lower bound, hence optimal;
+    otherwise a max-flow on pooled super-nodes finds the most cheap mass.
+    With three or more, the pooled problem is appended to ``blocks`` for
+    `_solve_lps` and the result is ``None``. Pooling is exact because
+    atoms with identical cost rows are interchangeable in any coupling;
+    on dense market graphs it shrinks a ~90 x 90 residual to a handful of
+    super-nodes.
     """
+    dist = matrix[np.ix_(pos_a, pos_b)]
+    _, src, snk, row_caps, col_caps = _residual(pos_a, mass_a, pos_b, mass_b, dist)
+    if src.size == 0 or snk.size == 0:
+        return 0.0
+    sub = dist[np.ix_(src, snk)]
+    moved = min(float(row_caps.sum()), float(col_caps.sum()))
+    vmin = float(sub.min())
+    vmax = float(sub.max())
+    if vmin == vmax:
+        return vmin * moved
+
     if not np.any((sub > vmin) & (sub < vmax)):
         cheap = sub == vmin
         ship = _greedy_fill(row_caps, col_caps, cheap)
         if moved - float(ship.sum()) <= MASS_TOL:
             return vmin * moved
-        rows, rcaps = _group_bool_rows(cheap, row_caps)
-        cols, ccaps = _group_bool_rows(cheap.T, col_caps)
+        rows, rcaps = _group_rows(cheap, row_caps)
+        cols, ccaps = _group_rows(cheap.T, col_caps)
         flow = _max_flow_float(rcaps, ccaps, cheap[np.ix_(rows, cols)])
         cheap_mass = float(flow.sum())
         return vmin * cheap_mass + vmax * (moved - cheap_mass)
 
     rows, rcaps = _group_rows(sub, row_caps)
     cols, ccaps = _group_rows(sub.T, col_caps)
-    pooled = sub[np.ix_(rows, cols)]
-    if batch is not None:
-        return batch.add(rcaps, ccaps, pooled)
-    ship = _lp_transport(rcaps, ccaps, pooled)
-    return float((ship * pooled).sum())
-
-
-def _transport_core(a: np.ndarray, b: np.ndarray, dist: np.ndarray,
-                    shared: tuple[np.ndarray, np.ndarray] | None,
-                    want_plan: bool = True, batch: _LpBatch | None = None):
-    """Exact W1 between mass vectors ``a`` and ``b`` under metric ``dist``.
-
-    ``shared`` optionally gives index arrays ``(ia, jb)`` of atoms that
-    are the same node in both supports; mass shared that way is fixed in
-    place first, which is optimal for any metric cost. Returns
-    ``(cost, plan)`` on the full supports; with ``want_plan=False`` the
-    plan is ``None``, the residual is solved on pooled super-nodes, and
-    the cost may be a ``_PendingCost`` when a ``batch`` is supplied.
-    """
-    if not np.all(np.isfinite(dist)):
-        raise InfiniteDistanceError("supports span disconnected components")
-
-    m, k = dist.shape
-    plan = np.zeros((m, k)) if want_plan else None
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
-    if shared is not None:
-        ia, jb = shared
-        fixed = np.minimum(ra[ia], rb[jb])
-        if want_plan:
-            plan[ia, jb] = fixed
-        ra[ia] -= fixed
-        rb[jb] -= fixed
-
-    src = np.nonzero(ra > 0.0)[0]
-    snk = np.nonzero(rb > 0.0)[0]
-    if src.size == 0 or snk.size == 0:
-        return 0.0, plan
-
-    sub = dist[np.ix_(src, snk)]
-    row_caps = ra[src]
-    col_caps = rb[snk]
-    moved = min(float(row_caps.sum()), float(col_caps.sum()))
-    vmin = float(sub.min())
-    vmax = float(sub.max())
-
-    if vmin == vmax:
-        if want_plan:
-            ship = _greedy_fill(row_caps, col_caps, np.ones_like(sub, dtype=bool))
-            plan[np.ix_(src, snk)] += ship
-        return vmin * moved, plan
-
-    if not want_plan:
-        return _residual_cost(row_caps, col_caps, sub, vmin, vmax, moved, batch), None
-
-    if not np.any((sub > vmin) & (sub < vmax)):
-        cheap = sub == vmin
-        ship = _greedy_fill(row_caps, col_caps, cheap)
-        leftover = moved - float(ship.sum())
-        if leftover <= MASS_TOL:
-            plan[np.ix_(src, snk)] += ship
-            return vmin * moved, plan
-        flow = _max_flow_float(row_caps, col_caps, cheap)
-        cheap_mass = float(flow.sum())
-        rest = _greedy_fill(row_caps - flow.sum(axis=1),
-                            col_caps - flow.sum(axis=0),
-                            ~cheap)
-        plan[np.ix_(src, snk)] += flow + rest
-        return vmin * cheap_mass + vmax * (moved - cheap_mass), plan
-
-    ship = _lp_transport(row_caps, col_caps, sub)
-    plan[np.ix_(src, snk)] += ship
-    return float((ship * sub).sum()), plan
+    blocks.append((rcaps, ccaps, sub[np.ix_(rows, cols)]))
+    return None
 
 
 def _support_positions(measure: NodeMeasure, hop: HopDistanceMatrix) -> np.ndarray:
@@ -450,48 +349,39 @@ def _support_positions(measure: NodeMeasure, hop: HopDistanceMatrix) -> np.ndarr
         raise GraphError(f"support atom {exc.args[0]!r} missing from hop matrix") from exc
 
 
-def _w1_cost_positions(pos_a: np.ndarray, mass_a: np.ndarray,
-                       pos_b: np.ndarray, mass_b: np.ndarray,
-                       matrix: np.ndarray, want_plan: bool = False,
-                       batch: _LpBatch | None = None):
-    """W1 between measures given as (positions, masses) pairs.
-
-    Positions from `node_measure` follow node order and are sorted; the
-    general path re-sorts defensively for measures built by hand.
-    """
-    dist = matrix[np.ix_(pos_a, pos_b)]
-    if np.all(np.diff(pos_a) > 0) and np.all(np.diff(pos_b) > 0):
-        shared = _sorted_intersect(pos_a, pos_b)
-    else:
-        common, ia, jb = np.intersect1d(pos_a, pos_b, return_indices=True)
-        shared = (ia, jb) if common.size else None
-    return _transport_core(mass_a, mass_b, dist, shared,
-                           want_plan=want_plan, batch=batch)
-
-
 def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> TransportPlan:
     """Exact W1 distance between ``mu`` and ``nu`` under hop distances.
 
-    Returns the optimal coupling; its marginals reproduce the input
+    Returns the optimal coupling: shared mass fixed in place plus one
+    unpooled LP on the residual. Its marginals reproduce the input
     masses within ``MARGINAL_TOL``. Raises ``InfiniteDistanceError``
     when the supports straddle disconnected components.
     """
     pos_a = _support_positions(mu, hop)
     pos_b = _support_positions(nu, hop)
-    cost, plan = _w1_cost_positions(pos_a, mu.masses, pos_b, nu.masses,
-                                    hop.matrix, want_plan=True)
+    dist = hop.matrix[np.ix_(pos_a, pos_b)]
+    (ia, jb, fixed), src, snk, row_caps, col_caps = _residual(
+        pos_a, mu.masses, pos_b, nu.masses, dist)
+    plan = np.zeros(dist.shape)
+    plan[ia, jb] = fixed
+    if src.size and snk.size:
+        (ship,) = _solve_lps([(row_caps, col_caps, dist[np.ix_(src, snk)])])
+        plan[np.ix_(src, snk)] = ship
     row_err = float(np.max(np.abs(plan.sum(axis=1) - mu.masses)))
     col_err = float(np.max(np.abs(plan.sum(axis=0) - nu.masses)))
     if max(row_err, col_err) > MARGINAL_TOL:
-        raise RuntimeError(f"transport plan violates marginals (err={max(row_err, col_err)})")
-    return TransportPlan(plan=plan, cost=cost)
+        raise SolverError(f"transport plan violates marginals (err={max(row_err, col_err)})")
+    return TransportPlan(plan=plan, cost=float((plan * dist).sum()))
 
 
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
     """W1 value only, skipping plan materialisation (hot-loop variant)."""
-    pos_a = _support_positions(mu, hop)
-    pos_b = _support_positions(nu, hop)
-    cost, _ = _w1_cost_positions(pos_a, mu.masses, pos_b, nu.masses, hop.matrix)
+    blocks = []
+    cost = _w1_cost(_support_positions(mu, hop), mu.masses,
+                    _support_positions(nu, hop), nu.masses, hop.matrix, blocks)
+    if cost is None:
+        (ship,) = _solve_lps(blocks)
+        cost = float(np.dot(blocks[0][2].ravel(), ship.ravel()))
     return cost
 
 
@@ -628,22 +518,21 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
 
     measures = _measures_by_position(graph, hop, weighting)
     idx = hop.index
-    batch = _LpBatch()
+    blocks = []
     records = []
     for a, b in pairs:
-        d = float(hop.matrix[idx[a], idx[b]])
         pos_a, mass_a = measures[a]
         pos_b, mass_b = measures[b]
-        cost, _ = _w1_cost_positions(pos_a, mass_a, pos_b, mass_b, hop.matrix,
-                                     batch=batch)
-        records.append((a, b, d, cost))
-    solved = batch.solve()
+        cost = _w1_cost(pos_a, mass_a, pos_b, mass_b, hop.matrix, blocks)
+        records.append((a, b, float(hop.matrix[idx[a], idx[b]]), cost))
+    lp_costs = iter([float(np.dot(dist.ravel(), ship.ravel()))
+                     for (_, _, dist), ship in zip(blocks, _solve_lps(blocks))])
 
     per_pair = {}
     values = np.empty(len(records))
     for t, (a, b, d, cost) in enumerate(records):
-        if isinstance(cost, _PendingCost):
-            cost = float(solved[cost.index])
+        if cost is None:
+            cost = next(lp_costs)
         kappa = 1.0 - cost / d
         per_pair[(a, b)] = kappa
         values[t] = kappa

@@ -238,6 +238,13 @@ class TestBounds:
                      "--output", str(tmp_path / "b.csv")])
         assert code == EXIT_CONFIG
 
+    def test_solver_failure_is_data_error(self, tmp_path, failing_lp, capsys):
+        code = main(["bounds", "--trials", "20", "--seed", "3",
+                     "--output", str(tmp_path / "b.json")])
+        assert failing_lp
+        assert code == EXIT_DATA
+        assert "transport LP failed" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # subsample
@@ -273,6 +280,20 @@ class TestSubsample:
             main(["subsample", "--input", panel_csv,
                   "--output", str(tmp_path / "x.csv")])
         assert exc.value.code == EXIT_CONFIG
+
+    def test_jobs_is_usage_error(self, panel_csv, tmp_path):
+        # subsample runs serially; it takes no --jobs flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["subsample", "--input", panel_csv, "--T", "10", "--m", "3",
+                  "--jobs", "2", "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_ignores_jobs_env(self, panel_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("RICCI_FRAGILITY_JOBS", "many")
+        code = main(["subsample", "--input", panel_csv, "--T", "10", "--m", "3",
+                     "--restarts", "0", "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_OK
+        assert "jobs" not in read_json(tmp_path / "x.config.json")
 
 
 # ---------------------------------------------------------------------------

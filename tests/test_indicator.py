@@ -267,6 +267,17 @@ class TestIndicatorSeriesPipeline:
         for a, b in zip(serial.values, parallel.values):
             assert (math.isnan(a) and math.isnan(b)) or a == b
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solver_failure_gaps_window(self, failing_lp, jobs):
+        # Worker processes are forked, so they inherit the failing solver.
+        # Pairs on these tree-like windows reach the LP in some windows only.
+        panel = iid(n_assets=6, n_dates=30, seed=4)
+        cfg = WindowConfig(T=20, xi=0.9, averaging_mode="pairs")
+        series = indicator_series(panel, cfg, jobs=jobs)
+        assert 0 < series.gap_count() < len(series.values)
+        assert len(series.notes) == series.gap_count()
+        assert all("transport LP failed" in note for note in series.notes)
+
     def test_bad_jobs(self):
         panel = iid(n_assets=4, n_dates=30, seed=1)
         with pytest.raises(ConfigError):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from ricci_fragility.errors import (
     ConfigError,
@@ -13,7 +14,10 @@ from ricci_fragility.errors import (
     OracleBudgetError,
 )
 from ricci_fragility.graphs import MarketGraph, hop_distances
+from ricci_fragility.indicator import WindowConfig, window_graph
+from ricci_fragility.synthetic import regime_switch
 from ricci_fragility.transport import (
+    WEIGHTINGS,
     NodeMeasure,
     average_curvature,
     edge_curvature,
@@ -168,6 +172,7 @@ def test_w1_two_cost_case_needs_max_flow():
     assert h.dist(2, 5) == 2.0
     plan = wasserstein1(mu, nu, h)
     assert plan.cost == pytest.approx(1.0, abs=1e-12)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(1.0, abs=1e-12)
     assert wasserstein1_oracle(mu, nu, h) == pytest.approx(plan.cost, abs=1e-12)
 
 
@@ -265,6 +270,85 @@ def test_plan_marginals_on_random_instances(seed):
     assert plan.row_marginal() == pytest.approx(mu.masses, abs=1e-9)
     assert plan.col_marginal() == pytest.approx(nu.masses, abs=1e-9)
     assert plan.cost >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# Dense LP reference at production support sizes
+# ---------------------------------------------------------------------------
+
+
+def _dense_lp_w1(mu, nu, hop):
+    """W1 as one dense transportation LP on the full supports: no
+    shared-mass peel, no pooling, no special cases."""
+    cost = hop.matrix[np.ix_(hop.positions(mu.support), hop.positions(nu.support))]
+    m, k = cost.shape
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.masses, nu.masses]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.fixture(scope="module")
+def regime_panel():
+    return regime_switch()
+
+
+# Window starts in the calm phase, the transition and the crisis phase
+# of the default corpus; the crisis windows have supports of ~40 atoms.
+@pytest.mark.parametrize("k", [100, 300, 420])
+@pytest.mark.parametrize("weighting", ["edge_weight", "uniform"])
+def test_window_curvature_matches_dense_lp(regime_panel, k, weighting):
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting=weighting))
+    hop = hop_distances(graph)
+    per_pair = average_curvature(graph, weighting=weighting, hop=hop).per_pair
+    rng = np.random.default_rng(k)
+    picks = rng.choice(graph.edge_count, size=min(30, graph.edge_count), replace=False)
+    for e in picks:
+        a, b = graph.edges[int(e)]
+        mu = node_measure(graph, a, weighting)
+        nu = node_measure(graph, b, weighting)
+        exact = 1.0 - _dense_lp_w1(mu, nu, hop) / hop.dist(a, b)
+        assert per_pair[(a, b)] == pytest.approx(exact, abs=1e-9)
+
+
+def _layered_graph(rng, layers):
+    """Random connected graph of ``layers`` node layers; edges only join
+    nodes in the same or adjacent layers, so the diameter is at most
+    ``2 * layers - 1`` and is usually close to ``layers - 1``."""
+    sizes = rng.integers(3, 6, size=layers)
+    layer_of = np.repeat(np.arange(layers), sizes)
+    n = int(sizes.sum())
+    edges = {(i, i + 1) for i in range(n - 1)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = layer_of[j] - layer_of[i]
+            if (gap == 0 and rng.random() < 0.5) or (gap == 1 and rng.random() < 0.6):
+                edges.add((i, j))
+    edges = tuple(sorted(edges))
+    weights = {e: float(rng.uniform(0.05, 3.0)) for e in edges}
+    return MarketGraph(nodes=tuple(range(n)), edges=edges, weights=weights)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 20))
+@settings(max_examples=60, deadline=None)
+def test_w1_matches_dense_lp_beyond_oracle_size(seed):
+    rng = np.random.default_rng(seed)
+    g = _layered_graph(rng, int(rng.integers(3, 7)))
+    h = hop_distances(g)
+    assume(2.0 <= float(h.matrix.max()) <= 5.0)
+    a, b = (int(v) for v in rng.choice(len(g.nodes), size=2, replace=False))
+    weighting = WEIGHTINGS[seed % 2]
+    mu = node_measure(g, a, weighting)
+    nu = node_measure(g, b, weighting)
+    assume(len(mu.support) + len(nu.support) > 8)
+    exact = _dense_lp_w1(mu, nu, h)
+    plan = wasserstein1(mu, nu, h)
+    assert plan.cost == pytest.approx(exact, abs=1e-9)
+    assert plan.row_marginal() == pytest.approx(mu.masses, abs=1e-9)
+    assert plan.col_marginal() == pytest.approx(nu.masses, abs=1e-9)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
