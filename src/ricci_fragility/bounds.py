@@ -199,7 +199,19 @@ def check_prop2(instance: PerturbationInstance, weighting: str = "edge_weight"):
 def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
                     weight_low: float = 0.05, weight_high: float = 2.0) -> PerturbationInstance:
     """Connected Erdos-Renyi graph with random positive weights plus a
-    random absent edge to add. Deterministic in ``seed``."""
+    random absent edge to add. Deterministic in ``seed``.
+
+    Sizes are drawn from ``n_low..n_high``; below three nodes every
+    graph is either complete or disconnected, so ``n_low >= 3`` is
+    required. Raises ``DataError`` if no usable graph turns up in 1000
+    draws.
+    """
+    if n_low < 3 or n_low > n_high:
+        raise ConfigError(f"need 3 <= n_low <= n_high, got n_low={n_low}, n_high={n_high}")
+    if not (np.isfinite(weight_low) and np.isfinite(weight_high)
+            and 0.0 <= weight_low <= weight_high):
+        raise ConfigError(f"need finite 0 <= weight_low <= weight_high, "
+                          f"got {weight_low!r}, {weight_high!r}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         n = int(rng.integers(n_low, n_high + 1))
@@ -219,7 +231,7 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
         x, y = absent[int(rng.integers(len(absent)))]
         w_new = float(rng.uniform(weight_low, weight_high))
         return add_edge_instance(g, x, y, w_new, label=f"seed={seed}")
-    raise RuntimeError(f"could not generate a connected instance for seed {seed}")
+    raise DataError(f"could not generate a connected instance for seed {seed}")
 
 
 def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator,

@@ -15,6 +15,17 @@ is itself complete: the high-value-link rule (add edges with rho >= xi)
 cannot add anything new, and the reported value is exactly the search
 objective at the optimum. There is deliberately no tree-extraction step
 here — this pipeline is the alternative to the spanning-tree skeleton.
+
+Every candidate of a complete host induces K_m, where all hop distances
+are 1. W1 is then the total variation distance, so kappa(a, b) =
+sum_v min(mu_a(v), mu_b(v)), and edges and node pairs coincide. On such
+a host (``edge_count == n (n - 1) / 2``) the search scores each swap
+scan's m (n - m) candidates in closed form with a few array operations;
+under ``uniform`` weighting every K_m scores (m - 2) / (m - 1), the
+equality case of the Jost-Liu triangle bound. On any other host each
+candidate goes through the exact W1 engine. Either way the returned
+report comes from the engine, and `exhaustive_extremum` always uses the
+engine, so it stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, DataError, GraphError
 from .graphs import MarketGraph, build_complete_graph, induced_subgraph
@@ -49,6 +62,10 @@ IMPROVE_TOL = 1e-12
 #: Restart index stride for per-restart RNG seeds (a prime, so distinct
 #: restarts never collide for distinct base seeds in a suite).
 RESTART_STRIDE = 7919
+
+#: Upper bound on the (candidates, m, m) measure array the closed-form
+#: scorer builds at once, so memory stays flat for large m and n.
+CLIQUE_BATCH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,70 @@ def _evaluate(graph: MarketGraph, subset: tuple, mode: str, weighting: str):
     return average_curvature(sub, mode=mode, weighting=weighting)
 
 
+def _generic_scorer(graph: MarketGraph, mode: str, weighting: str):
+    """Score candidates one by one through the exact W1 engine."""
+    def score(candidates: np.ndarray) -> list:
+        out = []
+        for row in candidates:
+            report = _evaluate(graph, tuple(graph.nodes[p] for p in sorted(row)),
+                               mode, weighting)
+            out.append(None if report is None else report.average)
+        return out
+    return score
+
+
+def _clique_scorer(graph: MarketGraph, weighting: str):
+    """Score candidates of a complete host graph in closed form.
+
+    Every candidate induces K_m, where all hop distances are 1, so W1 is
+    the total variation distance and kappa(a, b) = sum_v min(mu_a(v),
+    mu_b(v)). Measures follow `node_measure` on K_m: edge weights
+    normalised over S minus {a} (a zero weight carries no mass; an
+    all-zero row falls back to uniform), or uniform for ``uniform``.
+    Edges and node pairs of K_m coincide, so one formula serves both
+    averaging modes.
+    """
+    if weighting == "uniform":
+        weights = 1.0 - np.eye(graph.n)
+    else:
+        idx = graph.index
+        rows = [idx[a] for a, _ in graph.edges]
+        cols = [idx[b] for _, b in graph.edges]
+        weights = np.zeros((graph.n, graph.n))
+        weights[rows, cols] = weights[cols, rows] = [graph.weights[e] for e in graph.edges]
+
+    def score(candidates: np.ndarray) -> list:
+        m = candidates.shape[1]
+        off = ~np.eye(m, dtype=bool)
+        # sum_{a<b} min(x_a, x_b) over a column: its k-th smallest entry
+        # (from 0) is the minimum of its pairs with the m - 1 - k above it.
+        above = np.arange(m - 1, -1, -1, dtype=float)
+        out = []
+        step = max(1, CLIQUE_BATCH // (m * m))
+        for s in range(0, candidates.shape[0], step):
+            block = candidates[s:s + step]
+            w = weights[block[:, :, None], block[:, None, :]]
+            total = w.sum(axis=2, keepdims=True)
+            mu = np.where(total > 0.0, w, off) / np.where(total > 0.0, total, m - 1)
+            out.append(np.sort(mu, axis=1).sum(axis=2) @ above)
+        return (np.concatenate(out) / (m * (m - 1) / 2)).tolist()
+    return score
+
+
+def _swap_candidates(inside: tuple, outside: np.ndarray) -> np.ndarray:
+    """Node positions of every single-swap neighbour, one row each.
+
+    Row ``i * len(outside) + j`` replaces ``inside[i]`` by ``outside[j]``.
+    """
+    m, k = len(inside), outside.size
+    candidates = np.tile(np.asarray(inside, dtype=np.intp), (m * k, 1))
+    candidates[np.arange(m * k), np.repeat(np.arange(m), k)] = np.tile(outside, m)
+    return candidates
+
+
 def _grow_connected_subset(graph: MarketGraph, m: int, rng: random.Random) -> tuple:
-    """Random connected m-subset grown from a random start vertex.
+    """Node positions of a random connected m-subset grown from a random
+    start vertex, in ascending order.
 
     Starts are tried in a shuffled order; growth from a start can only
     stall if its component is smaller than m, so the loop fails only
@@ -123,42 +202,32 @@ def _grow_connected_subset(graph: MarketGraph, m: int, rng: random.Random) -> tu
             chosen.append(nxt)
             member.add(nxt)
         if len(chosen) == m:
-            return tuple(sorted(chosen, key=graph.index.__getitem__))
+            return tuple(sorted(graph.index[v] for v in chosen))
     raise GraphError(f"no connected subset of {m} nodes exists")
 
 
-def _local_search(graph: MarketGraph, subset: tuple, config: SubsampleConfig,
-                  mode: str, weighting: str):
-    """Steepest single-swap descent from ``subset`` to a local optimum."""
-    report = _evaluate(graph, subset, mode, weighting)
-    if report is None:
+def _local_search(n: int, subset: tuple, config: SubsampleConfig, score):
+    """Steepest single-swap descent from ``subset`` (ascending node
+    positions) to a local optimum; returns the subset and its score."""
+    (value,) = score(np.array([subset], dtype=np.intp))
+    if value is None:
         raise GraphError("initial subset does not induce a connected subgraph")
-    value = report.average
-    outside = [v for v in graph.nodes if v not in set(subset)]
 
     for _ in range(config.max_iters):
-        best_swap = None
+        outside = np.setdiff1d(np.arange(n), subset)
+        best = None
         best_value = value
-        best_report = None
         # Deterministic scan order: (inside position, outside position).
-        for u in subset:
-            for v in outside:
-                candidate = tuple(sorted(
-                    (set(subset) - {u}) | {v}, key=graph.index.__getitem__))
-                cand_report = _evaluate(graph, candidate, mode, weighting)
-                if cand_report is None:
-                    continue
-                if _is_better(cand_report.average, best_value, config.objective):
-                    best_swap = (u, v, candidate)
-                    best_value = cand_report.average
-                    best_report = cand_report
-        if best_swap is None:
+        for c, cand_value in enumerate(score(_swap_candidates(subset, outside))):
+            if cand_value is not None and _is_better(cand_value, best_value,
+                                                     config.objective):
+                best, best_value = c, cand_value
+        if best is None:
             break
-        u, v, subset = best_swap
-        outside = [w for w in graph.nodes if w not in set(subset)]
+        i, j = divmod(best, outside.size)
+        subset = tuple(sorted(subset[:i] + (int(outside[j]),) + subset[i + 1:]))
         value = best_value
-        report = best_report
-    return subset, report
+    return subset, value
 
 
 def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
@@ -167,7 +236,10 @@ def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
 
     Returns ``(nodes, report)`` where ``nodes`` is the chosen subset in
     the host graph's node order and ``report`` is the curvature report
-    of its induced subgraph.
+    of its induced subgraph, computed by the exact W1 engine. On a
+    complete host the search scores candidates in closed form (see
+    `_clique_scorer`); on any other host it runs the engine per
+    candidate.
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"mode must be one of {AVERAGING_MODES}, got {mode!r}")
@@ -182,16 +254,20 @@ def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
             raise GraphError("graph is not connected")
         return graph.nodes, report
 
+    if graph.edge_count == graph.n * (graph.n - 1) // 2:
+        score = _clique_scorer(graph, weighting)
+    else:
+        score = _generic_scorer(graph, mode, weighting)
     best_subset = None
-    best_report = None
+    best_value = None
     for r in range(config.restarts + 1):
         rng = random.Random(config.seed + RESTART_STRIDE * r)
         start = _grow_connected_subset(graph, config.m, rng)
-        subset, report = _local_search(graph, start, config, mode, weighting)
-        if best_report is None or _is_better(report.average, best_report.average,
-                                             config.objective):
-            best_subset, best_report = subset, report
-    return best_subset, best_report
+        subset, value = _local_search(graph.n, start, config, score)
+        if best_value is None or _is_better(value, best_value, config.objective):
+            best_subset, best_value = subset, value
+    nodes = tuple(graph.nodes[p] for p in best_subset)
+    return nodes, _evaluate(graph, nodes, mode, weighting)
 
 
 def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",

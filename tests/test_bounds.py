@@ -20,7 +20,7 @@ from ricci_fragility.bounds import (
     sharpness_reports,
     sup_distance_change,
 )
-from ricci_fragility.errors import ConfigError, DisconnectedGraphError, GraphError
+from ricci_fragility.errors import ConfigError, DataError, DisconnectedGraphError, GraphError
 from ricci_fragility.graphs import MarketGraph
 
 
@@ -281,6 +281,32 @@ class TestSuite:
             run_bounds_suite(trials=0)
         with pytest.raises(ConfigError):
             run_bounds_suite(trials=5, weighting="nope")
+
+
+class TestRandomInstance:
+    @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 6), (0, 4), (5, 4)])
+    def test_rejects_bad_size_range(self, n_low, n_high):
+        with pytest.raises(ConfigError):
+            random_instance(0, n_low=n_low, n_high=n_high)
+
+    @pytest.mark.parametrize("low, high", [(-0.1, 1.0), (1.0, 0.5), (0.05, math.inf),
+                                           (math.nan, 1.0), (0.05, math.nan)])
+    def test_rejects_bad_weight_range(self, low, high):
+        with pytest.raises(ConfigError):
+            random_instance(0, weight_low=low, weight_high=high)
+
+    def test_smallest_size_gives_a_path(self):
+        inst = random_instance(3, n_low=3, n_high=3)
+        assert inst.graph.n == 3 and inst.graph.edge_count == 2
+        assert inst.graph.is_connected()
+
+    def test_exhausted_draws_is_data_error(self, monkeypatch):
+        def reject(*args, **kwargs):
+            raise GraphError("rejected")
+
+        monkeypatch.setattr("ricci_fragility.bounds.MarketGraph", reject)
+        with pytest.raises(DataError):
+            random_instance(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for extremal-subgraph search and the sub-sampled indicator."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from ricci_fragility.indicator import (
     distance_from_correlation,
 )
 from ricci_fragility.subsample import (
+    OBJECTIVES,
     SubsampleConfig,
+    _clique_scorer,
+    _generic_scorer,
+    _grow_connected_subset,
+    _local_search,
     exhaustive_extremum,
     extremal_subgraph,
     subsample_indicator_series,
 )
-from ricci_fragility.synthetic import comoving, iid
+from ricci_fragility.synthetic import comoving, iid, regime_switch
+from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS
 from ricci_fragility.transport import average_curvature
 
 
@@ -217,3 +224,88 @@ class TestSearchQuality:
             if report.average <= best + 1e-9:
                 hits += 1
         assert hits >= int(0.9 * trials)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form scoring on complete hosts
+# ---------------------------------------------------------------------------
+
+
+def random_complete_graph(rng, n):
+    """Weighted K_n with about a fifth of the weights zero, and every
+    edge at one node zero so that its measure falls back to uniform.
+    Returns the graph and that node."""
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+    w = rng.uniform(0.05, 2.0, size=len(edges))
+    w[rng.random(len(edges)) < 0.2] = 0.0
+    dead = int(rng.integers(n))
+    w[[dead in e for e in edges]] = 0.0
+    graph = MarketGraph(nodes=tuple(range(n)), edges=edges,
+                        weights=dict(zip(edges, w.tolist())))
+    return graph, dead
+
+
+class TestCliqueScorer:
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_matches_engine_on_random_subsets(self, monkeypatch, m, mode, weighting):
+        # Blocks of two candidates, so the batching seams are covered.
+        monkeypatch.setattr("ricci_fragility.subsample.CLIQUE_BATCH", 2 * m * m)
+        rng = np.random.default_rng(100 * m + len(mode) + len(weighting))
+        g, dead = random_complete_graph(rng, 9)
+        others = [v for v in g.nodes if v != dead]
+        # Positions in arbitrary order within a row; the first row holds
+        # the node with no positive weight.
+        candidates = np.array([[dead, *others[:m - 1]]]
+                              + [rng.permutation(g.n)[:m] for _ in range(6)])
+        scores = _clique_scorer(g, weighting)(candidates)
+        for row, score in zip(candidates, scores):
+            sub = induced_subgraph(g, tuple(sorted(int(v) for v in row)))
+            expected = average_curvature(sub, mode=mode, weighting=weighting).average
+            assert score == pytest.approx(expected, abs=1e-12)
+
+    def test_uniform_value_is_jost_liu_equality_case(self):
+        g, _ = random_complete_graph(np.random.default_rng(3), 8)
+        for m in range(2, 8):
+            (score,) = _clique_scorer(g, "uniform")(np.arange(m)[None, :])
+            assert score == pytest.approx((m - 2) / (m - 1), abs=1e-15)
+
+    @pytest.fixture(scope="class")
+    def regime_panel(self):
+        return regime_switch()
+
+    # Calm, transition and crisis windows of the default corpus.
+    @pytest.mark.parametrize("k", [100, 300, 420])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_search_matches_engine_scoring_on_windows(self, regime_panel, k, objective):
+        config = WindowConfig()
+        window = regime_panel.window(k, k + config.T)
+        rho, _ = correlation_matrix(window, config.input_mode)
+        g = build_complete_graph(distance_from_correlation(rho, config.transform), rho,
+                                 nodes=window.tickers)
+        sub_config = SubsampleConfig(m=5, objective=objective, seed=k, max_iters=3,
+                                     restarts=0)
+        nodes, report = extremal_subgraph(g, sub_config)
+
+        start = _grow_connected_subset(g, 5, random.Random(k))
+        subset, value = _local_search(g.n, start, sub_config,
+                                      _generic_scorer(g, "edges", "edge_weight"))
+        assert subset != start
+        assert nodes == tuple(g.nodes[p] for p in subset)
+        assert report.average == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_never_beats_exhaustive_optimum(self, objective, weighting):
+        rng = np.random.default_rng(len(objective) + 7 * len(weighting))
+        sign = 1.0 if objective == "minimize" else -1.0
+        for t in range(12):
+            n = int(rng.integers(4, 9))
+            m = int(rng.integers(2, n))
+            g, _ = random_complete_graph(rng, n)
+            _, report = extremal_subgraph(
+                g, SubsampleConfig(m=m, objective=objective, seed=t, restarts=2),
+                weighting=weighting)
+            _, best = exhaustive_extremum(g, m, objective, weighting=weighting)
+            assert sign * report.average >= sign * best - 1e-12

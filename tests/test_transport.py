@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from ricci_fragility import transport
 from ricci_fragility.errors import (
     ConfigError,
     DataError,
@@ -313,6 +314,25 @@ def test_window_curvature_matches_dense_lp(regime_panel, k, weighting):
         assert per_pair[(a, b)] == pytest.approx(exact, abs=1e-9)
 
 
+@pytest.mark.parametrize("k", [100, 300, 420])
+def test_window_curvature_within_jost_liu_bounds(regime_panel, k):
+    """Uniform weighting, every edge: kappa in [-2, 1] and within the
+    triangle bounds of Jost and Liu (Discrete Comput. Geom. 51, 2014)
+    for the non-lazy walk: lower <= kappa <= #/(d_x v d_y)."""
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting="uniform"))
+    per_pair = average_curvature(graph, weighting="uniform").per_pair
+    for (a, b), kappa in per_pair.items():
+        na, nb = set(graph.neighbors(a)), set(graph.neighbors(b))
+        da, db, tri = len(na), len(nb), len(na & nb)
+        lo, hi = min(da, db), max(da, db)
+        upper = tri / hi
+        lower = (-max(0.0, 1 - 1 / da - 1 / db - tri / lo)
+                 - max(0.0, 1 - 1 / da - 1 / db - tri / hi) + tri / hi)
+        assert -2.0 - 1e-12 <= kappa <= 1.0 + 1e-12
+        assert lower - 1e-12 <= kappa <= upper + 1e-12, (a, b, kappa, lower, upper)
+
+
 def _layered_graph(rng, layers):
     """Random connected graph of ``layers`` node layers; edges only join
     nodes in the same or adjacent layers, so the diameter is at most
@@ -349,6 +369,43 @@ def test_w1_matches_dense_lp_beyond_oracle_size(seed):
     assert plan.row_marginal() == pytest.approx(mu.masses, abs=1e-9)
     assert plan.col_marginal() == pytest.approx(nu.masses, abs=1e-9)
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
+
+
+# Near-tie masses: residuals that differ from a full greedy fill by about
+# 1e-13 sit just inside MASS_TOL = 1e-12 and are accepted as optimal;
+# 1e-11 sits outside it and goes to the max-flow. Graphs: ``path`` is
+# 0-2-3-1 (d(0,2) = d(1,3) = 1, cross distances 2); ``detour`` has 0
+# next to 2, 3 and 5, and 1 next to 2 and 5, with d(1, 3) = 2 through 4.
+_PATH = [(0, 2), (2, 3), (1, 3)]
+_DETOUR = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (3, 4)]
+_EPS = 1e-13
+
+
+@pytest.mark.parametrize("edges, mu, nu, max_flow", [
+    # Greedy strands 1e-13 of cheap mass: accepted.
+    (_PATH, {0: 0.5 + _EPS, 1: 0.5 - _EPS}, {2: 0.5, 3: 0.5}, False),
+    # Shared atom 5 leaves a 1e-13 source residual with no cheap sink.
+    (_DETOUR, {1: 0.5 - _EPS, 5: 0.5 + _EPS}, {2: 0.5, 5: 0.5}, False),
+    # 1e-11 stranded: outside MASS_TOL, so the max-flow decides.
+    (_PATH, {0: 0.5 + 1e-11, 1: 0.5 - 1e-11}, {2: 0.5, 3: 0.5}, True),
+    # Index-order greedy strands source 1; max-flow re-routes near-tie masses.
+    (_DETOUR, {0: 0.5 + _EPS, 1: 0.5 - _EPS}, {2: 0.5 - _EPS, 3: 0.5 + _EPS}, True),
+    # As above with a shared atom whose masses differ by 1e-13.
+    (_DETOUR, {0: 0.4 + _EPS, 1: 0.4 - _EPS, 5: 0.2},
+     {2: 0.4 - 2 * _EPS, 3: 0.4 + _EPS, 5: 0.2 + _EPS}, True),
+])
+def test_w1_near_tie_masses_match_dense_lp(monkeypatch, edges, mu, nu, max_flow):
+    calls = []
+    for name in ("_greedy_fill", "_max_flow_float"):
+        real = getattr(transport, name)
+        monkeypatch.setattr(transport, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    h = hop_distances(_graph(6, edges))
+    mu = NodeMeasure(support=tuple(mu), masses=np.array(list(mu.values())))
+    nu = NodeMeasure(support=tuple(nu), masses=np.array(list(nu.values())))
+    cost = wasserstein1_cost(mu, nu, h)
+    assert calls == ["_greedy_fill"] + ["_max_flow_float"] * max_flow
+    assert cost == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
