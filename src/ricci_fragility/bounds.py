@@ -32,12 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
 from .graphs import HopDistanceMatrix, MarketGraph, hop_distances
-from .transport import (
-    WEIGHTINGS,
-    edge_curvature,
-    node_measure,
-    wasserstein1_cost,
-)
+from .transport import WEIGHTINGS, node_measure, wasserstein1_cost
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -170,11 +165,14 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
 
 def check_prop2(instance: PerturbationInstance, weighting: str = "edge_weight"):
     """Bounds on the curvature jump of the new pair (x, y) itself."""
-    x, y = instance.x, instance.y
-    kappa_before = edge_curvature(instance.graph, instance.hop, x, y, weighting)
-    kappa_after = edge_curvature(instance.graph_star, instance.hop_star, x, y, weighting)
-    lhs = kappa_after - kappa_before
+    first, _ = check_prop1(instance, instance.x, instance.y, weighting)
+    return _prop2_reports(instance, first.lhs)
 
+
+def _prop2_reports(instance: PerturbationInstance, lhs: float):
+    """prop2 reports for the curvature jump ``lhs`` of (x, y), which is
+    the left side of prop1 at (x, y)."""
+    x, y = instance.x, instance.y
     sup = sup_distance_change(instance)
     inv_deg = (1.0 / (instance.graph.degree(x) + 1.0)
                + 1.0 / (instance.graph.degree(y) + 1.0))
@@ -249,9 +247,11 @@ def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator
         reports.append(first)
         if sup is not None:
             reports.append(sup)
+        if (a, b) == (instance.x, instance.y):
+            jump = first.lhs
     reports.append(check_lemma_affected(instance, "x", weighting))
     reports.append(check_lemma_affected(instance, "y", weighting))
-    reports.extend(check_prop2(instance, weighting))
+    reports.extend(_prop2_reports(instance, jump))
     return reports
 
 

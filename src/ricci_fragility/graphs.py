@@ -196,12 +196,16 @@ class HopDistanceMatrix:
         return {v: i for i, v in enumerate(self.nodes)}
 
     def dist(self, a, b) -> float:
-        idx = self.index
-        return float(self.matrix[idx[a], idx[b]])
+        i, j = self.positions((a, b))
+        return float(self.matrix[i, j])
 
     def positions(self, node_ids) -> np.ndarray:
+        """Matrix positions of ``node_ids``; ``GraphError`` for an unknown id."""
         idx = self.index
-        return np.fromiter((idx[v] for v in node_ids), dtype=np.intp)
+        try:
+            return np.fromiter((idx[v] for v in node_ids), dtype=np.intp)
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} missing from hop matrix") from exc
 
     @property
     def connected(self) -> bool:

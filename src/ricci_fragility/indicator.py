@@ -12,7 +12,8 @@ series, labelled by the window's last date so nothing looks ahead.
 
 Windows that fail validation (insufficient overlap, disconnection)
 yield NaN gaps rather than aborting the series; the reasons are kept on
-the series so runs remain auditable.
+the series so runs remain auditable. The same rolling driver also runs
+the sub-sampled indicator of `subsample`, with its own per-window step.
 """
 
 from __future__ import annotations
@@ -234,48 +235,52 @@ def distance_from_correlation(rho: np.ndarray, transform: DistanceTransform) -> 
     return transform.apply(np.clip(rho, -1.0, 1.0))
 
 
-def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
-    """Filtered correlation network for one window: MST + high-rho edges."""
+def complete_window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
+    """Complete correlation-distance graph K_n of one window."""
     rho, _ = correlation_matrix(window, config.input_mode)
     dist = distance_from_correlation(rho, config.transform)
-    base = build_complete_graph(dist, rho, nodes=window.tickers)
+    return build_complete_graph(dist, rho, nodes=window.tickers)
+
+
+def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
+    """Filtered correlation network for one window: MST + high-rho edges."""
+    base = complete_window_graph(window, config)
     tree = minimum_spanning_tree(base)
     return augment_high_value_edges(tree, base, config.xi)
 
 
-def _window_value(prices: PriceMatrix, k: int, config: WindowConfig):
-    """One indicator point; returns (value, note_or_None).
+def _window_curvature(window: PriceMatrix, config: WindowConfig):
+    report = average_curvature(window_graph(window, config), mode=config.averaging_mode,
+                               weighting=config.weighting)
+    return report.average, ()
+
+
+def _points_for_range(prices: PriceMatrix, config: WindowConfig, window_value,
+                      lo: int, hi: int):
+    """(label, value, extra, note) per window start in ``lo..hi - 1``.
 
     Slicing happens inside the error boundary: a window where some
     ticker has no observation at all is a data problem scoped to that
     window, so it gaps the point instead of aborting the series.
     """
-    try:
-        window = prices.window(k, k + config.T)
-        graph = window_graph(window, config)
-        report = average_curvature(graph, mode=config.averaging_mode,
-                                   weighting=config.weighting)
-        return report.average, None
-    except DataError as exc:
-        return float("nan"), str(exc)
-
-
-def _values_for_range(prices: PriceMatrix, config: WindowConfig, lo: int, hi: int):
     out = []
     for k in range(lo, hi):
-        value, note = _window_value(prices, k, config)
         label = prices.dates[k + config.T - 1]
-        out.append((label, value, note))
+        try:
+            value, extra = window_value(prices.window(k, k + config.T), config)
+            out.append((label, value, extra, None))
+        except DataError as exc:
+            out.append((label, float("nan"), (), f"{label}: {exc}"))
     return out
 
 
-def indicator_series(prices: PriceMatrix, config: WindowConfig,
-                     jobs: int = 1) -> IndicatorSeries:
-    """Roll the window over the panel, one value per window-end date.
+def _rolling_series(prices: PriceMatrix, config: WindowConfig, window_value,
+                    jobs: int = 1):
+    """Roll ``window_value(window, config) -> (value, extra)`` over the panel.
 
-    Requires at least ``T + 1`` rows so the series has two or more
-    points. ``jobs > 1`` splits the window range across processes; the
-    result is identical to the serial run.
+    Returns ``(series, extras)``, one point per window-end date and one
+    extra per window (``()`` for a gap, which a ``DataError`` makes, with
+    a dated note). ``jobs > 1`` needs a picklable ``window_value``.
     """
     if prices.n_dates < config.T + 1:
         raise ConfigError(
@@ -287,20 +292,32 @@ def indicator_series(prices: PriceMatrix, config: WindowConfig,
 
     count = prices.n_dates - config.T + 1
     if jobs == 1 or count < 4:
-        triples = _values_for_range(prices, config, 0, count)
+        points = _points_for_range(prices, config, window_value, 0, count)
     else:
         jobs = min(jobs, count)
         bounds = np.linspace(0, count, jobs + 1).astype(int)
         chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_values_for_range, prices, config, lo, hi)
+            futures = [pool.submit(_points_for_range, prices, config, window_value, lo, hi)
                        for lo, hi in chunks]
-            triples = [t for f in futures for t in f.result()]
+            points = [p for f in futures for p in f.result()]
 
-    dates = tuple(t[0] for t in triples)
-    values = tuple(t[1] for t in triples)
-    notes = tuple(f"{t[0]}: {t[2]}" for t in triples if t[2] is not None)
-    return IndicatorSeries(dates=dates, values=values, config=config, notes=notes)
+    series = IndicatorSeries(dates=tuple(p[0] for p in points),
+                             values=tuple(p[1] for p in points), config=config,
+                             notes=tuple(p[3] for p in points if p[3] is not None))
+    return series, tuple(p[2] for p in points)
+
+
+def indicator_series(prices: PriceMatrix, config: WindowConfig,
+                     jobs: int = 1) -> IndicatorSeries:
+    """Roll the window over the panel, one value per window-end date.
+
+    Requires at least ``T + 1`` rows so the series has two or more
+    points. ``jobs > 1`` splits the window range across processes; the
+    result is identical to the serial run.
+    """
+    series, _ = _rolling_series(prices, config, _window_curvature, jobs)
+    return series
 
 
 # ---------------------------------------------------------------------------

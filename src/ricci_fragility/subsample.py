@@ -1,6 +1,7 @@
 """Extremal-curvature sub-sampling: search for an m-node induced subgraph
 whose average curvature is minimal (default) or maximal, and run the
-rolling indicator on the chosen subsets.
+rolling indicator on the chosen subsets: the indicator's own rolling
+driver runs the search as its per-window function.
 
 The discrete "descent" is a steepest single-swap local search: starting
 from a random connected m-subset grown from a random seed vertex, every
@@ -31,20 +32,15 @@ engine, so it stays an independent oracle.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GraphError
-from .graphs import MarketGraph, build_complete_graph, induced_subgraph
-from .indicator import (
-    WindowConfig,
-    IndicatorSeries,
-    correlation_matrix,
-    distance_from_correlation,
-)
+from .errors import ConfigError, GraphError
+from .graphs import MarketGraph, induced_subgraph
+from .indicator import WindowConfig, _rolling_series, complete_window_graph
 from .ingestion import PriceMatrix
 from .transport import (
     AVERAGING_MODES,
@@ -118,13 +114,15 @@ def _evaluate(graph: MarketGraph, subset: tuple, mode: str, weighting: str):
 
 
 def _generic_scorer(graph: MarketGraph, mode: str, weighting: str):
-    """Score candidates one by one through the exact W1 engine."""
-    def score(candidates: np.ndarray) -> list:
-        out = []
-        for row in candidates:
+    """Score candidates one by one through the exact W1 engine; NaN marks
+    a candidate whose induced subgraph is disconnected."""
+    def score(candidates: np.ndarray) -> np.ndarray:
+        out = np.full(len(candidates), np.nan)
+        for c, row in enumerate(candidates):
             report = _evaluate(graph, tuple(graph.nodes[p] for p in sorted(row)),
                                mode, weighting)
-            out.append(None if report is None else report.average)
+            if report is not None:
+                out[c] = report.average
         return out
     return score
 
@@ -149,7 +147,7 @@ def _clique_scorer(graph: MarketGraph, weighting: str):
         weights = np.zeros((graph.n, graph.n))
         weights[rows, cols] = weights[cols, rows] = [graph.weights[e] for e in graph.edges]
 
-    def score(candidates: np.ndarray) -> list:
+    def score(candidates: np.ndarray) -> np.ndarray:
         m = candidates.shape[1]
         off = ~np.eye(m, dtype=bool)
         # sum_{a<b} min(x_a, x_b) over a column: its k-th smallest entry
@@ -163,7 +161,7 @@ def _clique_scorer(graph: MarketGraph, weighting: str):
             total = w.sum(axis=2, keepdims=True)
             mu = np.where(total > 0.0, w, off) / np.where(total > 0.0, total, m - 1)
             out.append(np.sort(mu, axis=1).sum(axis=2) @ above)
-        return (np.concatenate(out) / (m * (m - 1) / 2)).tolist()
+        return np.concatenate(out) / (m * (m - 1) / 2)
     return score
 
 
@@ -206,22 +204,29 @@ def _grow_connected_subset(graph: MarketGraph, m: int, rng: random.Random) -> tu
     raise GraphError(f"no connected subset of {m} nodes exists")
 
 
+def _best_swap(scores: np.ndarray, value: float, objective: str):
+    """First-come strict improvements on ``value`` in scan order; returns
+    ``(index or None, best value)``. The best so far only improves on
+    ``value``, so only candidates better than ``value`` (never NaN) can win."""
+    best, best_value = None, value
+    for c in np.flatnonzero(_is_better(scores, value, objective)):
+        if _is_better(scores[c], best_value, objective):
+            best, best_value = int(c), float(scores[c])
+    return best, best_value
+
+
 def _local_search(n: int, subset: tuple, config: SubsampleConfig, score):
     """Steepest single-swap descent from ``subset`` (ascending node
     positions) to a local optimum; returns the subset and its score."""
-    (value,) = score(np.array([subset], dtype=np.intp))
-    if value is None:
+    value = float(score(np.array([subset], dtype=np.intp))[0])
+    if np.isnan(value):
         raise GraphError("initial subset does not induce a connected subgraph")
 
     for _ in range(config.max_iters):
-        outside = np.setdiff1d(np.arange(n), subset)
-        best = None
-        best_value = value
+        outside = np.delete(np.arange(n), subset)
         # Deterministic scan order: (inside position, outside position).
-        for c, cand_value in enumerate(score(_swap_candidates(subset, outside))):
-            if cand_value is not None and _is_better(cand_value, best_value,
-                                                     config.objective):
-                best, best_value = c, cand_value
+        best, best_value = _best_swap(score(_swap_candidates(subset, outside)),
+                                      value, config.objective)
         if best is None:
             break
         i, j = divmod(best, outside.size)
@@ -294,6 +299,12 @@ def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
     return best_subset, best_value
 
 
+def _window_extremum(window: PriceMatrix, config: WindowConfig, sub_config):
+    subset, report = extremal_subgraph(complete_window_graph(window, config), sub_config,
+                                       config.averaging_mode, config.weighting)
+    return report.average, subset
+
+
 def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,
                                sub_config: SubsampleConfig):
     """Rolling indicator on per-window extremal subsets.
@@ -302,41 +313,10 @@ def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,
     the extremal m-subset, and reports the average curvature of its
     induced (complete) subgraph. Returns ``(series, subsets)`` with one
     node tuple per window; windows skipped for data reasons carry an
-    empty tuple and a NaN value with a note.
+    empty tuple and a NaN value with a dated note. Runs serially.
     """
-    T = window_config.T
-    if prices.values.shape[0] < T + 1:
+    if sub_config.m > prices.n_tickers:
         raise ConfigError(
-            f"need at least T+1={T + 1} rows of prices, got {prices.values.shape[0]}")
-    if sub_config.m > len(prices.tickers):
-        raise ConfigError(
-            f"m={sub_config.m} exceeds the number of assets {len(prices.tickers)}")
-
-    dates = []
-    values = []
-    notes = []
-    subsets = []
-    n_windows = prices.values.shape[0] - T + 1
-    for k in range(n_windows):
-        dates.append(prices.dates[k + T - 1])
-        try:
-            window = prices.window(k, k + T)
-            rho, _flagged = correlation_matrix(window, window_config.input_mode)
-            dist = distance_from_correlation(rho, window_config.transform)
-            complete = build_complete_graph(dist, rho, nodes=window.tickers)
-            subset, report = extremal_subgraph(
-                complete, sub_config,
-                mode=window_config.averaging_mode,
-                weighting=window_config.weighting)
-        except DataError as exc:
-            values.append(math.nan)
-            notes.append(str(exc))
-            subsets.append(())
-            continue
-        values.append(report.average)
-        notes.append("")
-        subsets.append(subset)
-
-    series = IndicatorSeries(dates=tuple(dates), values=tuple(values),
-                             config=window_config, notes=tuple(notes))
-    return series, tuple(subsets)
+            f"m={sub_config.m} exceeds the number of assets {prices.n_tickers}")
+    return _rolling_series(prices, window_config,
+                           partial(_window_extremum, sub_config=sub_config))

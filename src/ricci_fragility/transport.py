@@ -341,14 +341,6 @@ def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
     return None
 
 
-def _support_positions(measure: NodeMeasure, hop: HopDistanceMatrix) -> np.ndarray:
-    idx = hop.index
-    try:
-        return np.fromiter((idx[v] for v in measure.support), dtype=np.intp)
-    except KeyError as exc:
-        raise GraphError(f"support atom {exc.args[0]!r} missing from hop matrix") from exc
-
-
 def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> TransportPlan:
     """Exact W1 distance between ``mu`` and ``nu`` under hop distances.
 
@@ -357,8 +349,8 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
     masses within ``MARGINAL_TOL``. Raises ``InfiniteDistanceError``
     when the supports straddle disconnected components.
     """
-    pos_a = _support_positions(mu, hop)
-    pos_b = _support_positions(nu, hop)
+    pos_a = hop.positions(mu.support)
+    pos_b = hop.positions(nu.support)
     dist = hop.matrix[np.ix_(pos_a, pos_b)]
     (ia, jb, fixed), src, snk, row_caps, col_caps = _residual(
         pos_a, mu.masses, pos_b, nu.masses, dist)
@@ -377,8 +369,8 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
     """W1 value only, skipping plan materialisation (hot-loop variant)."""
     blocks = []
-    cost = _w1_cost(_support_positions(mu, hop), mu.masses,
-                    _support_positions(nu, hop), nu.masses, hop.matrix, blocks)
+    cost = _w1_cost(hop.positions(mu.support), mu.masses,
+                    hop.positions(nu.support), nu.masses, hop.matrix, blocks)
     if cost is None:
         (ship,) = _solve_lps(blocks)
         cost = float(np.dot(blocks[0][2].ravel(), ship.ravel()))
@@ -482,7 +474,7 @@ def _measures_by_position(graph: MarketGraph, hop: HopDistanceMatrix, weighting:
     out = {}
     for v in graph.nodes:
         mu = node_measure(graph, v, weighting)
-        out[v] = (_support_positions(mu, hop), mu.masses)
+        out[v] = (hop.positions(mu.support), mu.masses)
     return out
 
 

@@ -17,11 +17,13 @@ from ricci_fragility.bounds import (
     kn_minus_edge_instance,
     random_instance,
     run_bounds_suite,
+    run_instance_checks,
     sharpness_reports,
     sup_distance_change,
 )
 from ricci_fragility.errors import ConfigError, DataError, DisconnectedGraphError, GraphError
 from ricci_fragility.graphs import MarketGraph
+from ricci_fragility.transport import WEIGHTINGS, edge_curvature
 
 
 def path_graph(n, weights=None):
@@ -241,6 +243,24 @@ class TestProp2:
         first, relaxed = check_prop2(inst)
         assert first.pair == (0, 3)
         assert relaxed.pair == (0, 3)
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_jump_equals_edge_curvature_difference(self, weighting):
+        # prop2 reuses prop1's (x, y) solves; the jump must equal the
+        # direct curvature difference bit for bit, also inside the suite.
+        for seed in range(10):
+            inst = random_instance(seed)
+            jump = (edge_curvature(inst.graph_star, inst.hop_star, inst.x, inst.y, weighting)
+                    - edge_curvature(inst.graph, inst.hop, inst.x, inst.y, weighting))
+            reports = check_prop2(inst, weighting)
+            assert [r.lhs for r in reports] == [jump, jump]
+            suite = run_instance_checks(inst, np.random.default_rng(seed), weighting)
+            assert [r for r in suite if r.bound_name.startswith("prop2")] == list(reports)
+
+    def test_unknown_node_is_graph_error(self):
+        inst = add_edge_instance(path_graph(4), 0, 3)
+        with pytest.raises(GraphError):
+            check_prop1(inst, 0, 9)
 
 
 # ---------------------------------------------------------------------------

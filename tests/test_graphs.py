@@ -397,6 +397,14 @@ def test_hop_positions_lookup():
     assert list(h.positions(("C", "A"))) == [2, 0]
 
 
+def test_hop_unknown_node_is_graph_error():
+    h = hop_distances(_path(3))
+    with pytest.raises(GraphError):
+        h.dist(0, 9)
+    with pytest.raises(GraphError):
+        h.positions((0, 9))
+
+
 @given(st.integers(min_value=0, max_value=2 ** 15 - 1))
 @settings(max_examples=30, deadline=None)
 def test_hop_distance_one_iff_edge(seed):

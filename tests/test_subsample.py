@@ -13,15 +13,20 @@ from ricci_fragility.errors import ConfigError, GraphError
 from ricci_fragility.graphs import MarketGraph, build_complete_graph, induced_subgraph
 from ricci_fragility.indicator import (
     WindowConfig,
+    complete_window_graph,
     correlation_matrix,
     distance_from_correlation,
 )
+from ricci_fragility.ingestion import PriceMatrix
 from ricci_fragility.subsample import (
+    IMPROVE_TOL,
     OBJECTIVES,
     SubsampleConfig,
+    _best_swap,
     _clique_scorer,
     _generic_scorer,
     _grow_connected_subset,
+    _is_better,
     _local_search,
     exhaustive_extremum,
     extremal_subgraph,
@@ -207,8 +212,59 @@ class TestSubsampleSeries:
             subsample_indicator_series(
                 prices, WindowConfig(T=10), SubsampleConfig(m=3))
 
+    def test_gap_windows_get_dated_notes_and_empty_subsets(self):
+        values = np.random.default_rng(9).uniform(50, 150, size=(30, 4))
+        values[0:12, 3] = np.nan  # S3 lists late: early windows can't use it
+        prices = PriceMatrix(dates=tuple(f"2020-03-{d:02d}" for d in range(1, 31)),
+                             tickers=("S0", "S1", "S2", "S3"), values=values)
+        series, subsets = subsample_indicator_series(
+            prices, WindowConfig(T=10), SubsampleConfig(m=3, restarts=0))
+        gaps = [i for i, v in enumerate(series.values) if math.isnan(v)]
+        assert 0 < len(gaps) < len(series.values)
+        assert len(series.notes) == series.gap_count()
+        for i, note in zip(gaps, series.notes):
+            assert note.startswith(f"{series.dates[i]}: ")
+            assert subsets[i] == ()
+        assert all(len(subsets[i]) == 3 for i in range(len(subsets)) if i not in gaps)
+
+
+def sequential_walk(scores, value, objective):
+    """The swap pick as a plain walk over every candidate in scan order."""
+    best, best_value = None, value
+    for c, s in enumerate(scores):
+        if not math.isnan(s) and _is_better(s, best_value, objective):
+            best, best_value = c, s
+    return best, best_value
+
 
 class TestSearchQuality:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_filtered_pick_equals_sequential_walk(self, objective):
+        rng = np.random.default_rng(len(objective))
+        for _ in range(500):
+            value = float(rng.uniform(-1, 1))
+            # Scores on a grid of 1e-12 steps around ``value``, so ties and
+            # near-ties with the tolerance are common, plus NaN gaps.
+            scores = value + IMPROVE_TOL * rng.integers(-4, 5, size=40).astype(float)
+            scores[rng.random(40) < 0.3] += IMPROVE_TOL * rng.uniform(-3, 3)
+            scores[rng.random(40) < 0.2] = np.nan
+            assert _best_swap(scores, value, objective) == \
+                sequential_walk(scores.tolist(), value, objective)
+
+    @pytest.mark.parametrize("objective, k, expected", [
+        ("minimize", 100, (7, 10, 15, 18, 21, 27, 35, 38, 39, 41)),
+        ("minimize", 440, (0, 8, 11, 18, 22, 28, 32, 35, 40, 43)),
+        ("maximize", 100, (6, 14, 17, 25, 26, 30, 32, 34, 36, 43)),
+        ("maximize", 440, (5, 9, 19, 31, 33, 38, 39, 45, 47, 49)),
+    ])
+    def test_m10_subsets_on_windows(self, objective, k, expected):
+        # Subsets recorded from the search before its candidate walk was
+        # filtered; m=10 with 20 restarts takes several scans per start.
+        config = WindowConfig()
+        g = complete_window_graph(regime_switch().window(k, k + config.T), config)
+        nodes, _ = extremal_subgraph(g, SubsampleConfig(m=10, objective=objective))
+        assert nodes == tuple(f"A{i:03d}" for i in expected)
+
     def test_match_rate_against_oracle(self):
         """With restarts the local search should recover the global
         optimum on nearly all small instances (exact threshold is

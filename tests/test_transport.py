@@ -11,6 +11,7 @@ from ricci_fragility.errors import (
     ConfigError,
     DataError,
     DisconnectedGraphError,
+    GraphError,
     InfiniteDistanceError,
     OracleBudgetError,
 )
@@ -430,6 +431,19 @@ def test_curvature_validations():
     hd = hop_distances(disc)
     with pytest.raises(InfiniteDistanceError):
         edge_curvature(disc, hd, 0, 2)
+
+
+def test_unknown_node_ids_are_graph_errors():
+    g = _path_graph(3)
+    h = hop_distances(g)
+    foreign = NodeMeasure(support=(0, 9), masses=np.array([0.5, 0.5]))
+    mu = node_measure(g, 1)
+    with pytest.raises(GraphError):
+        edge_curvature(g, h, 0, 9)
+    with pytest.raises(GraphError):
+        wasserstein1(mu, foreign, h)
+    with pytest.raises(GraphError):
+        wasserstein1_cost(foreign, mu, h)
 
 
 def test_average_curvature_edges_mode_complete():
