@@ -255,16 +255,16 @@ def _window_curvature(window: PriceMatrix, config: WindowConfig):
     return report.average, ()
 
 
-def _points_for_range(prices: PriceMatrix, config: WindowConfig, window_value,
-                      lo: int, hi: int):
-    """(label, value, extra, note) per window start in ``lo..hi - 1``.
+def _points_for_starts(prices: PriceMatrix, config: WindowConfig, window_value,
+                       starts: range):
+    """(label, value, extra, note) per window start in ``starts``.
 
     Slicing happens inside the error boundary: a window where some
     ticker has no observation at all is a data problem scoped to that
     window, so it gaps the point instead of aborting the series.
     """
     out = []
-    for k in range(lo, hi):
+    for k in starts:
         label = prices.dates[k + config.T - 1]
         try:
             value, extra = window_value(prices.window(k, k + config.T), config)
@@ -292,15 +292,16 @@ def _rolling_series(prices: PriceMatrix, config: WindowConfig, window_value,
 
     count = prices.n_dates - config.T + 1
     if jobs == 1 or count < 4:
-        points = _points_for_range(prices, config, window_value, 0, count)
+        points = _points_for_starts(prices, config, window_value, range(count))
     else:
+        # Strided starts: cost varies by regime along the panel, so each
+        # worker gets a share of every stretch instead of one block.
         jobs = min(jobs, count)
-        bounds = np.linspace(0, count, jobs + 1).astype(int)
-        chunks = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_points_for_range, prices, config, window_value, lo, hi)
-                       for lo, hi in chunks]
-            points = [p for f in futures for p in f.result()]
+            futures = [pool.submit(_points_for_starts, prices, config, window_value,
+                                   range(j, count, jobs)) for j in range(jobs)]
+            parts = [f.result() for f in futures]
+        points = [parts[k % jobs][k // jobs] for k in range(count)]
 
     series = IndicatorSeries(dates=tuple(p[0] for p in points),
                              values=tuple(p[1] for p in points), config=config,
@@ -313,7 +314,7 @@ def indicator_series(prices: PriceMatrix, config: WindowConfig,
     """Roll the window over the panel, one value per window-end date.
 
     Requires at least ``T + 1`` rows so the series has two or more
-    points. ``jobs > 1`` splits the window range across processes; the
+    points. ``jobs > 1`` deals the windows out across processes; the
     result is identical to the serial run.
     """
     series, _ = _rolling_series(prices, config, _window_curvature, jobs)

@@ -5,13 +5,14 @@ The W1 solver is exact, not approximate. One front end (`_residual`)
 fixes mass shared between identical atoms in place, since it never moves
 under a metric cost, and leaves a residual problem. The value is then
 routed by the residual's shape: no residual costs nothing; one distinct
-distance has a closed form; two reduce to a greedy pass, then a maximum
-flow on the cheap cells; three or more become a pooled transportation
-LP, and every such LP of a window is solved in one batched HiGHS call
-(`_solve_lps`). The optimal plan (`wasserstein1`) is the fixed shared
-mass plus one unpooled LP on the residual. Every route returns the exact
-optimum up to float rounding of sums, which keeps closed-form
-comparisons tight at 1e-12.
+distance has a closed form; two have one too, from Gale's supply-demand
+theorem scored over the unions of the pooled cheap-cell patterns (past
+``_UNION_CAP`` unions they fall back to the LP); three or more become a
+pooled transportation LP, and every such LP of a window is solved in one
+batched HiGHS call (`_solve_lps`). The optimal plan (`wasserstein1`) is
+the fixed shared mass plus one unpooled LP on the residual. Every route
+returns the exact optimum up to float rounding of sums, which keeps
+closed-form comparisons tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -20,7 +21,6 @@ code with the solver, so the two can check each other.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +47,10 @@ MARGINAL_TOL = 1e-9
 WEIGHTINGS = ("edge_weight", "uniform")
 
 AVERAGING_MODES = ("edges", "pairs")
+
+#: Two-distance residuals with more distinct cheap-pattern unions than
+#: this are solved as LP blocks instead of in closed form.
+_UNION_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -157,75 +161,6 @@ def node_measure(graph: MarketGraph, node, weighting: str = "edge_weight") -> No
 # ---------------------------------------------------------------------------
 
 
-def _greedy_fill(row_caps: np.ndarray, col_caps: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Ship as much as possible on ``allowed`` cells, sources in order.
-
-    Water-filling per row: each source pours into allowed columns in
-    index order while they still have capacity. Returns the shipment
-    matrix; callers check whether everything was placed.
-    """
-    m, k = allowed.shape
-    ship = np.zeros((m, k))
-    col_rem = col_caps.copy()
-    for i in range(m):
-        cap = row_caps[i]
-        if cap <= 0.0:
-            continue
-        cols = np.nonzero(allowed[i] & (col_rem > 0.0))[0]
-        if cols.size == 0:
-            continue
-        avail = col_rem[cols]
-        ahead = np.concatenate(([0.0], np.cumsum(avail)[:-1]))
-        give = np.minimum(avail, np.maximum(cap - ahead, 0.0))
-        ship[i, cols] = give
-        col_rem[cols] -= give
-    return ship
-
-
-def _max_flow_float(row_caps: np.ndarray, col_caps: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Maximum bipartite flow with float capacities (Edmonds-Karp).
-
-    Exact in float arithmetic: each augmentation saturates its bottleneck
-    arc by subtracting that arc's own residual, so no epsilon thresholds
-    accumulate. Sized for supports of at most a few hundred atoms.
-    """
-    m, k = allowed.shape
-    n = m + k + 2
-    s, t = 0, n - 1
-    cap = np.zeros((n, n))
-    cap[s, 1 : m + 1] = row_caps
-    cap[m + 1 : m + 1 + k, t] = col_caps
-    big = float(row_caps.sum()) + 1.0
-    rows, cols = np.nonzero(allowed)
-    cap[rows + 1, cols + m + 1] = big
-
-    while True:
-        parent = np.full(n, -1, dtype=np.intp)
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            u = queue.popleft()
-            for v in np.nonzero(cap[u] > 0.0)[0]:
-                if parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            break
-        path = [t]
-        while path[-1] != s:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(cap[u, v] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            cap[u, v] -= bottleneck
-            cap[v, u] += bottleneck
-
-    # Flow on an allowed arc equals the reverse residual it accumulated.
-    flow = np.zeros((m, k))
-    flow[rows, cols] = cap[cols + m + 1, rows + 1]
-    return flow
-
-
 def _solve_lps(blocks: list) -> list:
     """Solve independent transportation LPs in one HiGHS call.
 
@@ -253,7 +188,7 @@ def _solve_lps(blocks: list) -> list:
     a_eq = csr_matrix((np.ones(indptr[-1]), np.concatenate(indices), indptr),
                       shape=(indptr.size - 1, offsets[-1]))
     res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method="highs", options={"presolve": False})
     if res.status != 0:
         raise SolverError(f"transport LP failed: {res.message}")
     return [res.x[s:e].reshape(dist.shape)
@@ -299,19 +234,46 @@ def _residual(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
     return (ia, jb, fixed), src, snk, ra[src], rb[snk]
 
 
+def _cheap_mass(cheap: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
+    """Most mass that can ship on the ``cheap`` cells of a pooled problem.
+
+    Gale's supply-demand theorem gives it as ``total - max(0, max_S
+    [cap(S) - cap(N(S))])`` over source sets S. For a fixed neighbourhood
+    the best S takes every row whose pattern lies inside it, so only the
+    distinct unions of row patterns need scoring; the smaller side is
+    taken as the rows. Returns ``None`` past ``_UNION_CAP`` unions.
+    """
+    if cheap.shape[0] > cheap.shape[1]:
+        cheap, rcaps, ccaps = cheap.T, ccaps, rcaps
+    # Each union contains its own patterns, so OR-ing every union with
+    # every pattern keeps the old unions and adds the next layer.
+    unions = cheap
+    while True:
+        grown = (unions[:, None] | cheap[None]).reshape(-1, cheap.shape[1])
+        first, _ = _group_rows(grown, np.zeros(len(grown)))
+        if first.size > _UNION_CAP:
+            return None
+        if first.size == len(unions):
+            break
+        unions = grown[first]
+    contained = ~(cheap @ ~unions.T)
+    excess = rcaps @ contained - unions @ ccaps
+    return float(rcaps.sum()) - max(0.0, float(excess.max()))
+
+
 def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
              mass_b: np.ndarray, matrix: np.ndarray, blocks: list):
     """Exact W1 value, routed by the residual's distinct distances.
 
     Zero residual costs nothing and one distance has a closed form. With
-    two, a full-size greedy pass runs first: if it ships everything at
-    the cheap distance that is a matching lower bound, hence optimal;
-    otherwise a max-flow on pooled super-nodes finds the most cheap mass.
-    With three or more, the pooled problem is appended to ``blocks`` for
-    `_solve_lps` and the result is ``None``. Pooling is exact because
-    atoms with identical cost rows are interchangeable in any coupling;
-    on dense market graphs it shrinks a ~90 x 90 residual to a handful of
-    super-nodes.
+    two distances ``vmin < vmax`` the cost is ``vmin * F + vmax * (moved
+    - F)``, where ``F`` is the most mass that fits on ``vmin`` cells
+    (`_cheap_mass`, Gale's theorem over pattern unions). With three or
+    more, or two with more unions than ``_UNION_CAP``, the pooled problem
+    is appended to ``blocks`` for `_solve_lps` and the result is
+    ``None``. Pooling is exact because atoms with identical cost rows are
+    interchangeable in any coupling; on dense market graphs it shrinks a
+    ~90 x 90 residual to a handful of super-nodes.
     """
     dist = matrix[np.ix_(pos_a, pos_b)]
     _, src, snk, row_caps, col_caps = _residual(pos_a, mass_a, pos_b, mass_b, dist)
@@ -324,20 +286,14 @@ def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
     if vmin == vmax:
         return vmin * moved
 
-    if not np.any((sub > vmin) & (sub < vmax)):
-        cheap = sub == vmin
-        ship = _greedy_fill(row_caps, col_caps, cheap)
-        if moved - float(ship.sum()) <= MASS_TOL:
-            return vmin * moved
-        rows, rcaps = _group_rows(cheap, row_caps)
-        cols, ccaps = _group_rows(cheap.T, col_caps)
-        flow = _max_flow_float(rcaps, ccaps, cheap[np.ix_(rows, cols)])
-        cheap_mass = float(flow.sum())
-        return vmin * cheap_mass + vmax * (moved - cheap_mass)
-
     rows, rcaps = _group_rows(sub, row_caps)
     cols, ccaps = _group_rows(sub.T, col_caps)
-    blocks.append((rcaps, ccaps, sub[np.ix_(rows, cols)]))
+    pooled = sub[np.ix_(rows, cols)]
+    if not np.any((sub > vmin) & (sub < vmax)):
+        cheap_mass = _cheap_mass(pooled == vmin, rcaps, ccaps)
+        if cheap_mass is not None:
+            return vmin * cheap_mass + vmax * (moved - cheap_mass)
+    blocks.append((rcaps, ccaps, pooled))
     return None
 
 

@@ -1,5 +1,7 @@
 """Neighbor measures, exact W1, the exhaustive oracle, and curvature."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -161,11 +163,11 @@ def test_w1_disconnected_supports_raise():
         wasserstein1(mu, nu, h)
 
 
-def test_w1_two_cost_case_needs_max_flow():
+def test_w1_two_cost_case_reroutes_cheap_mass():
     # Supports {1, 2} and {4, 5} with d(2, 5) = 2 and the other three
-    # cross distances equal to 1. Index-order greedy sends 1 -> 4 and
-    # strands 2 (whose only cheap sink, 4, is full); the optimal flow
-    # re-routes 1 -> 5 and 2 -> 4 so everything still ships at cost 1.
+    # cross distances equal to 1. Index-order greedy would send 1 -> 4
+    # and strand 2, whose only cheap sink is 4; the optimum ships 1 -> 5
+    # and 2 -> 4, so everything still travels at cost 1.
     edges = [(0, 1), (0, 2), (1, 4), (1, 5), (2, 4), (3, 4), (3, 5), (4, 5)]
     g = _graph(6, edges)
     h = hop_distances(g)
@@ -372,9 +374,18 @@ def test_w1_matches_dense_lp_beyond_oracle_size(seed):
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
 
 
-# Near-tie masses: residuals that differ from a full greedy fill by about
-# 1e-13 sit just inside MASS_TOL = 1e-12 and are accepted as optimal;
-# 1e-11 sits outside it and goes to the max-flow. Graphs: ``path`` is
+@pytest.fixture
+def lp_blocks(monkeypatch):
+    """Block count of every `_solve_lps` call, in order."""
+    calls = []
+    real = transport._solve_lps
+    monkeypatch.setattr(transport, "_solve_lps",
+                        lambda blocks: calls.append(len(blocks)) or real(blocks))
+    return calls
+
+
+# Near-tie masses: cheap-cell capacities that differ by 1e-13 or 1e-11,
+# where the exact value turns on a sliver of mass. Graphs: ``path`` is
 # 0-2-3-1 (d(0,2) = d(1,3) = 1, cross distances 2); ``detour`` has 0
 # next to 2, 3 and 5, and 1 next to 2 and 5, with d(1, 3) = 2 through 4.
 _PATH = [(0, 2), (2, 3), (1, 3)]
@@ -382,31 +393,88 @@ _DETOUR = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 4), (1, 5), (3, 4)]
 _EPS = 1e-13
 
 
-@pytest.mark.parametrize("edges, mu, nu, max_flow", [
-    # Greedy strands 1e-13 of cheap mass: accepted.
+@pytest.mark.parametrize("edges, mu, nu, fallback", [
+    # 1e-13 of source 0 finds no cheap sink and ships at distance 2.
     (_PATH, {0: 0.5 + _EPS, 1: 0.5 - _EPS}, {2: 0.5, 3: 0.5}, False),
     # Shared atom 5 leaves a 1e-13 source residual with no cheap sink.
     (_DETOUR, {1: 0.5 - _EPS, 5: 0.5 + _EPS}, {2: 0.5, 5: 0.5}, False),
-    # 1e-11 stranded: outside MASS_TOL, so the max-flow decides.
+    # As the first case with 1e-11.
     (_PATH, {0: 0.5 + 1e-11, 1: 0.5 - 1e-11}, {2: 0.5, 3: 0.5}, True),
-    # Index-order greedy strands source 1; max-flow re-routes near-tie masses.
+    # Source 1 reaches only sink 2 cheaply, so source 0 must fill sink 3;
+    # index-order greedy would strand source 1.
     (_DETOUR, {0: 0.5 + _EPS, 1: 0.5 - _EPS}, {2: 0.5 - _EPS, 3: 0.5 + _EPS}, True),
     # As above with a shared atom whose masses differ by 1e-13.
     (_DETOUR, {0: 0.4 + _EPS, 1: 0.4 - _EPS, 5: 0.2},
      {2: 0.4 - 2 * _EPS, 3: 0.4 + _EPS, 5: 0.2 + _EPS}, True),
 ])
-def test_w1_near_tie_masses_match_dense_lp(monkeypatch, edges, mu, nu, max_flow):
-    calls = []
-    for name in ("_greedy_fill", "_max_flow_float"):
-        real = getattr(transport, name)
-        monkeypatch.setattr(transport, name, lambda *args, name=name, real=real:
-                            calls.append(name) or real(*args))
+def test_w1_near_tie_masses_match_dense_lp(monkeypatch, lp_blocks, edges, mu, nu, fallback):
+    # Two-distance residuals take the closed form and call no LP; the
+    # ``fallback`` cases are solved again with the union cap at 0, which
+    # sends them to the LP as one block.
     h = hop_distances(_graph(6, edges))
     mu = NodeMeasure(support=tuple(mu), masses=np.array(list(mu.values())))
     nu = NodeMeasure(support=tuple(nu), masses=np.array(list(nu.values())))
-    cost = wasserstein1_cost(mu, nu, h)
-    assert calls == ["_greedy_fill"] + ["_max_flow_float"] * max_flow
-    assert cost == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
+    exact = _dense_lp_w1(mu, nu, h)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
+    assert lp_blocks == []
+    if fallback:
+        monkeypatch.setattr(transport, "_UNION_CAP", 0)
+        assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
+        assert lp_blocks == [1]
+
+
+def _hall_w1(cheap, a, b):
+    """Exact W1 for costs 1 on ``cheap`` cells and 2 elsewhere.
+
+    Gale's condition maximised over every source subset in rationals, so
+    it shares nothing with the solver's union enumeration or its floats.
+    """
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    worst = Fraction(0)
+    for subset in range(1, 1 << len(a)):
+        rows = [i for i in range(len(a)) if subset >> i & 1]
+        sinks = set(np.nonzero(cheap[rows].any(axis=0))[0])
+        worst = max(worst, sum(a[i] for i in rows) - sum(b[j] for j in sinks))
+    cheap_mass = sum(a) - worst
+    return float(cheap_mass + 2 * (min(sum(a), sum(b)) - cheap_mass))
+
+
+def _near_tie_masses(rng, size, eps):
+    """Integer parts of 24 with one +-eps swap: Hall sets are often tight."""
+    cuts = np.sort(rng.choice(np.arange(1, 24), size=size - 1, replace=False))
+    masses = np.diff(np.concatenate(([0], cuts, [24]))) / 24.0
+    i, j = rng.choice(size, size=2, replace=False)
+    masses[i] += eps
+    masses[j] -= eps
+    return masses
+
+
+# Sources 0..m-1 and sinks m..m+k-1 meet a hub, so each cross distance is
+# 1 on a cheap cell and 2 elsewhere. Source 0 and sink m have no cheap
+# cell, so both sides hold at least two distinct patterns and a union
+# cap of 1 always overflows.
+@pytest.mark.parametrize("seed", range(24))
+def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_blocks, seed):
+    rng = np.random.default_rng(seed)
+    m, k = [(4, 7), (7, 4), (10, 3), (6, 6)][seed % 4]
+    eps = (1e-13, 1e-11)[seed // 4 % 2]
+    cheap = rng.random((m, k)) < 0.4
+    cheap[0, :] = cheap[:, 0] = False
+    cheap[1, 1] = True
+    hub = m + k
+    edges = [(int(i), m + int(j)) for i, j in zip(*np.nonzero(cheap))]
+    h = hop_distances(_graph(hub + 1, edges + [(v, hub) for v in range(hub)]))
+    mu = NodeMeasure(support=tuple(range(m)), masses=_near_tie_masses(rng, m, eps))
+    nu = NodeMeasure(support=tuple(range(m, hub)), masses=_near_tie_masses(rng, k, eps))
+    closed = wasserstein1_cost(mu, nu, h)
+    assert lp_blocks == []
+    assert closed == pytest.approx(_hall_w1(cheap, mu.masses, nu.masses), abs=1e-14)
+    exact = _dense_lp_w1(mu, nu, h)
+    assert closed == pytest.approx(exact, abs=1e-9)
+    monkeypatch.setattr(transport, "_UNION_CAP", 1)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
+    assert lp_blocks == [1]
 
 
 # ---------------------------------------------------------------------------
