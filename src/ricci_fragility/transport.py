@@ -3,16 +3,14 @@ Ollivier-Ricci curvature.
 
 The W1 solver is exact, not approximate. One front end (`_residual`)
 fixes mass shared between identical atoms in place, since it never moves
-under a metric cost, and leaves a residual problem. The value is then
-routed by the residual's shape: no residual costs nothing; one distinct
-distance has a closed form; two have one too, from Gale's supply-demand
-theorem scored over the unions of the pooled cheap-cell patterns (past
-``_UNION_CAP`` unions they fall back to the LP); three or more become a
-pooled transportation LP, and every such LP of a window is solved in one
-batched HiGHS call (`_solve_lps`). The optimal plan (`wasserstein1`) is
-the fixed shared mass plus one unpooled LP on the residual. Every route
-returns the exact optimum up to float rounding of sums, which keeps
-closed-form comparisons tight at 1e-12.
+under a metric cost. No residual costs nothing and one distinct distance
+has a closed form; two or more are pooled and scored by the integral
+dual of the max-weight transport (`_integer_dual`). The rest (fractional
+distance gaps, too many level bits or dual candidates) become LP blocks,
+all of a window's solved in one HiGHS call (`_solve_lps`). The optimal plan
+(`wasserstein1`) is the fixed shared mass plus one unpooled LP on the
+residual. Every route returns the exact optimum up to float rounding of
+sums, which keeps closed-form comparisons tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -48,8 +46,7 @@ WEIGHTINGS = ("edge_weight", "uniform")
 
 AVERAGING_MODES = ("edges", "pairs")
 
-#: Two-distance residuals with more distinct cheap-pattern unions than
-#: this are solved as LP blocks instead of in closed form.
+#: Residuals with more integer-dual candidates than this go to the LP.
 _UNION_CAP = 256
 
 
@@ -164,8 +161,7 @@ def node_measure(graph: MarketGraph, node, weighting: str = "edge_weight") -> No
 def _solve_lps(blocks: list) -> list:
     """Solve independent transportation LPs in one HiGHS call.
 
-    Each block is ``(row_caps, col_caps, dist)``. Windows on dense graphs
-    generate hundreds of small residual problems; stacking them into one
+    Each block is ``(row_caps, col_caps, dist)``; stacking them into one
     block-diagonal program gives the same optima for a single solver
     setup. The constraint matrix is assembled directly in CSR form: row
     i of a block sums source i's shipments, row m + j sums sink j's.
@@ -196,13 +192,12 @@ def _solve_lps(blocks: list) -> list:
 
 
 def _group_rows(pattern: np.ndarray, caps: np.ndarray):
-    """Merge rows with identical patterns; they are interchangeable.
+    """Pool sources (or sinks) whose cost rows coincide.
 
-    Sources (or sinks) whose cost rows coincide can be pooled into one
-    super-node with the summed capacity without changing the optimum.
-    Rows are compared as raw bytes, which is value equality for booleans
-    and for finite nonnegative hop distances. Returns representative row
-    indices and pooled capacities.
+    Such atoms are interchangeable, so one super-node with the summed
+    capacity has the same optimum. Rows are compared as raw bytes, which
+    is value equality for finite nonnegative hop distances. Returns
+    representative row indices and pooled capacities.
     """
     rows = np.ascontiguousarray(pattern)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -234,46 +229,52 @@ def _residual(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
     return (ia, jb, fixed), src, snk, ra[src], rb[snk]
 
 
-def _cheap_mass(cheap: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
-    """Most mass that can ship on the ``cheap`` cells of a pooled problem.
+def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
+    """Largest ``sum(w * x)`` over pooled transports ``x``, or ``None``.
 
-    Gale's supply-demand theorem gives it as ``total - max(0, max_S
-    [cap(S) - cap(N(S))])`` over source sets S. For a fixed neighbourhood
-    the best S takes every row whose pattern lies inside it, so only the
-    distinct unions of row patterns need scoring; the smaller side is
-    taken as the rows. Returns ``None`` past ``_UNION_CAP`` unions.
+    It equals ``min r.p + c.q`` over ``p, q >= 0`` with ``p_i + q_j >=
+    w_ij``. For integer ``w / gcd`` an optimum is integral (total
+    unimodularity), with ``p_i = max_j (w_ij - q_j)+`` and ``q`` a pointwise
+    max of row generators ``(w_i - t)+``. With the smaller side as columns
+    ``q`` is coded in level bits (bit ``(t-1)k + j`` iff ``q_j >= t``), so
+    the candidates are the OR-closure of the generators. ``None`` means
+    non-integer ``w``, over 63 bits or over ``_UNION_CAP`` candidates.
     """
-    if cheap.shape[0] > cheap.shape[1]:
-        cheap, rcaps, ccaps = cheap.T, ccaps, rcaps
-    # Each union contains its own patterns, so OR-ing every union with
-    # every pattern keeps the old unions and adds the next layer.
-    unions = cheap
-    while True:
-        grown = (unions[:, None] | cheap[None]).reshape(-1, cheap.shape[1])
-        first, _ = _group_rows(grown, np.zeros(len(grown)))
-        if first.size > _UNION_CAP:
-            return None
-        if first.size == len(unions):
-            break
-        unions = grown[first]
-    contained = ~(cheap @ ~unions.T)
-    excess = rcaps @ contained - unions @ ccaps
-    return float(rcaps.sum()) - max(0.0, float(excess.max()))
+    if w.shape[0] < w.shape[1]:
+        w, rcaps, ccaps = w.T, ccaps, rcaps
+    if not np.array_equal(w, np.rint(w)):
+        return None
+    step = np.gcd.reduce(w.astype(np.int64), axis=None)
+    w = w.astype(np.int64) // step
+    levels, k = int(w.max()), w.shape[1]
+    if levels * k > 63:
+        return None
+    bits = np.left_shift(1, np.arange(levels * k, dtype=np.int64)).reshape(levels, k)
+    # Generator (w_i - t)+ reaches level s at column j iff w_ij >= s + t.
+    reach = np.add.outer(np.arange(levels), np.arange(1, levels + 1))
+    gens = ((w[:, None, None, :] >= reach[:, :, None]) * bits).sum(axis=(2, 3))
+    # Every union contains a generator, so OR-ing every union with every
+    # generator keeps the old unions and adds the next layer.
+    unions = gens = np.unique(np.append(gens, 0))
+    while unions.size <= _UNION_CAP:
+        grown = np.unique(unions[:, None] | gens)
+        if grown.size == unions.size:
+            q = (unions[:, None] >> np.arange(levels * k) & 1).reshape(-1, levels, k).sum(axis=1)
+            p = np.maximum(w - q[:, None, :], 0).max(axis=2)
+            return float(step) * float((p @ rcaps + q @ ccaps).min())
+        unions = grown
+    return None
 
 
 def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
              mass_b: np.ndarray, matrix: np.ndarray, blocks: list):
     """Exact W1 value, routed by the residual's distinct distances.
 
-    Zero residual costs nothing and one distance has a closed form. With
-    two distances ``vmin < vmax`` the cost is ``vmin * F + vmax * (moved
-    - F)``, where ``F`` is the most mass that fits on ``vmin`` cells
-    (`_cheap_mass`, Gale's theorem over pattern unions). With three or
-    more, or two with more unions than ``_UNION_CAP``, the pooled problem
-    is appended to ``blocks`` for `_solve_lps` and the result is
-    ``None``. Pooling is exact because atoms with identical cost rows are
-    interchangeable in any coupling; on dense market graphs it shrinks a
-    ~90 x 90 residual to a handful of super-nodes.
+    Zero residual costs nothing and one distance has a closed form. More
+    are pooled, and W1 = ``vmax * moved - _integer_dual(vmax - dist)``;
+    where that is ``None`` the pooled problem is appended to ``blocks``
+    for `_solve_lps` and the result is ``None``. Pooling is exact because
+    atoms with identical cost rows are interchangeable in any coupling.
     """
     dist = matrix[np.ix_(pos_a, pos_b)]
     _, src, snk, row_caps, col_caps = _residual(pos_a, mass_a, pos_b, mass_b, dist)
@@ -281,18 +282,16 @@ def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
         return 0.0
     sub = dist[np.ix_(src, snk)]
     moved = min(float(row_caps.sum()), float(col_caps.sum()))
-    vmin = float(sub.min())
     vmax = float(sub.max())
-    if vmin == vmax:
-        return vmin * moved
+    if float(sub.min()) == vmax:
+        return vmax * moved
 
     rows, rcaps = _group_rows(sub, row_caps)
     cols, ccaps = _group_rows(sub.T, col_caps)
     pooled = sub[np.ix_(rows, cols)]
-    if not np.any((sub > vmin) & (sub < vmax)):
-        cheap_mass = _cheap_mass(pooled == vmin, rcaps, ccaps)
-        if cheap_mass is not None:
-            return vmin * cheap_mass + vmax * (moved - cheap_mass)
+    carried = _integer_dual(vmax - pooled, rcaps, ccaps)
+    if carried is not None:
+        return vmax * moved - carried
     blocks.append((rcaps, ccaps, pooled))
     return None
 

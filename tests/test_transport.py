@@ -1,5 +1,6 @@
 """Neighbor measures, exact W1, the exhaustive oracle, and curvature."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from ricci_fragility.errors import (
     InfiniteDistanceError,
     OracleBudgetError,
 )
-from ricci_fragility.graphs import MarketGraph, hop_distances
+from ricci_fragility.graphs import HopDistanceMatrix, MarketGraph, hop_distances
 from ricci_fragility.indicator import WindowConfig, window_graph
 from ricci_fragility.synthetic import regime_switch
 from ricci_fragility.transport import (
@@ -475,6 +476,116 @@ def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_blocks, seed)
     monkeypatch.setattr(transport, "_UNION_CAP", 1)
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
     assert lp_blocks == [1]
+
+
+def _dual_brute_w1(dist, a, b):
+    """Exact W1 as ``vmax * moved`` minus the best dual ``sum a p + sum b q``.
+
+    Tries every integer ``p`` in ``{0..max w}`` per source, with the least
+    feasible ``q_j = max_i (w_ij - p_i)+``, in rationals; shares nothing
+    with the solver's level bits, gcd or candidate closure.
+    """
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    vmax = int(dist.max())
+    w = [[vmax - int(d) for d in row] for row in dist]
+    best = None
+    for p in itertools.product(range(max(map(max, w)) + 1), repeat=len(a)):
+        q = [max(max(w[i][j] - p[i], 0) for i in range(len(a))) for j in range(len(b))]
+        value = sum(x * y for x, y in zip(a, p)) + sum(x * y for x, y in zip(b, q))
+        best = value if best is None else min(best, value)
+    return float(vmax * min(sum(a), sum(b)) - best)
+
+
+def _multi_level_instance(rng, m, k, odd):
+    """Sources 0..m-1 and sinks m..m+k-1 with cross distances in {1, 2, 3}
+    (direct edge, private middle node, else a two-node hub) or, with
+    ``odd``, in {1, 3, 5} (direct edge, private three-edge path, else a
+    four-node hub; the graph is bipartite, so no distance is even).
+    Source 0 and sink m touch only the hub, so row 0 sits at the largest
+    distance everywhere and its ``w`` is zero."""
+    kind = rng.integers(0, 3, size=(m, k))
+    kind[0, :] = kind[:, 0] = 0
+    kind[1, 1], kind[-1, -1] = 1, 2
+    n = m + k
+    edges = []
+    for i, j in zip(*np.nonzero(kind)):
+        if kind[i, j] == 1:
+            edges.append((int(i), m + int(j)))
+        else:
+            path = [int(i)] + list(range(n, n + (2 if odd else 1))) + [m + int(j)]
+            n += 2 if odd else 1
+            edges += [tuple(sorted(e)) for e in zip(path, path[1:])]
+    hub = list(range(n, n + (4 if odd else 2)))
+    n += len(hub)
+    edges += list(zip(hub, hub[1:]))
+    edges += [(v, hub[0]) for v in range(m)] + [(v, hub[-1]) for v in range(m, m + k)]
+    return hop_distances(_graph(n, sorted(set(edges))))
+
+
+# Both orientations: with more sinks than sources the solver enumerates
+# the transposed side. Masses are near ties at 1e-13 or 1e-11.
+@pytest.mark.parametrize("seed", range(16))
+def test_multi_level_closed_form_matches_brute_force_and_dense_lp(monkeypatch, lp_blocks,
+                                                                  seed):
+    rng = np.random.default_rng(seed)
+    odd = bool(seed % 2)
+    m, k = [(5, 3), (3, 6), (4, 4), (5, 7)][seed // 2 % 4]
+    eps = (1e-13, 1e-11)[seed // 8]
+    h = _multi_level_instance(rng, m, k, odd)
+    mu = NodeMeasure(support=tuple(range(m)), masses=_near_tie_masses(rng, m, eps))
+    nu = NodeMeasure(support=tuple(range(m, m + k)), masses=_near_tie_masses(rng, k, eps))
+    dist = h.matrix[:m, m:m + k]
+    assert set(np.unique(dist)) == ({1.0, 3.0, 5.0} if odd else {1.0, 2.0, 3.0})
+    closed = wasserstein1_cost(mu, nu, h)
+    assert lp_blocks == []
+    assert closed == pytest.approx(_dual_brute_w1(dist, mu.masses, nu.masses), abs=1e-14)
+    exact = _dense_lp_w1(mu, nu, h)
+    assert closed == pytest.approx(exact, abs=1e-9)
+    monkeypatch.setattr(transport, "_UNION_CAP", 1)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
+    assert lp_blocks == [1]
+
+
+@pytest.mark.parametrize("ladder", [1, 40])
+def test_level_bits_past_63_go_to_lp(lp_blocks, ladder):
+    # Two sinks, and gaps vmax - d of (ladder, ladder - 1), (ladder - 1,
+    # ladder - 2) and (0, 0) with gcd 1: ``ladder`` levels on two columns
+    # need 2 * ladder bits, so ladder 40 is solved as one LP block. Its
+    # dual candidates form a chain, well under the union cap.
+    cross = ladder + 1 - np.array([[ladder, ladder - 1], [ladder - 1, ladder - 2], [0, 0]])
+    matrix = np.ones((5, 5)) - np.eye(5)
+    matrix[:3, 3:], matrix[3:, :3] = cross, cross.T
+    h = HopDistanceMatrix(nodes=tuple(range(5)), matrix=matrix)
+    mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.3, 0.3, 0.4]))
+    nu = NodeMeasure(support=(3, 4), masses=np.array([0.45, 0.55]))
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
+    assert lp_blocks == ([1] if ladder == 40 else [])
+
+
+# Sources at 0, 1, 2 on a line. Sinks at 0.5, 2.75, 3.5 leave gaps
+# vmax - d of 0.75 and 2.25, which truncation to integers would
+# misprice; sinks at 0.5, 2.5, 3.5 give fractional distances with whole
+# gaps, so the closed form still applies.
+@pytest.mark.parametrize("sinks, route", [((0.5, 2.75, 3.5), [1]), ((0.5, 2.5, 3.5), [])])
+def test_fractional_distance_gaps_go_to_lp(lp_blocks, sinks, route):
+    x = np.array((0.0, 1.0, 2.0) + sinks)
+    h = HopDistanceMatrix(nodes=tuple(range(6)), matrix=np.abs(x[:, None] - x[None, :]))
+    mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.5, 0.3, 0.2]))
+    nu = NodeMeasure(support=(3, 4, 5), masses=np.array([0.2, 0.3, 0.5]))
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
+    assert lp_blocks == route
+
+
+# Windows in the calm phase, the transition and the crisis phase.
+@pytest.mark.parametrize("k", [100, 300, 420])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("mode", ["edges", "pairs"])
+def test_window_curvature_solves_no_lp(regime_panel, lp_blocks, k, weighting, mode):
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting=weighting))
+    average_curvature(graph, mode=mode, weighting=weighting)
+    assert sum(lp_blocks) == 0
 
 
 # ---------------------------------------------------------------------------
