@@ -39,6 +39,9 @@ SLACK_TOL = 1e-9
 
 BOUND_NAMES = ("prop1_first", "prop1_sup", "lemma_node", "prop2_first", "prop2_sup")
 
+#: Random node pairs per instance at which prop1 is checked, besides (x, y).
+_PAIR_SAMPLES = 3
+
 
 @dataclass(frozen=True)
 class PerturbationInstance:
@@ -218,10 +221,7 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
         if len(edges) >= n * (n - 1) // 2:
             continue  # no absent edge to add
         weights = {e: float(rng.uniform(weight_low, weight_high)) for e in edges}
-        try:
-            g = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights)
-        except DataError:
-            continue
+        g = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights)
         if not g.is_connected():
             continue
         absent = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -233,13 +233,13 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
 
 
 def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator,
-                        weighting: str = "edge_weight", pair_samples: int = 3) -> list:
+                        weighting: str = "edge_weight") -> list:
     """All five checks on one instance; prop1 at sampled pairs plus (x, y)."""
     g = instance.graph
     reports = []
     nodes = list(g.nodes)
     pairs = {(instance.x, instance.y)}
-    while len(pairs) < pair_samples + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
+    while len(pairs) < _PAIR_SAMPLES + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
         a, b = rng.choice(len(nodes), size=2, replace=False)
         pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
     for a, b in sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]])):

@@ -11,9 +11,8 @@ correlations while tree construction and transport read distances.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -245,14 +244,7 @@ def build_complete_graph(distances, correlations, nodes=None) -> MarketGraph:
         if len(nodes) != n:
             raise GraphError("node labels do not match matrix order")
 
-    edges, weights, corrs = [], {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (nodes[i], nodes[j])
-            edges.append(key)
-            weights[key] = float(d[i, j])
-            corrs[key] = float(c[i, j])
-    return MarketGraph(nodes=nodes, edges=tuple(edges), weights=weights, correlations=corrs)
+    return _from_edge_mask(nodes, np.ones((n, n), dtype=bool), d, c)
 
 
 def minimum_spanning_tree(graph: MarketGraph) -> MarketGraph:
@@ -264,37 +256,38 @@ def minimum_spanning_tree(graph: MarketGraph) -> MarketGraph:
     therefore always produce the same tree.
     """
     idx = graph.index
-    in_tree = {graph.nodes[0]}
-    chosen = []
-    heap = []
+    w = np.full((graph.n, graph.n), np.inf)
+    for (a, b), x in graph.weights.items():
+        w[idx[a], idx[b]] = w[idx[b], idx[a]] = x
+    return _edge_subset(graph, [(graph.nodes[i], graph.nodes[j]) for i, j in _prim(w)])
 
-    def push_frontier(u):
-        iu = idx[u]
-        for v in graph.adjacency[u]:
-            if v not in in_tree:
-                iv = idx[v]
-                i, j = (iu, iv) if iu < iv else (iv, iu)
-                heapq.heappush(heap, (graph.weights[graph.edge_key(u, v)], i, j))
 
-    push_frontier(graph.nodes[0])
-    while heap and len(chosen) < graph.n - 1:
-        w, i, j = heapq.heappop(heap)
-        a, b = graph.nodes[i], graph.nodes[j]
-        if a in in_tree and b in in_tree:
-            continue
-        new = b if a in in_tree else a
-        chosen.append((a, b))
-        in_tree.add(new)
-        push_frontier(new)
-
-    if len(chosen) != graph.n - 1:
-        raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
-
-    weights = {e: graph.weights[e] for e in chosen}
-    corrs = None
-    if graph.correlations is not None:
-        corrs = {e: graph.correlations[e] for e in chosen}
-    return MarketGraph(nodes=graph.nodes, edges=tuple(chosen), weights=weights, correlations=corrs)
+def _prim(w: np.ndarray):
+    """Prim's tree on a dense symmetric weight matrix (``inf``: no edge),
+    with the ``minimum_spanning_tree`` tie-break: each outside node keeps
+    its lightest tree edge, ties to the smaller tree position, which is
+    its smallest ``(weight, i, j)``. Returns the ``(i, j)`` pairs;
+    ``DisconnectedGraphError`` if ``w`` spans no tree."""
+    n = len(w)
+    best = w[0].copy()
+    best[0] = np.nan  # tree nodes hold NaN, which no comparison selects
+    link = np.zeros(n, dtype=np.intp)
+    pairs = []
+    for _ in range(n - 1):
+        lightest = np.fmin.reduce(best)  # the smallest non-NaN entry
+        if lightest == np.inf:
+            raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
+        cand = np.flatnonzero(best == lightest)
+        key = np.minimum(link[cand], cand) * n + np.maximum(link[cand], cand)
+        pick = key.argmin()
+        pairs.append(divmod(int(key[pick]), n))
+        k = cand[pick]
+        best[k] = np.nan
+        row = w[k]
+        better = (row < best) | ((row == best) & (k < link))
+        best[better] = row[better]
+        link[better] = k
+    return pairs
 
 
 def augment_high_value_edges(mst: MarketGraph, base: MarketGraph, xi: float) -> MarketGraph:
@@ -315,15 +308,8 @@ def augment_high_value_edges(mst: MarketGraph, base: MarketGraph, xi: float) -> 
         if e not in base.weights:
             raise GraphError(f"tree edge {e!r} is not a base edge")
 
-    kept = set(mst.edges)
-    for e, rho in base.correlations.items():
-        if rho >= xi:
-            kept.add(e)
-    idx = base.index
-    edges = tuple(sorted(kept, key=lambda e: (idx[e[0]], idx[e[1]])))
-    weights = {e: base.weights[e] for e in edges}
-    corrs = {e: base.correlations[e] for e in edges}
-    return MarketGraph(nodes=base.nodes, edges=edges, weights=weights, correlations=corrs)
+    tree = set(mst.edges)
+    return _edge_subset(base, [e for e in base.edges if e in tree or base.correlations[e] >= xi])
 
 
 def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
@@ -362,9 +348,23 @@ def induced_subgraph(graph: MarketGraph, node_subset) -> MarketGraph:
         raise ConfigError("subset must contain at least two nodes")
 
     nodes = tuple(v for v in graph.nodes if v in seen)
-    edges = tuple(e for e in graph.edges if e[0] in seen and e[1] in seen)
-    weights = {e: graph.weights[e] for e in edges}
+    return _edge_subset(graph, [e for e in graph.edges if e[0] in seen and e[1] in seen],
+                        nodes)
+
+
+def _edge_subset(graph: MarketGraph, edges, nodes=None) -> MarketGraph:
+    """``graph`` restricted to ``edges`` (and to ``nodes`` if given)."""
     corrs = None
     if graph.correlations is not None:
         corrs = {e: graph.correlations[e] for e in edges}
-    return MarketGraph(nodes=nodes, edges=edges, weights=weights, correlations=corrs)
+    return MarketGraph(nodes=graph.nodes if nodes is None else nodes, edges=tuple(edges),
+                       weights={e: graph.weights[e] for e in edges}, correlations=corrs)
+
+
+def _from_edge_mask(nodes: tuple, mask: np.ndarray, d: np.ndarray, c: np.ndarray) -> MarketGraph:
+    """Graph on ``nodes`` with an edge for each ``mask[i, j]``, ``i < j``,
+    weighted by ``d[i, j]`` and carrying correlation ``c[i, j]``."""
+    i, j = np.nonzero(np.triu(mask, 1))
+    edges = [(nodes[a], nodes[b]) for a, b in zip(i.tolist(), j.tolist())]
+    return MarketGraph(nodes=nodes, edges=tuple(edges), weights=dict(zip(edges, d[i, j].tolist())),
+                       correlations=dict(zip(edges, c[i, j].tolist())))

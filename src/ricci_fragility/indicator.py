@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientOverlapError
-from .graphs import MarketGraph, augment_high_value_edges, build_complete_graph, \
-    hop_distances, minimum_spanning_tree
+from .graphs import MarketGraph, _from_edge_mask, _prim, build_complete_graph
 from .ingestion import PriceMatrix
 from .transport import AVERAGING_MODES, WEIGHTINGS, average_curvature
 
@@ -244,9 +243,12 @@ def complete_window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGr
 
 def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
     """Filtered correlation network for one window: MST + high-rho edges."""
-    base = complete_window_graph(window, config)
-    tree = minimum_spanning_tree(base)
-    return augment_high_value_edges(tree, base, config.xi)
+    rho, _ = correlation_matrix(window, config.input_mode)
+    dist = distance_from_correlation(rho, config.transform)
+    mask = rho >= config.xi
+    for i, j in _prim(dist):
+        mask[i, j] = True
+    return _from_edge_mask(window.tickers, mask, dist, rho)
 
 
 def _window_curvature(window: PriceMatrix, config: WindowConfig):

@@ -42,12 +42,7 @@ from .errors import ConfigError, GraphError
 from .graphs import MarketGraph, induced_subgraph
 from .indicator import WindowConfig, _rolling_series, complete_window_graph
 from .ingestion import PriceMatrix
-from .transport import (
-    AVERAGING_MODES,
-    WEIGHTINGS,
-    CurvatureReport,
-    average_curvature,
-)
+from .transport import AVERAGING_MODES, WEIGHTINGS, average_curvature
 
 OBJECTIVES = ("minimize", "maximize")
 

@@ -245,6 +245,48 @@ def test_mst_total_weight_matches_exhaustive_enumeration(raw):
     assert prim_total == pytest.approx(best, abs=1e-12)
 
 
+def _scan_prim(g):
+    """Plain Prim: scan every frontier edge for the smallest (weight, i, j)."""
+    idx = g.index
+    in_tree, chosen = {0}, []
+    while len(in_tree) < g.n:
+        frontier = [(g.weights[(a, b)], idx[a], idx[b]) for a, b in g.edges
+                    if (idx[a] in in_tree) != (idx[b] in in_tree)]
+        if not frontier:
+            return None
+        _, i, j = min(frontier)
+        chosen.append((g.nodes[i], g.nodes[j]))
+        in_tree |= {i, j}
+    return chosen
+
+
+def test_mst_matches_full_frontier_scan_under_ties():
+    # Weights from {1, 2, 3} make ties common; shuffled labels keep node
+    # order apart from label order; sparse draws are often disconnected.
+    rng = np.random.default_rng(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        nodes = tuple(f"v{p}" for p in rng.permutation(n))
+        p = rng.uniform(0.2, 1.0)
+        edges = [(nodes[i], nodes[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        weights = {e: float(rng.integers(1, 4)) for e in edges}
+        corrs = {e: float(rng.uniform(-1, 1)) for e in edges}
+        g = MarketGraph(nodes=nodes, edges=tuple(edges), weights=weights, correlations=corrs)
+        expected = _scan_prim(g)
+        outcomes[expected is not None] += 1
+        if expected is None:
+            with pytest.raises(DisconnectedGraphError):
+                minimum_spanning_tree(g)
+            continue
+        t = minimum_spanning_tree(g)
+        assert set(t.edges) == set(expected)
+        assert t.weights == {e: weights[e] for e in expected}
+        assert t.correlations == {e: corrs[e] for e in expected}
+    assert min(outcomes.values()) >= 30
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ from ricci_fragility.errors import (
     DataError,
     InsufficientOverlapError,
 )
+from ricci_fragility.graphs import (
+    MarketGraph,
+    augment_high_value_edges,
+    build_complete_graph,
+    minimum_spanning_tree,
+)
 from ricci_fragility.indicator import (
     DistanceTransform,
     IndicatorSeries,
@@ -27,7 +33,7 @@ from ricci_fragility.indicator import (
     write_sweep_csv,
 )
 from ricci_fragility.ingestion import PriceMatrix
-from ricci_fragility.synthetic import comoving, iid
+from ricci_fragility.synthetic import comoving, iid, regime_switch
 from ricci_fragility.transport import average_curvature
 
 
@@ -227,6 +233,37 @@ class TestWindowGraph:
         for xi in (-1.0, 0.0, 1.0):
             g = window_graph(panel.window(0, 12), WindowConfig(T=12, xi=xi))
             assert g.edge_count == 10  # rho == 1 everywhere, all edges admitted
+
+    @pytest.mark.parametrize("corpus", [regime_switch, iid, comoving],
+                             ids=lambda f: f.__name__)
+    def test_equals_public_composition(self, corpus):
+        # comoving has every distance 0, so there the tree is all tie-break.
+        panel = corpus()
+        T = WindowConfig().T
+        for k in range(0, panel.n_dates - T + 1, 7):
+            window = panel.window(k, k + T)
+            rho, _ = correlation_matrix(window)
+            dist = distance_from_correlation(rho, DistanceTransform())
+            base = build_complete_graph(dist, rho, nodes=window.tickers)
+            tree = minimum_spanning_tree(base)
+            for xi in (0.75, 0.8, 0.85, 0.9):
+                expected = augment_high_value_edges(tree, base, xi)
+                g = window_graph(window, WindowConfig(xi=xi))
+                assert g.edges == expected.edges, (k, xi)
+                assert g.weights == expected.weights, (k, xi)
+                assert g.correlations == expected.correlations, (k, xi)
+
+    def test_builds_one_market_graph(self, monkeypatch):
+        built = []
+        post_init = MarketGraph.__post_init__
+
+        def counting(graph):
+            built.append(graph)
+            post_init(graph)
+
+        monkeypatch.setattr(MarketGraph, "__post_init__", counting)
+        g = window_graph(regime_switch().window(300, 432), WindowConfig())
+        assert len(built) == 1 and built[0] is g
 
 
 class TestIndicatorSeriesPipeline:
