@@ -1,7 +1,7 @@
 """Price-panel loading, validation, screening, and serialisation.
 
 The on-disk format is long-form CSV with header ``date,ticker,close``:
-one row per observation, ISO-8601 dates, strictly positive prices.
+one row per observation, ``YYYY-MM-DD`` dates, strictly positive prices.
 Loading pivots the rows into a date x ticker panel with missing cells
 marked NaN. Ragged listings (IPOs, delistings, gaps) are simply absent
 rows — nothing is imputed here, and downstream correlation code works
@@ -27,6 +27,18 @@ from .errors import ConfigError, DataError
 CSV_HEADER = ("date", "ticker", "close")
 
 
+def _parse_date(text: str) -> datetime.date:
+    """Parse ``YYYY-MM-DD`` only; ``ValueError`` otherwise.
+
+    Dates are compared as strings downstream, which orders them only in
+    this one ISO form (Python 3.11 would also accept ``20200105``).
+    """
+    day = datetime.date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError("expected YYYY-MM-DD")
+    return day
+
+
 @dataclass(frozen=True)
 class PriceMatrix:
     """Aligned price panel: rows are dates, columns are tickers.
@@ -35,7 +47,7 @@ class PriceMatrix:
     present values are strictly positive, and every ticker and every
     date has at least one present observation (so the long CSV format
     represents the panel losslessly). Dates are strictly increasing
-    ISO-8601 strings and ticker names are unique and non-empty.
+    ``YYYY-MM-DD`` strings and ticker names are unique and non-empty.
     """
 
     dates: tuple
@@ -55,7 +67,7 @@ class PriceMatrix:
         prev = None
         for d in dates:
             try:
-                cur = datetime.date.fromisoformat(d)
+                cur = _parse_date(d)
             except ValueError as exc:
                 raise DataError(f"bad date {d!r}: {exc}") from exc
             if prev is not None and cur <= prev:
@@ -156,7 +168,7 @@ def load_price_csv(path) -> PriceMatrix:
                 raise DataError(f"{path}: row {lineno}: expected 3 cells, got {len(row)}")
             date, ticker, cell = (c.strip() for c in row)
             try:
-                datetime.date.fromisoformat(date)
+                _parse_date(date)
             except ValueError:
                 raise DataError(f"{path}: row {lineno}: bad date {date!r}") from None
             if not ticker:

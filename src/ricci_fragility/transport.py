@@ -6,11 +6,12 @@ fixes mass shared between identical atoms in place, since it never moves
 under a metric cost. No residual costs nothing and one distinct distance
 has a closed form; two or more are pooled and scored by the integral
 dual of the max-weight transport (`_integer_dual`). The rest (fractional
-distance gaps, too many level bits or dual candidates) become LP blocks,
-all of a window's solved in one HiGHS call (`_solve_lps`). The optimal plan
-(`wasserstein1`) is the fixed shared mass plus one unpooled LP on the
-residual. Every route returns the exact optimum up to float rounding of
-sums, which keeps closed-form comparisons tight at 1e-12.
+or int64-overflowing distance gaps, too many level bits or dual
+candidates) are each solved where they arise as one pooled HiGHS LP
+(`_solve_lp`). The optimal plan (`wasserstein1`) is the fixed shared
+mass plus one unpooled LP on the residual. Every route returns the exact
+optimum up to float rounding of sums, which keeps closed-form
+comparisons tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -158,37 +159,25 @@ def node_measure(graph: MarketGraph, node, weighting: str = "edge_weight") -> No
 # ---------------------------------------------------------------------------
 
 
-def _solve_lps(blocks: list) -> list:
-    """Solve independent transportation LPs in one HiGHS call.
+def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Optimal shipment matrix of one transportation LP, by HiGHS.
 
-    Each block is ``(row_caps, col_caps, dist)``; stacking them into one
-    block-diagonal program gives the same optima for a single solver
-    setup. The constraint matrix is assembled directly in CSR form: row
-    i of a block sums source i's shipments, row m + j sums sink j's.
-    Returns each block's optimal shipment matrix.
+    The constraint matrix is assembled directly in CSR form: row i sums
+    source i's shipments, row m + j sums sink j's.
     """
-    if not blocks:
-        return []
-    indices, row_nnz, b_eq, costs, offsets = [], [], [], [], [0]
-    for row_caps, col_caps, dist in blocks:
-        m, k = dist.shape
-        cells = offsets[-1] + np.arange(m * k).reshape(m, k)
-        indices += [cells.ravel(), cells.T.ravel()]
-        row_nnz.append(np.repeat((k, m), (m, k)))
-        # Equality constraints need matching totals; the inputs agree to
-        # ~1e-12, so rescale the columns onto the row total.
-        b_eq += [row_caps, col_caps * (float(row_caps.sum()) / float(col_caps.sum()))]
-        costs.append(dist.ravel())
-        offsets.append(offsets[-1] + m * k)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(row_nnz))))
-    a_eq = csr_matrix((np.ones(indptr[-1]), np.concatenate(indices), indptr),
-                      shape=(indptr.size - 1, offsets[-1]))
-    res = linprog(np.concatenate(costs), A_eq=a_eq, b_eq=np.concatenate(b_eq),
-                  bounds=(0, None), method="highs", options={"presolve": False})
+    m, k = dist.shape
+    cells = np.arange(m * k).reshape(m, k)
+    indptr = np.concatenate((np.arange(0, m * k, k), np.arange(m * k, 2 * m * k + 1, m)))
+    a_eq = csr_matrix((np.ones(2 * m * k), np.concatenate((cells.ravel(), cells.T.ravel())),
+                       indptr), shape=(m + k, m * k))
+    # Equality constraints need matching totals; the inputs agree to
+    # ~1e-12, so rescale the columns onto the row total.
+    b_eq = np.concatenate((row_caps, col_caps * (float(row_caps.sum()) / float(col_caps.sum()))))
+    res = linprog(dist.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"presolve": False})
     if res.status != 0:
         raise SolverError(f"transport LP failed: {res.message}")
-    return [res.x[s:e].reshape(dist.shape)
-            for (_, _, dist), s, e in zip(blocks, offsets, offsets[1:])]
+    return res.x.reshape(m, k)
 
 
 def _group_rows(pattern: np.ndarray, caps: np.ndarray):
@@ -238,11 +227,12 @@ def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
     max of row generators ``(w_i - t)+``. With the smaller side as columns
     ``q`` is coded in level bits (bit ``(t-1)k + j`` iff ``q_j >= t``), so
     the candidates are the OR-closure of the generators. ``None`` means
-    non-integer ``w``, over 63 bits or over ``_UNION_CAP`` candidates.
+    non-integer ``w``, ``w`` past int64, over 63 bits or over
+    ``_UNION_CAP`` candidates.
     """
     if w.shape[0] < w.shape[1]:
         w, rcaps, ccaps = w.T, ccaps, rcaps
-    if not np.array_equal(w, np.rint(w)):
+    if not np.array_equal(w, np.rint(w)) or w.max() >= 2.0 ** 63:
         return None
     step = np.gcd.reduce(w.astype(np.int64), axis=None)
     w = w.astype(np.int64) // step
@@ -267,14 +257,14 @@ def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
 
 
 def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
-             mass_b: np.ndarray, matrix: np.ndarray, blocks: list):
+             mass_b: np.ndarray, matrix: np.ndarray) -> float:
     """Exact W1 value, routed by the residual's distinct distances.
 
     Zero residual costs nothing and one distance has a closed form. More
     are pooled, and W1 = ``vmax * moved - _integer_dual(vmax - dist)``;
-    where that is ``None`` the pooled problem is appended to ``blocks``
-    for `_solve_lps` and the result is ``None``. Pooling is exact because
-    atoms with identical cost rows are interchangeable in any coupling.
+    where that is ``None`` the pooled problem is solved as one LP
+    (`_solve_lp`). Pooling is exact because atoms with identical cost
+    rows are interchangeable in any coupling.
     """
     dist = matrix[np.ix_(pos_a, pos_b)]
     _, src, snk, row_caps, col_caps = _residual(pos_a, mass_a, pos_b, mass_b, dist)
@@ -290,10 +280,9 @@ def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
     cols, ccaps = _group_rows(sub.T, col_caps)
     pooled = sub[np.ix_(rows, cols)]
     carried = _integer_dual(vmax - pooled, rcaps, ccaps)
-    if carried is not None:
-        return vmax * moved - carried
-    blocks.append((rcaps, ccaps, pooled))
-    return None
+    if carried is None:
+        return float(np.dot(pooled.ravel(), _solve_lp(rcaps, ccaps, pooled).ravel()))
+    return vmax * moved - carried
 
 
 def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> TransportPlan:
@@ -312,8 +301,7 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
     plan = np.zeros(dist.shape)
     plan[ia, jb] = fixed
     if src.size and snk.size:
-        (ship,) = _solve_lps([(row_caps, col_caps, dist[np.ix_(src, snk)])])
-        plan[np.ix_(src, snk)] = ship
+        plan[np.ix_(src, snk)] = _solve_lp(row_caps, col_caps, dist[np.ix_(src, snk)])
     row_err = float(np.max(np.abs(plan.sum(axis=1) - mu.masses)))
     col_err = float(np.max(np.abs(plan.sum(axis=0) - nu.masses)))
     if max(row_err, col_err) > MARGINAL_TOL:
@@ -323,13 +311,8 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
 
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
     """W1 value only, skipping plan materialisation (hot-loop variant)."""
-    blocks = []
-    cost = _w1_cost(hop.positions(mu.support), mu.masses,
-                    hop.positions(nu.support), nu.masses, hop.matrix, blocks)
-    if cost is None:
-        (ship,) = _solve_lps(blocks)
-        cost = float(np.dot(blocks[0][2].ravel(), ship.ravel()))
-    return cost
+    return _w1_cost(hop.positions(mu.support), mu.masses,
+                    hop.positions(nu.support), nu.masses, hop.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +351,11 @@ def wasserstein1_oracle(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix
             f"masses are not multiples of 1/q for any q <= {max_denominator}")
     q, src_units, snk_units = found
 
-    idx = hop.index
+    pos_a, pos_b = hop.positions(mu.support), hop.positions(nu.support)
     dist = np.empty((len(mu.support), len(nu.support)), dtype=np.int64)
-    for i, u in enumerate(mu.support):
-        for j, v in enumerate(nu.support):
-            d = hop.matrix[idx[u], idx[v]]
+    for i, u in enumerate(pos_a):
+        for j, v in enumerate(pos_b):
+            d = hop.matrix[u, v]
             if not np.isfinite(d):
                 raise InfiniteDistanceError("supports span disconnected components")
             dist[i, j] = int(round(float(d)))
@@ -425,14 +408,6 @@ def edge_curvature(graph: MarketGraph, hop: HopDistanceMatrix, a, b,
     return 1.0 - wasserstein1_cost(mu_a, mu_b, hop) / d
 
 
-def _measures_by_position(graph: MarketGraph, hop: HopDistanceMatrix, weighting: str) -> dict:
-    out = {}
-    for v in graph.nodes:
-        mu = node_measure(graph, v, weighting)
-        out[v] = (hop.positions(mu.support), mu.masses)
-    return out
-
-
 def average_curvature(graph: MarketGraph, mode: str = "edges",
                       weighting: str = "edge_weight",
                       hop: HopDistanceMatrix | None = None) -> CurvatureReport:
@@ -463,24 +438,14 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
         pairs = tuple((nodes[i], nodes[j])
                       for i in range(len(nodes)) for j in range(i + 1, len(nodes)))
 
-    measures = _measures_by_position(graph, hop, weighting)
+    measures = {}
+    for v in graph.nodes:
+        mu = node_measure(graph, v, weighting)
+        measures[v] = (hop.positions(mu.support), mu.masses)
     idx = hop.index
-    blocks = []
-    records = []
-    for a, b in pairs:
-        pos_a, mass_a = measures[a]
-        pos_b, mass_b = measures[b]
-        cost = _w1_cost(pos_a, mass_a, pos_b, mass_b, hop.matrix, blocks)
-        records.append((a, b, float(hop.matrix[idx[a], idx[b]]), cost))
-    lp_costs = iter([float(np.dot(dist.ravel(), ship.ravel()))
-                     for (_, _, dist), ship in zip(blocks, _solve_lps(blocks))])
-
     per_pair = {}
-    values = np.empty(len(records))
-    for t, (a, b, d, cost) in enumerate(records):
-        if cost is None:
-            cost = next(lp_costs)
-        kappa = 1.0 - cost / d
-        per_pair[(a, b)] = kappa
-        values[t] = kappa
-    return CurvatureReport(per_pair=per_pair, average=float(values.mean()), mode=mode)
+    for a, b in pairs:
+        cost = _w1_cost(*measures[a], *measures[b], hop.matrix)
+        per_pair[(a, b)] = 1.0 - cost / float(hop.matrix[idx[a], idx[b]])
+    return CurvatureReport(per_pair=per_pair, average=float(np.mean(list(per_pair.values()))),
+                           mode=mode)

@@ -50,6 +50,10 @@ class TestPriceMatrix:
                        [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DataError):
             make_panel(["not-a-date"], ["A", "B"], [[1.0, 1.0]])
+        # Dates are compared as strings downstream, so another ISO form
+        # next to YYYY-MM-DD would sort out of date order.
+        with pytest.raises(DataError, match="bad date '20200114'"):
+            make_panel(["20200114", "2020-01-16"], ["A", "B"], [[1.0, 1.0], [1.0, 1.0]])
 
     def test_rejects_bad_tickers(self):
         with pytest.raises(DataError):
@@ -195,6 +199,9 @@ class TestCsvErrors:
     def test_bad_date(self, tmp_path):
         body = "date,ticker,close\n01/02/2020,AAA,5.0\n"
         with pytest.raises(DataError, match="bad date"):
+            load_price_csv(self.write(tmp_path, body))
+        body = "date,ticker,close\n2020-01-16,AAA,5.0\n20200114,AAA,5.0\n"
+        with pytest.raises(DataError, match="row 3: bad date '20200114'"):
             load_price_csv(self.write(tmp_path, body))
 
     def test_empty_ticker(self, tmp_path):

@@ -17,6 +17,7 @@ from ricci_fragility.errors import (
     GraphError,
     InfiniteDistanceError,
     OracleBudgetError,
+    SolverError,
 )
 from ricci_fragility.graphs import HopDistanceMatrix, MarketGraph, hop_distances
 from ricci_fragility.indicator import WindowConfig, window_graph
@@ -376,12 +377,12 @@ def test_w1_matches_dense_lp_beyond_oracle_size(seed):
 
 
 @pytest.fixture
-def lp_blocks(monkeypatch):
-    """Block count of every `_solve_lps` call, in order."""
+def lp_solves(monkeypatch):
+    """One entry per `_solve_lp` call."""
     calls = []
-    real = transport._solve_lps
-    monkeypatch.setattr(transport, "_solve_lps",
-                        lambda blocks: calls.append(len(blocks)) or real(blocks))
+    real = transport._solve_lp
+    monkeypatch.setattr(transport, "_solve_lp",
+                        lambda *lp: calls.append(1) or real(*lp))
     return calls
 
 
@@ -408,20 +409,20 @@ _EPS = 1e-13
     (_DETOUR, {0: 0.4 + _EPS, 1: 0.4 - _EPS, 5: 0.2},
      {2: 0.4 - 2 * _EPS, 3: 0.4 + _EPS, 5: 0.2 + _EPS}, True),
 ])
-def test_w1_near_tie_masses_match_dense_lp(monkeypatch, lp_blocks, edges, mu, nu, fallback):
+def test_w1_near_tie_masses_match_dense_lp(monkeypatch, lp_solves, edges, mu, nu, fallback):
     # Two-distance residuals take the closed form and call no LP; the
     # ``fallback`` cases are solved again with the union cap at 0, which
-    # sends them to the LP as one block.
+    # sends them to one LP solve.
     h = hop_distances(_graph(6, edges))
     mu = NodeMeasure(support=tuple(mu), masses=np.array(list(mu.values())))
     nu = NodeMeasure(support=tuple(nu), masses=np.array(list(nu.values())))
     exact = _dense_lp_w1(mu, nu, h)
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
-    assert lp_blocks == []
+    assert len(lp_solves) == 0
     if fallback:
         monkeypatch.setattr(transport, "_UNION_CAP", 0)
         assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
-        assert lp_blocks == [1]
+        assert len(lp_solves) == 1
 
 
 def _hall_w1(cheap, a, b):
@@ -456,7 +457,7 @@ def _near_tie_masses(rng, size, eps):
 # cell, so both sides hold at least two distinct patterns and a union
 # cap of 1 always overflows.
 @pytest.mark.parametrize("seed", range(24))
-def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_blocks, seed):
+def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_solves, seed):
     rng = np.random.default_rng(seed)
     m, k = [(4, 7), (7, 4), (10, 3), (6, 6)][seed % 4]
     eps = (1e-13, 1e-11)[seed // 4 % 2]
@@ -469,13 +470,13 @@ def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_blocks, seed)
     mu = NodeMeasure(support=tuple(range(m)), masses=_near_tie_masses(rng, m, eps))
     nu = NodeMeasure(support=tuple(range(m, hub)), masses=_near_tie_masses(rng, k, eps))
     closed = wasserstein1_cost(mu, nu, h)
-    assert lp_blocks == []
+    assert len(lp_solves) == 0
     assert closed == pytest.approx(_hall_w1(cheap, mu.masses, nu.masses), abs=1e-14)
     exact = _dense_lp_w1(mu, nu, h)
     assert closed == pytest.approx(exact, abs=1e-9)
     monkeypatch.setattr(transport, "_UNION_CAP", 1)
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
-    assert lp_blocks == [1]
+    assert len(lp_solves) == 1
 
 
 def _dual_brute_w1(dist, a, b):
@@ -526,7 +527,7 @@ def _multi_level_instance(rng, m, k, odd):
 # Both orientations: with more sinks than sources the solver enumerates
 # the transposed side. Masses are near ties at 1e-13 or 1e-11.
 @pytest.mark.parametrize("seed", range(16))
-def test_multi_level_closed_form_matches_brute_force_and_dense_lp(monkeypatch, lp_blocks,
+def test_multi_level_closed_form_matches_brute_force_and_dense_lp(monkeypatch, lp_solves,
                                                                   seed):
     rng = np.random.default_rng(seed)
     odd = bool(seed % 2)
@@ -538,20 +539,20 @@ def test_multi_level_closed_form_matches_brute_force_and_dense_lp(monkeypatch, l
     dist = h.matrix[:m, m:m + k]
     assert set(np.unique(dist)) == ({1.0, 3.0, 5.0} if odd else {1.0, 2.0, 3.0})
     closed = wasserstein1_cost(mu, nu, h)
-    assert lp_blocks == []
+    assert len(lp_solves) == 0
     assert closed == pytest.approx(_dual_brute_w1(dist, mu.masses, nu.masses), abs=1e-14)
     exact = _dense_lp_w1(mu, nu, h)
     assert closed == pytest.approx(exact, abs=1e-9)
     monkeypatch.setattr(transport, "_UNION_CAP", 1)
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(exact, abs=1e-9)
-    assert lp_blocks == [1]
+    assert len(lp_solves) == 1
 
 
 @pytest.mark.parametrize("ladder", [1, 40])
-def test_level_bits_past_63_go_to_lp(lp_blocks, ladder):
+def test_level_bits_past_63_go_to_lp(lp_solves, ladder):
     # Two sinks, and gaps vmax - d of (ladder, ladder - 1), (ladder - 1,
     # ladder - 2) and (0, 0) with gcd 1: ``ladder`` levels on two columns
-    # need 2 * ladder bits, so ladder 40 is solved as one LP block. Its
+    # need 2 * ladder bits, so ladder 40 is solved as one LP. Its
     # dual candidates form a chain, well under the union cap.
     cross = ladder + 1 - np.array([[ladder, ladder - 1], [ladder - 1, ladder - 2], [0, 0]])
     matrix = np.ones((5, 5)) - np.eye(5)
@@ -560,32 +561,53 @@ def test_level_bits_past_63_go_to_lp(lp_blocks, ladder):
     mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.3, 0.3, 0.4]))
     nu = NodeMeasure(support=(3, 4), masses=np.array([0.45, 0.55]))
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
-    assert lp_blocks == ([1] if ladder == 40 else [])
+    assert len(lp_solves) == (1 if ladder == 40 else 0)
 
 
 # Sources at 0, 1, 2 on a line. Sinks at 0.5, 2.75, 3.5 leave gaps
 # vmax - d of 0.75 and 2.25, which truncation to integers would
 # misprice; sinks at 0.5, 2.5, 3.5 give fractional distances with whole
 # gaps, so the closed form still applies.
-@pytest.mark.parametrize("sinks, route", [((0.5, 2.75, 3.5), [1]), ((0.5, 2.5, 3.5), [])])
-def test_fractional_distance_gaps_go_to_lp(lp_blocks, sinks, route):
+@pytest.mark.parametrize("sinks, route", [((0.5, 2.75, 3.5), 1), ((0.5, 2.5, 3.5), 0)],
+                         ids=["sinks0-route0", "sinks1-route1"])
+def test_fractional_distance_gaps_go_to_lp(lp_solves, sinks, route):
     x = np.array((0.0, 1.0, 2.0) + sinks)
     h = HopDistanceMatrix(nodes=tuple(range(6)), matrix=np.abs(x[:, None] - x[None, :]))
     mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.5, 0.3, 0.2]))
     nu = NodeMeasure(support=(3, 4, 5), masses=np.array([0.2, 0.3, 0.5]))
     assert wasserstein1_cost(mu, nu, h) == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
-    assert lp_blocks == route
+    assert len(lp_solves) == route
+
+
+@pytest.mark.filterwarnings("error")
+def test_integer_dual_declines_gaps_past_int64():
+    caps = np.array([0.5, 0.5])
+    assert transport._integer_dual(np.array([[2.0, 0.0], [0.0, 4.0]]), caps, caps) == 3.0
+    assert transport._integer_dual(np.array([[2e19, 0.0], [0.0, 4e19]]), caps, caps) is None
+
+
+# The whole-gap line instance above scaled by 2e19: its gaps no longer fit
+# in int64, and HiGHS cannot solve the scaled LP, which must surface as a
+# solver failure, not a wrong value.
+@pytest.mark.filterwarnings("error")
+def test_w1_on_gaps_past_int64_is_a_solver_error():
+    x = 2e19 * np.array((0.0, 1.0, 2.0, 0.5, 2.5, 3.5))
+    h = HopDistanceMatrix(nodes=tuple(range(6)), matrix=np.abs(x[:, None] - x[None, :]))
+    mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.5, 0.3, 0.2]))
+    nu = NodeMeasure(support=(3, 4, 5), masses=np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(SolverError):
+        wasserstein1_cost(mu, nu, h)
 
 
 # Windows in the calm phase, the transition and the crisis phase.
 @pytest.mark.parametrize("k", [100, 300, 420])
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("mode", ["edges", "pairs"])
-def test_window_curvature_solves_no_lp(regime_panel, lp_blocks, k, weighting, mode):
+def test_window_curvature_solves_no_lp(regime_panel, lp_solves, k, weighting, mode):
     graph = window_graph(regime_panel.window(k, k + 132),
                          WindowConfig(T=132, xi=0.85, weighting=weighting))
     average_curvature(graph, mode=mode, weighting=weighting)
-    assert sum(lp_blocks) == 0
+    assert len(lp_solves) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +645,8 @@ def test_unknown_node_ids_are_graph_errors():
         wasserstein1(mu, foreign, h)
     with pytest.raises(GraphError):
         wasserstein1_cost(foreign, mu, h)
+    with pytest.raises(GraphError):
+        wasserstein1_oracle(mu, foreign, h)
 
 
 def test_average_curvature_edges_mode_complete():
