@@ -206,9 +206,25 @@ class HopDistanceMatrix:
         except KeyError as exc:
             raise GraphError(f"node {exc.args[0]!r} missing from hop matrix") from exc
 
-    @property
+    @cached_property
     def connected(self) -> bool:
         return bool(np.all(np.isfinite(self.matrix)))
+
+    @cached_property
+    def code_planes(self) -> np.ndarray:
+        """Each entry's index among the sorted distinct entries as `_packed`
+        bit planes, per row then per column: the W1 solver's pooling keys."""
+        values = np.unique(self.matrix)
+        codes = np.searchsorted(values, self.matrix)
+        levels = np.arange(max(1, (values.size - 1).bit_length()))
+        return _packed(np.concatenate((codes, codes.T))[:, None, :] >> levels[:, None] & 1)
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The last axis of ``bits`` packed into uint64 words."""
+    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), dtype=np.uint8)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1).view(np.uint64)
 
 
 def build_complete_graph(distances, correlations, nodes=None) -> MarketGraph:
@@ -318,14 +334,9 @@ def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
     Unreachable pairs are marked ``UNREACHABLE`` rather than raising, so
     callers decide whether disconnection is an error.
     """
-    n = graph.n
     idx = graph.index
-    rows, cols = [], []
-    for a, b in graph.edges:
-        i, j = idx[a], idx[b]
-        rows.extend((i, j))
-        cols.extend((j, i))
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    rows, cols = [idx[a] for a, _ in graph.edges], [idx[b] for _, b in graph.edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
     m = shortest_path(adj, method="D", directed=False, unweighted=True)
     return HopDistanceMatrix(nodes=graph.nodes, matrix=m)
 

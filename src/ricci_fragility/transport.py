@@ -1,17 +1,17 @@
 """Neighbor measures, exact Wasserstein-1 on the hop metric, and
 Ollivier-Ricci curvature.
 
-The W1 solver is exact, not approximate. One front end (`_residual`)
-fixes mass shared between identical atoms in place, since it never moves
-under a metric cost. No residual costs nothing and one distinct distance
-has a closed form; two or more are pooled and scored by the integral
-dual of the max-weight transport (`_integer_dual`). The rest (fractional
-or int64-overflowing distance gaps, too many level bits or dual
-candidates) are each solved where they arise as one pooled HiGHS LP
-(`_solve_lp`). The optimal plan (`wasserstein1`) is the fixed shared
-mass plus one unpooled LP on the residual. Every route returns the exact
-optimum up to float rounding of sums, which keeps closed-form
-comparisons tight at 1e-12.
+The W1 solver is exact, not approximate. One front end (`_w1_block`)
+takes a block of pairs as dense measure rows (a window's pairs, or one
+pair), fixes shared mass in place, since it never moves under a metric
+cost, and pools interchangeable residual atoms for the whole block. No
+residual costs nothing and one distinct distance has a closed form; more
+are scored by the integral dual of the max-weight transport
+(`_integer_dual`) or, where it declines, solved as one pooled HiGHS LP
+(`_solve_lp`). The optimal plan (`wasserstein1`) is the fixed shared mass
+plus one unpooled LP on the residual. Every route returns the exact
+optimum up to float rounding of sums, which keeps closed-form comparisons
+tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -21,6 +21,7 @@ code with the solver, so the two can check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -35,7 +36,7 @@ from .errors import (
     OracleBudgetError,
     SolverError,
 )
-from .graphs import HopDistanceMatrix, MarketGraph, hop_distances
+from .graphs import HopDistanceMatrix, MarketGraph, _packed, hop_distances
 
 #: Probability masses must sum to one within this tolerance.
 MASS_TOL = 1e-12
@@ -49,6 +50,9 @@ AVERAGING_MODES = ("edges", "pairs")
 
 #: Residuals with more integer-dual candidates than this go to the LP.
 _UNION_CAP = 256
+
+#: Pairs per `_w1_block` call in `average_curvature`; bounds its work arrays.
+PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,8 @@ def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> n
     """Optimal shipment matrix of one transportation LP, by HiGHS.
 
     The constraint matrix is assembled directly in CSR form: row i sums
-    source i's shipments, row m + j sums sink j's.
+    source i's shipments, row m + j sums sink j's. Costs are divided by
+    the largest, which keeps the optimal plan and any metric in range.
     """
     m, k = dist.shape
     cells = np.arange(m * k).reshape(m, k)
@@ -173,49 +178,12 @@ def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> n
     # Equality constraints need matching totals; the inputs agree to
     # ~1e-12, so rescale the columns onto the row total.
     b_eq = np.concatenate((row_caps, col_caps * (float(row_caps.sum()) / float(col_caps.sum()))))
-    res = linprog(dist.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    scale = float(np.abs(dist).max()) or 1.0
+    res = linprog(dist.ravel() / scale, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"presolve": False})
     if res.status != 0:
         raise SolverError(f"transport LP failed: {res.message}")
     return res.x.reshape(m, k)
-
-
-def _group_rows(pattern: np.ndarray, caps: np.ndarray):
-    """Pool sources (or sinks) whose cost rows coincide.
-
-    Such atoms are interchangeable, so one super-node with the summed
-    capacity has the same optimum. Rows are compared as raw bytes, which
-    is value equality for finite nonnegative hop distances. Returns
-    representative row indices and pooled capacities.
-    """
-    rows = np.ascontiguousarray(pattern)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    pooled = np.bincount(inverse, weights=caps, minlength=first.size)
-    return first, pooled
-
-
-def _residual(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
-              mass_b: np.ndarray, dist: np.ndarray):
-    """Split a W1 problem into fixed shared mass and a residual problem.
-
-    ``dist`` is the distance submatrix between the supports at positions
-    ``pos_a`` and ``pos_b``. Mass that sits on the same node in both
-    supports never moves under a metric cost, so fixing it in place is
-    optimal. Returns the fixed shipments ``(ia, jb, fixed)`` and the
-    residual sources, sinks and their remaining masses.
-    """
-    if not np.all(np.isfinite(dist)):
-        raise InfiniteDistanceError("supports span disconnected components")
-    _, ia, jb = np.intersect1d(pos_a, pos_b, assume_unique=True, return_indices=True)
-    fixed = np.minimum(mass_a[ia], mass_b[jb])
-    ra = mass_a.copy()
-    rb = mass_b.copy()
-    ra[ia] -= fixed
-    rb[jb] -= fixed
-    src = np.nonzero(ra > 0.0)[0]
-    snk = np.nonzero(rb > 0.0)[0]
-    return (ia, jb, fixed), src, snk, ra[src], rb[snk]
 
 
 def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
@@ -256,33 +224,51 @@ def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
     return None
 
 
-def _w1_cost(pos_a: np.ndarray, mass_a: np.ndarray, pos_b: np.ndarray,
-             mass_b: np.ndarray, matrix: np.ndarray) -> float:
-    """Exact W1 value, routed by the residual's distinct distances.
+def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndarray:
+    """Exact W1 between the measure rows ``pa[e]`` and ``pb[e]`` of each pair.
 
-    Zero residual costs nothing and one distance has a closed form. More
-    are pooled, and W1 = ``vmax * moved - _integer_dual(vmax - dist)``;
-    where that is ``None`` the pooled problem is solved as one LP
-    (`_solve_lp`). Pooling is exact because atoms with identical cost
-    rows are interchangeable in any coupling.
+    Rows hold masses over ``hop``'s positions. Shared mass is peeled off
+    for the whole block; residual sources (sinks) of a pair with equal
+    distances to all its residual sinks (sources) are pooled into one atom,
+    grouped by one lexsort over (side of a pair, ``hop.code_planes`` masked
+    to its other side). Several distinct distances are scored as ``vmax *
+    moved - _integer_dual(vmax - dist)``, or by one LP where that declines.
     """
-    dist = matrix[np.ix_(pos_a, pos_b)]
-    _, src, snk, row_caps, col_caps = _residual(pos_a, mass_a, pos_b, mass_b, dist)
-    if src.size == 0 or snk.size == 0:
-        return 0.0
-    sub = dist[np.ix_(src, snk)]
-    moved = min(float(row_caps.sum()), float(col_caps.sum()))
-    vmax = float(sub.max())
-    if float(sub.min()) == vmax:
-        return vmax * moved
+    if not hop.connected and ((pa > 0) @ ~np.isfinite(hop.matrix) & (pb > 0)).any():
+        raise InfiniteDistanceError("supports span disconnected components")
+    size, n = pa.shape
+    shared = np.minimum(pa, pb)
+    # Residual sources of pair e in row e, its residual sinks in row size + e.
+    residual = np.concatenate((pa - shared, pb - shared))
+    moved = residual.sum(axis=1).reshape(2, size).min(axis=0)
+    atoms = residual > 0.0
+    other = atoms.reshape(2, size, n)[::-1].reshape(2 * size, n)
+    side, node = np.nonzero(atoms)
+    words = hop.code_planes[node + n * (side >= size)] & _packed(other)[side, None]
+    keys = np.concatenate((side[:, None].astype(np.uint64),
+                           words.reshape(side.size, hop.code_planes[0].size)), axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))[:side.size]
+    caps = np.bincount(np.cumsum(new) - 1, weights=residual[atoms][order])
+    gside, gnode = side[order[new]], node[order[new]]
 
-    rows, rcaps = _group_rows(sub, row_caps)
-    cols, ccaps = _group_rows(sub.T, col_caps)
-    pooled = sub[np.ix_(rows, cols)]
-    carried = _integer_dual(vmax - pooled, rcaps, ccaps)
-    if carried is None:
-        return float(np.dot(pooled.ravel(), _solve_lp(rcaps, ccaps, pooled).ravel()))
-    return vmax * moved - carried
+    # Row e's pooled atoms are gnode[bounds[e]:bounds[e + 1]]. A pair with
+    # residual mass on one side only (rounding) moves nothing.
+    counts = np.bincount(gside, minlength=2 * size)
+    bounds = [0] + np.cumsum(counts).tolist()
+    cost = np.zeros(size)
+    for e in np.flatnonzero(counts[:size] * counts[size:]).tolist():
+        rows, cols = slice(bounds[e], bounds[e + 1]), slice(bounds[size + e], bounds[size + e + 1])
+        w = hop.matrix[gnode[rows, None], gnode[cols]]
+        v = float(w.max())
+        if float(w.min()) == v:
+            cost[e] = v * moved[e]
+            continue
+        carried = _integer_dual(v - w, caps[rows], caps[cols])
+        cost[e] = (v * moved[e] - carried if carried is not None
+                   else np.dot(w.ravel(), _solve_lp(caps[rows], caps[cols], w).ravel()))
+    return cost
 
 
 def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> TransportPlan:
@@ -293,15 +279,15 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
     masses within ``MARGINAL_TOL``. Raises ``InfiniteDistanceError``
     when the supports straddle disconnected components.
     """
-    pos_a = hop.positions(mu.support)
-    pos_b = hop.positions(nu.support)
+    pos_a, pos_b = hop.positions(mu.support), hop.positions(nu.support)
     dist = hop.matrix[np.ix_(pos_a, pos_b)]
-    (ia, jb, fixed), src, snk, row_caps, col_caps = _residual(
-        pos_a, mu.masses, pos_b, nu.masses, dist)
-    plan = np.zeros(dist.shape)
-    plan[ia, jb] = fixed
-    if src.size and snk.size:
-        plan[np.ix_(src, snk)] = _solve_lp(row_caps, col_caps, dist[np.ix_(src, snk)])
+    if not np.all(np.isfinite(dist)):
+        raise InfiniteDistanceError("supports span disconnected components")
+    plan = np.where(pos_a[:, None] == pos_b, np.minimum.outer(mu.masses, nu.masses), 0.0)
+    ra, rb = mu.masses - plan.sum(axis=1), nu.masses - plan.sum(axis=0)
+    src, snk = ra > 0.0, rb > 0.0
+    if src.any() and snk.any():
+        plan[np.ix_(src, snk)] = _solve_lp(ra[src], rb[snk], dist[np.ix_(src, snk)])
     row_err = float(np.max(np.abs(plan.sum(axis=1) - mu.masses)))
     col_err = float(np.max(np.abs(plan.sum(axis=0) - nu.masses)))
     if max(row_err, col_err) > MARGINAL_TOL:
@@ -310,9 +296,12 @@ def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> Tr
 
 
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
-    """W1 value only, skipping plan materialisation (hot-loop variant)."""
-    return _w1_cost(hop.positions(mu.support), mu.masses,
-                    hop.positions(nu.support), nu.masses, hop.matrix)
+    """W1 value only, skipping plan materialisation: `_w1_block` on a
+    block of one pair."""
+    rows = np.zeros((2, len(hop.nodes)))
+    rows[0, hop.positions(mu.support)] = mu.masses
+    rows[1, hop.positions(nu.support)] = nu.masses
+    return float(_w1_block(rows[:1], rows[1:], hop)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +423,17 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
     else:
         if not hop.connected:
             raise DisconnectedGraphError("pairs-mode average needs a connected graph")
-        nodes = graph.nodes
-        pairs = tuple((nodes[i], nodes[j])
-                      for i in range(len(nodes)) for j in range(i + 1, len(nodes)))
+        pairs = tuple(combinations(graph.nodes, 2))
 
-    measures = {}
-    for v in graph.nodes:
+    # Each node's measure as a row over hop positions (graph node order).
+    dense = np.zeros((graph.n, graph.n))
+    for i, v in enumerate(graph.nodes):
         mu = node_measure(graph, v, weighting)
-        measures[v] = (hop.positions(mu.support), mu.masses)
-    idx = hop.index
-    per_pair = {}
-    for a, b in pairs:
-        cost = _w1_cost(*measures[a], *measures[b], hop.matrix)
-        per_pair[(a, b)] = 1.0 - cost / float(hop.matrix[idx[a], idx[b]])
-    return CurvatureReport(per_pair=per_pair, average=float(np.mean(list(per_pair.values()))),
-                           mode=mode)
+        dense[i, hop.positions(mu.support)] = mu.masses
+    ia, ib = (hop.positions(side) for side in zip(*pairs))
+    cost = np.concatenate([
+        _w1_block(dense[ia[s:s + PAIR_BLOCK]], dense[ib[s:s + PAIR_BLOCK]], hop)
+        for s in range(0, len(pairs), PAIR_BLOCK)])
+    kappa = 1.0 - cost / hop.matrix[ia, ib]
+    return CurvatureReport(per_pair=dict(zip(pairs, kappa.tolist())),
+                           average=float(np.mean(kappa)), mode=mode)

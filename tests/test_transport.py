@@ -1,6 +1,7 @@
 """Neighbor measures, exact W1, the exhaustive oracle, and curvature."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -587,16 +588,17 @@ def test_integer_dual_declines_gaps_past_int64():
 
 
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
-# in int64, and HiGHS cannot solve the scaled LP, which must surface as a
-# solver failure, not a wrong value.
+# in int64, so it goes to the LP, which must still return the exact value
+# (1.9 on the unscaled line), not fail on the size of the costs.
 @pytest.mark.filterwarnings("error")
-def test_w1_on_gaps_past_int64_is_a_solver_error():
+def test_w1_on_gaps_past_int64_is_exact(lp_solves):
     x = 2e19 * np.array((0.0, 1.0, 2.0, 0.5, 2.5, 3.5))
     h = HopDistanceMatrix(nodes=tuple(range(6)), matrix=np.abs(x[:, None] - x[None, :]))
     mu = NodeMeasure(support=(0, 1, 2), masses=np.array([0.5, 0.3, 0.2]))
     nu = NodeMeasure(support=(3, 4, 5), masses=np.array([0.2, 0.3, 0.5]))
-    with pytest.raises(SolverError):
-        wasserstein1_cost(mu, nu, h)
+    assert wasserstein1_cost(mu, nu, h) == pytest.approx(3.8e19, rel=1e-12)
+    assert len(lp_solves) == 1
+    assert wasserstein1(mu, nu, h).cost == pytest.approx(3.8e19, rel=1e-12)
 
 
 # Windows in the calm phase, the transition and the crisis phase.
@@ -608,6 +610,155 @@ def test_window_curvature_solves_no_lp(regime_panel, lp_solves, k, weighting, mo
                          WindowConfig(T=132, xi=0.85, weighting=weighting))
     average_curvature(graph, mode=mode, weighting=weighting)
     assert len(lp_solves) == 0
+
+
+# ---------------------------------------------------------------------------
+# Blocks of pairs against one pair at a time
+# ---------------------------------------------------------------------------
+
+
+def _max_gap_to_single_pairs(graph, hop, per_pair, weighting):
+    """Largest |kappa| difference between a block result and
+    `edge_curvature`, which solves one pair as a block of one."""
+    return max(abs(kappa - edge_curvature(graph, hop, a, b, weighting))
+               for (a, b), kappa in per_pair.items())
+
+
+def _max_gap_to_dense_lp(graph, hop, per_pair, weighting, seed, size):
+    rng = np.random.default_rng(seed)
+    pairs = list(per_pair)
+    gaps = []
+    for i in rng.choice(len(pairs), size=min(size, len(pairs)), replace=False):
+        a, b = pairs[int(i)]
+        mu, nu = node_measure(graph, a, weighting), node_measure(graph, b, weighting)
+        gaps.append(abs(per_pair[(a, b)] - (1.0 - _dense_lp_w1(mu, nu, hop) / hop.dist(a, b))))
+    return max(gaps)
+
+
+# Calm, transition and two crisis windows, edges mode: every residual
+# distance is 1, 2 or 3 (d(u, v) <= d(u, a) + 1 + d(b, v)).
+@pytest.mark.parametrize("k", [100, 300, 420, 460])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_block_matches_one_pair_at_a_time(regime_panel, k, weighting):
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting=weighting))
+    hop = hop_distances(graph)
+    per_pair = average_curvature(graph, weighting=weighting, hop=hop).per_pair
+    assert list(per_pair) == list(graph.edges)
+    assert _max_gap_to_single_pairs(graph, hop, per_pair, weighting) <= 1e-12
+    assert _max_gap_to_dense_lp(graph, hop, per_pair, weighting, k, 10) <= 1e-9
+
+
+# Pairs mode on a calm, tree-like window: the diameter is above 3, so
+# residuals see more than two distance levels and the code planes more
+# than two bits.
+def test_pairs_mode_block_matches_one_pair_at_a_time(regime_panel):
+    graph = window_graph(regime_panel.window(100, 232), WindowConfig(T=132, xi=0.85))
+    hop = hop_distances(graph)
+    assert float(hop.matrix.max()) > 3.0
+    per_pair = average_curvature(graph, mode="pairs", hop=hop).per_pair
+    assert len(per_pair) == graph.n * (graph.n - 1) // 2
+    assert _max_gap_to_single_pairs(graph, hop, per_pair, "edge_weight") <= 1e-12
+    assert _max_gap_to_dense_lp(graph, hop, per_pair, "edge_weight", 100, 30) <= 1e-9
+
+
+def _mixed_route_graph():
+    """Hubs 0 and 1 share neighbours 2 and 3 (joined); leaves 4 and 6 hang
+    on 0 and leaf 5 on 1. The hand-built metric is the hop metric with
+    d(4, 5) = 3.5 instead of 4, which keeps the triangle inequality."""
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (0, 6), (1, 5)]
+    weights = dict(zip(edges, [1.0, 2.0, 1.5, 0.5, 1.0, 0.7, 1.3, 2.2]))
+    graph = _graph(7, edges, weights)
+    matrix = hop_distances(graph).matrix.copy()
+    matrix[4, 5] = matrix[5, 4] = 3.5
+    return graph, HopDistanceMatrix(nodes=graph.nodes, matrix=matrix)
+
+
+# One pairs-mode block of 21 pairs that holds every route:
+# (4, 6) has no residual (both measures sit on 0), (4, 5) has one
+# distance, d(0, 1) = 2; (2, 5) ships from 0 and 3 to 1 at distances 2
+# and 1 through the integer dual; only (0, 1) sees d(4, 5) = 3.5 next to
+# d(6, 5) = 4, a fractional gap that goes to the LP.
+def test_one_block_mixes_every_route(monkeypatch, lp_solves):
+    graph, hop = _mixed_route_graph()
+    duals = []
+    closed_form = transport._integer_dual
+
+    def integer_dual(w, rcaps, ccaps):
+        duals.append(closed_form(w, rcaps, ccaps))
+        return duals[-1]
+
+    monkeypatch.setattr(transport, "_integer_dual", integer_dual)
+    per_pair = average_curvature(graph, mode="pairs", hop=hop).per_pair
+    assert len(per_pair) == 21 <= transport.PAIR_BLOCK
+    assert len(lp_solves) == 1
+    assert any(carried is not None for carried in duals)
+    assert per_pair[(4, 6)] == 1.0
+    assert per_pair[(4, 5)] == pytest.approx(1.0 - 2.0 / 3.5, abs=1e-12)
+    mu_2 = node_measure(graph, 2)
+    to_0, to_3 = (float(mu_2.masses[mu_2.support.index(v)]) for v in (0, 3))
+    assert per_pair[(2, 5)] == pytest.approx(1.0 - (2.0 * to_0 + to_3) / 2.0, abs=1e-12)
+    for (a, b), kappa in per_pair.items():
+        mu, nu = node_measure(graph, a), node_measure(graph, b)
+        w1 = (1.0 - kappa) * hop.dist(a, b)
+        assert w1 == pytest.approx(wasserstein1_cost(mu, nu, hop), abs=1e-12)
+        assert w1 == pytest.approx(_dense_lp_w1(mu, nu, hop), abs=1e-9)
+    # Pooled groups must never cross pair boundaries, however the pairs
+    # are cut into blocks.
+    for block in (1, 7):
+        monkeypatch.setattr(transport, "PAIR_BLOCK", block)
+        assert average_curvature(graph, mode="pairs", hop=hop).per_pair == per_pair
+
+
+# Rounding can leave residual mass on one side of a pair only (masses
+# sum to one within 1e-12). Such a pair moves nothing and reaches no
+# solver, and it leaves the other pair of its block alone: pair 0
+# (0 -> 1) keeps the one-distance closed form.
+def test_one_sided_residual_moves_nothing(monkeypatch):
+    h = hop_distances(_path_graph(5))
+    lopsided = NodeMeasure((3, 4), [0.5 + 4e-13, 0.5])
+    even = NodeMeasure((3, 4), [0.5, 0.5])
+    pairs = [(NodeMeasure((0,), [1.0]), NodeMeasure((1,), [1.0])),
+             (lopsided, even), (even, lopsided)]
+    rows = np.zeros((2, 3, 5))
+    for e, pair in enumerate(pairs):
+        for side, mu in enumerate(pair):
+            rows[side, e, list(mu.support)] = mu.masses
+    monkeypatch.setattr(transport, "_integer_dual", lambda *args: pytest.fail("integer dual"))
+    assert transport._w1_block(rows[0], rows[1], h).tolist() == [1.0, 0.0, 0.0]
+    assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
+
+
+def test_block_path_raises_on_infinite_support_distance():
+    # Edge (1, 2) of the path 0-1-2-3 has supports {0, 2} and {1, 3}.
+    g = _path_graph(4)
+    matrix = hop_distances(g).matrix.copy()
+    matrix[0, 3] = matrix[3, 0] = np.inf
+    hop = HopDistanceMatrix(nodes=g.nodes, matrix=matrix)
+    with pytest.raises(InfiniteDistanceError):
+        average_curvature(g, mode="edges", hop=hop)
+
+
+def test_block_path_raises_on_isolated_node():
+    g = MarketGraph(nodes=(0, 1, 2, 3), edges=((0, 1), (1, 2)),
+                    weights={(0, 1): 1.0, (1, 2): 1.0})
+    with pytest.raises(DataError):
+        average_curvature(g, mode="edges")
+
+
+# A crisis window of ~1,000 edges: one pairs x nodes x nodes float array
+# alone would be 20 MB; blocks of pairs keep the peak under 1 MB.
+def test_window_curvature_memory_stays_flat(regime_panel):
+    graph = window_graph(regime_panel.window(460, 592), WindowConfig(T=132, xi=0.85))
+    hop = hop_distances(graph)
+    tracemalloc.start()
+    try:
+        average_curvature(graph, hop=hop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count > 900
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
