@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
 from .graphs import HopDistanceMatrix, MarketGraph, hop_distances
-from .transport import WEIGHTINGS, node_measure, wasserstein1_cost
+from .transport import WEIGHTINGS, _w1_block, node_measure, wasserstein1_cost
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -121,29 +121,32 @@ def check_prop1(instance: PerturbationInstance, a, b,
     if a == b:
         raise ConfigError("pair must be two distinct nodes")
     g, gs = instance.graph, instance.graph_star
-    d_ab = instance.hop.dist(a, b)
-    ds_ab = instance.hop_star.dist(a, b)
-
     w_before = wasserstein1_cost(node_measure(g, a, weighting),
                                  node_measure(g, b, weighting), instance.hop)
     w_after = wasserstein1_cost(node_measure(gs, a, weighting),
                                 node_measure(gs, b, weighting), instance.hop_star)
-    kappa_before = 1.0 - w_before / d_ab
+    return _prop1_reports(instance, a, b, w_before, w_after)
+
+
+def _report(instance: PerturbationInstance, name: str, lhs: float, rhs: float,
+            pair: tuple) -> BoundReport:
+    """The report of ``lhs <= rhs``, satisfied within ``SLACK_TOL``."""
+    return BoundReport(bound_name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs,
+                       satisfied=rhs - lhs >= -SLACK_TOL, pair=pair,
+                       instance_label=instance.label)
+
+
+def _prop1_reports(instance: PerturbationInstance, a, b, w_before: float, w_after: float):
+    """prop1 reports at (a, b) from W^d(mu_a, mu_b) and W^{d*}(mu*_a, mu*_b)."""
+    ds_ab = instance.hop_star.dist(a, b)
+    kappa_before = 1.0 - w_before / instance.hop.dist(a, b)
     kappa_after = 1.0 - w_after / ds_ab
     lhs = kappa_after - kappa_before
-
-    rhs_first = (w_before - w_after) / ds_ab
-    first = BoundReport(bound_name="prop1_first", lhs=lhs, rhs=rhs_first,
-                        slack=rhs_first - lhs, satisfied=rhs_first - lhs >= -SLACK_TOL,
-                        pair=(a, b), instance_label=instance.label)
-
+    first = _report(instance, "prop1_first", lhs, (w_before - w_after) / ds_ab, (a, b))
     if a in (instance.x, instance.y) or b in (instance.x, instance.y):
         return first, None
-    rhs_sup = sup_distance_change(instance) / ds_ab
-    sup = BoundReport(bound_name="prop1_sup", lhs=lhs, rhs=rhs_sup,
-                      slack=rhs_sup - lhs, satisfied=rhs_sup - lhs >= -SLACK_TOL,
-                      pair=(a, b), instance_label=instance.label)
-    return first, sup
+    return first, _report(instance, "prop1_sup", lhs, sup_distance_change(instance) / ds_ab,
+                          (a, b))
 
 
 def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
@@ -159,11 +162,13 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
     node = instance.x if which == "x" else instance.y
     mu_before = node_measure(instance.graph, node, weighting)
     mu_after = node_measure(instance.graph_star, node, weighting)
-    lhs = wasserstein1_cost(mu_before, mu_after, instance.hop)
-    rhs = 1.0 / (instance.graph.degree(node) + 1.0)
-    return BoundReport(bound_name="lemma_node", lhs=lhs, rhs=rhs,
-                       slack=rhs - lhs, satisfied=rhs - lhs >= -SLACK_TOL,
-                       pair=(node,), instance_label=instance.label)
+    return _lemma_report(instance, node, wasserstein1_cost(mu_before, mu_after, instance.hop))
+
+
+def _lemma_report(instance: PerturbationInstance, node, lhs: float) -> BoundReport:
+    """lemma report at ``node`` for the measure shift ``lhs``."""
+    return _report(instance, "lemma_node", lhs, 1.0 / (instance.graph.degree(node) + 1.0),
+                   (node,))
 
 
 def check_prop2(instance: PerturbationInstance, weighting: str = "edge_weight"):
@@ -180,16 +185,8 @@ def _prop2_reports(instance: PerturbationInstance, lhs: float):
     inv_deg = (1.0 / (instance.graph.degree(x) + 1.0)
                + 1.0 / (instance.graph.degree(y) + 1.0))
     ds_xy = instance.hop_star.dist(x, y)
-    rhs_first = (sup + inv_deg) / ds_xy
-    rhs_sup = sup + inv_deg + 1.0
-
-    first = BoundReport(bound_name="prop2_first", lhs=lhs, rhs=rhs_first,
-                        slack=rhs_first - lhs, satisfied=rhs_first - lhs >= -SLACK_TOL,
-                        pair=(x, y), instance_label=instance.label)
-    relaxed = BoundReport(bound_name="prop2_sup", lhs=lhs, rhs=rhs_sup,
-                          slack=rhs_sup - lhs, satisfied=rhs_sup - lhs >= -SLACK_TOL,
-                          pair=(x, y), instance_label=instance.label)
-    return first, relaxed
+    return (_report(instance, "prop2_first", lhs, (sup + inv_deg) / ds_xy, (x, y)),
+            _report(instance, "prop2_sup", lhs, sup + inv_deg + 1.0, (x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +231,40 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
 
 def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator,
                         weighting: str = "edge_weight") -> list:
-    """All five checks on one instance; prop1 at sampled pairs plus (x, y)."""
-    g = instance.graph
-    reports = []
+    """All five checks on one instance; prop1 at sampled pairs plus (x, y).
+
+    The reports equal those of `check_prop1`, `check_lemma_affected` and
+    `check_prop2`, but the W1 values come from three `_w1_block` calls:
+    the prop1 pairs under d, the same pairs under d*, and the measures of
+    x and y before against after under d.
+    """
+    g, x, y = instance.graph, instance.x, instance.y
     nodes = list(g.nodes)
-    pairs = {(instance.x, instance.y)}
+    pairs = {(x, y)}
     while len(pairs) < _PAIR_SAMPLES + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
         a, b = rng.choice(len(nodes), size=2, replace=False)
         pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
-    for a, b in sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]])):
-        first, sup = check_prop1(instance, a, b, weighting)
+    pairs = sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
+    ends = [a for a, _ in pairs] + [b for _, b in pairs] + [x, y]
+    rows = np.zeros((2, len(ends), len(nodes)))
+    for side, graph in enumerate((g, instance.graph_star)):
+        for i, v in enumerate(ends):
+            mu = node_measure(graph, v, weighting)
+            rows[side, i, instance.hop.positions(mu.support)] = mu.masses
+    k = len(pairs)
+    w_before = _w1_block(rows[0, :k], rows[0, k:2 * k], instance.hop).tolist()
+    w_after = _w1_block(rows[1, :k], rows[1, k:2 * k], instance.hop_star).tolist()
+    shifts = _w1_block(rows[0, 2 * k:], rows[1, 2 * k:], instance.hop).tolist()
+
+    reports = []
+    for (a, b), before, after in zip(pairs, w_before, w_after):
+        first, sup = _prop1_reports(instance, a, b, before, after)
         reports.append(first)
         if sup is not None:
             reports.append(sup)
-        if (a, b) == (instance.x, instance.y):
+        if (a, b) == (x, y):
             jump = first.lhs
-    reports.append(check_lemma_affected(instance, "x", weighting))
-    reports.append(check_lemma_affected(instance, "y", weighting))
+    reports += [_lemma_report(instance, node, lhs) for node, lhs in zip((x, y), shifts)]
     reports.extend(_prop2_reports(instance, jump))
     return reports
 

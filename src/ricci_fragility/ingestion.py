@@ -39,6 +39,13 @@ def _parse_date(text: str) -> datetime.date:
     return day
 
 
+def _require_observed(tickers: tuple, present: np.ndarray) -> None:
+    """``DataError`` naming every ticker without a present observation."""
+    silent = np.flatnonzero(~present.any(axis=0))
+    if silent.size:
+        raise DataError(f"tickers with no observations: {[tickers[i] for i in silent]}")
+
+
 @dataclass(frozen=True)
 class PriceMatrix:
     """Aligned price panel: rows are dates, columns are tickers.
@@ -76,10 +83,7 @@ class PriceMatrix:
         present = ~np.isnan(values)
         if np.any(values[present] <= 0.0) or np.any(np.isinf(values)):
             raise DataError("prices must be strictly positive and finite")
-        silent = np.flatnonzero(~present.any(axis=0))
-        if silent.size:
-            raise DataError(
-                f"tickers with no observations: {[tickers[i] for i in silent]}")
+        _require_observed(tickers, present)
         empty_rows = np.flatnonzero(~present.any(axis=1))
         if empty_rows.size:
             raise DataError(
@@ -126,6 +130,21 @@ class PriceMatrix:
             raise ConfigError(f"window [{start}, {stop}) out of range")
         return PriceMatrix(dates=self.dates[start:stop], tickers=self.tickers,
                            values=self.values[start:stop])
+
+    def _rows(self, start: int, stop: int) -> "PriceMatrix":
+        """``window`` for the rolling drivers, which pass in-range bounds.
+
+        A row slice of a valid panel keeps its dates, tickers and prices
+        valid, so only the per-ticker check runs again, with the same
+        ``DataError``; the slice shares this panel's read-only values.
+        """
+        values = self.values[start:stop]
+        _require_observed(self.tickers, ~self.missing[start:stop])
+        out = object.__new__(PriceMatrix)
+        for name, value in (("dates", self.dates[start:stop]), ("tickers", self.tickers),
+                            ("values", values)):
+            object.__setattr__(out, name, value)
+        return out
 
     def select(self, tickers) -> "PriceMatrix":
         """Column subset, keeping panel ticker order."""

@@ -5,13 +5,15 @@ The W1 solver is exact, not approximate. One front end (`_w1_block`)
 takes a block of pairs as dense measure rows (a window's pairs, or one
 pair), fixes shared mass in place, since it never moves under a metric
 cost, and pools interchangeable residual atoms for the whole block. No
-residual costs nothing and one distinct distance has a closed form; more
-are scored by the integral dual of the max-weight transport
-(`_integer_dual`) or, where it declines, solved as one pooled HiGHS LP
-(`_solve_lp`). The optimal plan (`wasserstein1`) is the fixed shared mass
-plus one unpooled LP on the residual. Every route returns the exact
-optimum up to float rounding of sums, which keeps closed-form comparisons
-tight at 1e-12.
+residual costs nothing and one distinct distance has a closed form. The
+block's pairs with more are scored together by the integral dual of the
+max-weight transport (`_integer_duals`: padded level-bit codes, a
+row-wise OR-closure and bit-test scoring), and each pair where it
+declines is solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's
+value does not depend on the block it is solved in. The optimal plan
+(`wasserstein1`) is the fixed shared mass plus one unpooled LP on the
+residual. Every route returns the exact optimum up to float rounding of
+sums, which keeps closed-form comparisons tight at 1e-12.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -51,7 +53,8 @@ AVERAGING_MODES = ("edges", "pairs")
 #: Residuals with more integer-dual candidates than this go to the LP.
 _UNION_CAP = 256
 
-#: Pairs per `_w1_block` call in `average_curvature`; bounds its work arrays.
+#: Pairs per `_w1_block` call in `average_curvature`; bounds its work arrays,
+#: the padded `_integer_duals` arrays among them.
 PAIR_BLOCK = 64
 
 
@@ -186,42 +189,102 @@ def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> n
     return res.x.reshape(m, k)
 
 
-def _integer_dual(w: np.ndarray, rcaps: np.ndarray, ccaps: np.ndarray):
-    """Largest ``sum(w * x)`` over pooled transports ``x``, or ``None``.
+def _row_sets(a: np.ndarray):
+    """Each row of nonnegative int64 ``a``, which must hold a 0, as a set.
+
+    Rows come back sorted, with repeats and padding as leading 0s (0 is
+    always a member), in a copy trimmed to the widest set; also returns
+    each row's set size. Sorts ``a`` in place.
+    """
+    a.sort(axis=1)
+    a[:, 1:][a[:, 1:] == a[:, :-1]] = 0
+    a.sort(axis=1)
+    size = (a > 0).sum(axis=1) + 1
+    return a[:, a.shape[1] - size.max():].copy(), size
+
+
+def _integer_duals(pairs) -> np.ndarray:
+    """Largest ``sum(w * x)`` over pooled transports ``x`` for each
+    ``(w, rcaps, ccaps)`` of ``pairs``, or NaN where that pair declines.
 
     It equals ``min r.p + c.q`` over ``p, q >= 0`` with ``p_i + q_j >=
     w_ij``. For integer ``w / gcd`` an optimum is integral (total
     unimodularity), with ``p_i = max_j (w_ij - q_j)+`` and ``q`` a pointwise
-    max of row generators ``(w_i - t)+``. With the smaller side as columns
-    ``q`` is coded in level bits (bit ``(t-1)k + j`` iff ``q_j >= t``), so
-    the candidates are the OR-closure of the generators. ``None`` means
-    non-integer ``w``, ``w`` past int64, over 63 bits or over
-    ``_UNION_CAP`` candidates.
+    max of row generators ``(w_i - t)+``. With a pair's smaller side as its
+    ``k`` columns, ``q`` is coded in level bits (bit ``sk + j`` iff ``q_j >
+    s``), so the candidates are the OR-closure of the generators, and
+    ``p_i`` counts the generators of row ``i`` with a bit outside ``q``. A
+    pair declines on non-integer ``w``, ``w`` past int64, over 63 bits or
+    over ``_UNION_CAP`` candidates. Each ``w`` is nonnegative with a
+    positive entry. Pairs are padded to the largest with zero caps but keep
+    their own ``k``, so every pair's bits and declines are its own.
     """
-    if w.shape[0] < w.shape[1]:
-        w, rcaps, ccaps = w.T, ccaps, rcaps
-    if not np.array_equal(w, np.rint(w)) or w.max() >= 2.0 ** 63:
-        return None
-    step = np.gcd.reduce(w.astype(np.int64), axis=None)
-    w = w.astype(np.int64) // step
-    levels, k = int(w.max()), w.shape[1]
-    if levels * k > 63:
-        return None
-    bits = np.left_shift(1, np.arange(levels * k, dtype=np.int64)).reshape(levels, k)
-    # Generator (w_i - t)+ reaches level s at column j iff w_ij >= s + t.
-    reach = np.add.outer(np.arange(levels), np.arange(1, levels + 1))
-    gens = ((w[:, None, None, :] >= reach[:, :, None]) * bits).sum(axis=(2, 3))
-    # Every union contains a generator, so OR-ing every union with every
-    # generator keeps the old unions and adds the next layer.
-    unions = gens = np.unique(np.append(gens, 0))
-    while unions.size <= _UNION_CAP:
-        grown = np.unique(unions[:, None] | gens)
-        if grown.size == unions.size:
-            q = (unions[:, None] >> np.arange(levels * k) & 1).reshape(-1, levels, k).sum(axis=1)
-            p = np.maximum(w - q[:, None, :], 0).max(axis=2)
-            return float(step) * float((p @ rcaps + q @ ccaps).min())
-        unions = grown
-    return None
+    out = np.full(len(pairs), np.nan)
+    pairs = [(w, r, c) if w.shape[0] >= w.shape[1] else (w.T, c, r) for w, r, c in pairs]
+    shape = np.array([w.shape for w, _, _ in pairs])
+    m, k = shape.max(axis=0)
+    w, rcaps, ccaps = (np.zeros((len(pairs), m, k)), np.zeros((len(pairs), m)),
+                       np.zeros((len(pairs), k)))
+    for e, (gap, r, c) in enumerate(pairs):
+        w[e, :r.size, :c.size], rcaps[e, :r.size], ccaps[e, :c.size] = gap, r, c
+    flat = w.reshape(len(pairs), -1)
+    fits = ((np.rint(flat) == flat) & (flat < 2.0 ** 63)).all(axis=1)
+    flat[~fits] = 0.0
+    flat = flat.astype(np.int64)
+    step = np.maximum(np.gcd.reduce(flat, axis=1), 1)
+    cols = shape[:, 1]
+    live = np.flatnonzero(fits & (flat.max(axis=1) // step <= 63 // cols))
+    if not live.size:
+        return out
+    m, k = shape[live].max(axis=0)
+    w = flat.reshape(w.shape)[live, :m, :k] // step[live, None, None]
+    rcaps, ccaps, cols, step = rcaps[live, :m], ccaps[live, :k], cols[live], step[live]
+    levels = w.max(axis=(1, 2))
+    level = np.arange(levels.max())
+
+    # Bit s*k + j of row i's code is set iff w_ij > s; shifting the code
+    # down by t*k gives the generator (w_i - t)+.
+    code = ((w[:, :, None, :] > level[:, None]).reshape(live.size, m, -1)
+            @ (1 << np.minimum(level[:, None] * cols[:, None, None] + np.arange(k), 62))
+            .reshape(live.size, -1, 1))
+    gens = code >> np.minimum(level * cols[:, None], 63)[:, None]
+    gen_set, size = _row_sets(np.concatenate((gens.reshape(live.size, -1),
+                                              np.zeros((live.size, 1), np.int64)), axis=1))
+
+    # OR-ing every union with every generator (0 included) keeps the old
+    # unions and adds the next layer; a row is scored once it stops growing.
+    rows, unions, gen_size = np.arange(live.size), gen_set, size
+    while True:
+        keep = size <= _UNION_CAP
+        if not keep.all():
+            rows, unions, size = rows[keep], unions[keep], size[keep]
+        if not rows.size:
+            return out
+        unions = unions[:, unions.shape[1] - size.max():]
+        gen = gen_set[rows, gen_set.shape[1] - gen_size[rows].max():]
+        grown, grown_size = _row_sets((unions[:, :, None] | gen[:, None, :]).reshape(rows.size, -1))
+        fixed = grown_size == size
+        if fixed.any():
+            done, cand = rows[fixed], unions[fixed]
+            cand = cand[:, cand.shape[1] - size[fixed].max():]
+            # For a candidate q, p_i counts row i's generators with a bit
+            # outside q, and c.q adds the column cap of each bit set in q.
+            free, row_gens = ~cand, gens[done].transpose(1, 2, 0)
+            p = sum(((row_gens[:, t, :, None] & free) != 0 for t in range(levels[done].max())),
+                    np.uint8(0))
+            bits = np.unpackbits(cand.astype("<i8", copy=False).view(np.uint8)
+                                 .reshape(done.size, -1, 8).transpose(2, 0, 1),
+                                 axis=0, count=(levels * cols)[done].max(), bitorder="little")
+            p = p * rcaps[done].T[:, :, None]
+            q = bits * ccaps[done, np.arange(bits.shape[0])[:, None] % cols[done]][:, :, None]
+            # Running sums over the leading axis add a pair's terms in its
+            # own order, then the padding's zeros, so a pair's value does
+            # not depend on its batch.
+            for terms in (p, q):
+                np.cumsum(terms, axis=0, out=terms)
+            out[live[done]] = step[done] * (p[-1] + q[-1]).min(axis=1)
+            rows, grown, grown_size = rows[~fixed], grown[~fixed], grown_size[~fixed]
+        unions, size = grown, grown_size
 
 
 def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndarray:
@@ -231,8 +294,10 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndar
     for the whole block; residual sources (sinks) of a pair with equal
     distances to all its residual sinks (sources) are pooled into one atom,
     grouped by one lexsort over (side of a pair, ``hop.code_planes`` masked
-    to its other side). Several distinct distances are scored as ``vmax *
-    moved - _integer_dual(vmax - dist)``, or by one LP where that declines.
+    to its other side). A loop gathers each pair's pooled distances; pairs
+    with several distinct distances are then scored together as ``vmax *
+    moved - _integer_duals(vmax - dist)``, and each pair that declines is
+    solved alone as one LP.
     """
     if not hop.connected and ((pa > 0) @ ~np.isfinite(hop.matrix) & (pb > 0)).any():
         raise InfiniteDistanceError("supports span disconnected components")
@@ -258,16 +323,20 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndar
     counts = np.bincount(gside, minlength=2 * size)
     bounds = [0] + np.cumsum(counts).tolist()
     cost = np.zeros(size)
+    multi = []
     for e in np.flatnonzero(counts[:size] * counts[size:]).tolist():
         rows, cols = slice(bounds[e], bounds[e + 1]), slice(bounds[size + e], bounds[size + e + 1])
         w = hop.matrix[gnode[rows, None], gnode[cols]]
         v = float(w.max())
         if float(w.min()) == v:
             cost[e] = v * moved[e]
-            continue
-        carried = _integer_dual(v - w, caps[rows], caps[cols])
-        cost[e] = (v * moved[e] - carried if carried is not None
-                   else np.dot(w.ravel(), _solve_lp(caps[rows], caps[cols], w).ravel()))
+        else:
+            multi.append((e, v, w, caps[rows], caps[cols]))
+    if multi:
+        carried = _integer_duals([(v - w, r, c) for _, v, w, r, c in multi])
+        for (e, v, w, r, c), dual in zip(multi, carried.tolist()):
+            cost[e] = (np.dot(w.ravel(), _solve_lp(r, c, w).ravel()) if np.isnan(dual)
+                       else v * moved[e] - dual)
     return cost
 
 

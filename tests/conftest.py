@@ -17,9 +17,14 @@ def failing_lp(monkeypatch):
     windows only.
     """
     calls = []
-    closed_form = transport._integer_dual
-    monkeypatch.setattr(transport, "_integer_dual", lambda w, rcaps, ccaps: (
-        None if np.unique(w).size > 2 else closed_form(w, rcaps, ccaps)))
+    closed_form = transport._integer_duals
+
+    def integer_duals(pairs):
+        out = closed_form(pairs)
+        out[[np.unique(w).size > 2 for w, _, _ in pairs]] = np.nan
+        return out
+
+    monkeypatch.setattr(transport, "_integer_duals", integer_duals)
 
     def linprog(*args, **kwargs):
         calls.append(1)

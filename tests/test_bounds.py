@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ricci_fragility.bounds import (
     BOUND_NAMES,
     BoundReport,
+    BoundsSuiteResult,
     add_edge_instance,
     check_lemma_affected,
     check_prop1,
@@ -295,6 +296,36 @@ class TestSuite:
             which = "x" if r.pair[0] == inst.x else "y"
             again = check_lemma_affected(inst, which, res.weighting)
             assert again.lhs == pytest.approx(r.lhs, abs=1e-12)
+
+    # The suite solves each instance's W1 values in three blocks; every
+    # report must be the one the public checks give one pair at a time.
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_batched_checks_match_one_pair_at_a_time(self, weighting):
+        res = run_bounds_suite(trials=60, seed=7, weighting=weighting)
+        labels = list(dict.fromkeys(r.instance_label for r in res.reports))
+        assert len(labels) == 60
+        single = []
+        for label in labels:
+            inst = random_instance(int(label.split("=")[1]))
+            for r in res.reports:
+                if r.instance_label == label and r.bound_name == "prop1_first":
+                    first, sup = check_prop1(inst, *r.pair, weighting)
+                    single += [first] if sup is None else [first, sup]
+            single += [check_lemma_affected(inst, which, weighting) for which in "xy"]
+            single += check_prop2(inst, weighting)
+        assert ([(r.bound_name, r.pair, r.satisfied, r.instance_label) for r in res.reports]
+                == [(r.bound_name, r.pair, r.satisfied, r.instance_label) for r in single])
+        for got, want in zip(res.reports, single):
+            assert got.lhs == pytest.approx(want.lhs, abs=1e-12)
+            assert got.rhs == pytest.approx(want.rhs, abs=1e-12)
+        want = BoundsSuiteResult(reports=tuple(single), trials=60, seed=7,
+                                 weighting=weighting).summary()
+        got = res.summary()
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name]["count"] == want[name]["count"]
+            assert got[name]["violations"] == want[name]["violations"]
+            assert got[name]["min_slack"] == pytest.approx(want[name]["min_slack"], abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):

@@ -480,8 +480,9 @@ def test_two_distance_closed_form_matches_dense_lp(monkeypatch, lp_solves, seed)
     assert len(lp_solves) == 1
 
 
-def _dual_brute_w1(dist, a, b):
-    """Exact W1 as ``vmax * moved`` minus the best dual ``sum a p + sum b q``.
+def _dual_brute(w, a, b):
+    """The best dual ``sum a p + sum b q`` of the transport with integer
+    gains ``w``, which is its largest ``sum w x``.
 
     Tries every integer ``p`` in ``{0..max w}`` per source, with the least
     feasible ``q_j = max_i (w_ij - p_i)+``, in rationals; shares nothing
@@ -489,14 +490,21 @@ def _dual_brute_w1(dist, a, b):
     """
     a = [Fraction(x) for x in a]
     b = [Fraction(x) for x in b]
-    vmax = int(dist.max())
-    w = [[vmax - int(d) for d in row] for row in dist]
+    w = [[int(v) for v in row] for row in w]
     best = None
     for p in itertools.product(range(max(map(max, w)) + 1), repeat=len(a)):
         q = [max(max(w[i][j] - p[i], 0) for i in range(len(a))) for j in range(len(b))]
         value = sum(x * y for x, y in zip(a, p)) + sum(x * y for x, y in zip(b, q))
         best = value if best is None else min(best, value)
-    return float(vmax * min(sum(a), sum(b)) - best)
+    return best
+
+
+def _dual_brute_w1(dist, a, b):
+    """Exact W1 as ``vmax * moved`` minus the best dual of the gains
+    ``vmax - dist``."""
+    vmax = int(dist.max())
+    moved = min(sum(map(Fraction, a)), sum(map(Fraction, b)))
+    return float(vmax * moved - _dual_brute(vmax - dist, a, b))
 
 
 def _multi_level_instance(rng, m, k, odd):
@@ -583,8 +591,46 @@ def test_fractional_distance_gaps_go_to_lp(lp_solves, sinks, route):
 @pytest.mark.filterwarnings("error")
 def test_integer_dual_declines_gaps_past_int64():
     caps = np.array([0.5, 0.5])
-    assert transport._integer_dual(np.array([[2.0, 0.0], [0.0, 4.0]]), caps, caps) == 3.0
-    assert transport._integer_dual(np.array([[2e19, 0.0], [0.0, 4e19]]), caps, caps) is None
+    assert transport._integer_duals([(np.array([[2.0, 0.0], [0.0, 4.0]]), caps, caps)]) == [3.0]
+    assert np.isnan(transport._integer_duals([(np.array([[2e19, 0.0], [0.0, 4e19]]), caps, caps)]))
+
+
+# One batch holding every case the integer dual meets, as (gains w,
+# rcaps, ccaps, declines). The 22-level ladder fits 44 bits alone, but
+# padded to the 3 columns of other pairs it would need 66, so only the
+# per-pair bit stride keeps it.
+_DUAL_CASES = [
+    (np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 0]]), np.full(4, 0.25),
+     np.array([0.5, 0.25, 0.25]), False),
+    (np.array([[2, 1, 0], [1, 2, 0], [0, 0, 2], [1, 1, 1], [0, 0, 0]]),
+     np.array([0.1, 0.2, 0.3, 0.25, 0.15]), np.array([0.3, 0.3, 0.4]), False),
+    # Fewer rows than columns: the routine scores the transpose.
+    (np.array([[2, 0, 1, 1, 0], [0, 2, 1, 0, 1]]), np.array([0.4, 0.6]), np.full(5, 0.2), False),
+    # gcd 2.
+    (np.array([[4, 0], [2, 4], [0, 2]]), np.full(3, 1 / 3), np.array([0.5, 0.5]), False),
+    (np.array([[22, 21], [0, 0]]), np.array([0.45, 0.55]), np.array([0.3, 0.7]), False),
+    (np.array([[0.75, 0.0], [0.0, 2.25]]), np.full(2, 0.5), np.full(2, 0.5), True),
+    (np.array([[2e19, 0.0], [0.0, 4e19]]), np.full(2, 0.5), np.full(2, 0.5), True),
+    # 40 levels on 2 columns: 80 bits.
+    (np.array([[40, 39], [39, 38], [0, 0]]), np.array([0.3, 0.3, 0.4]), np.array([0.45, 0.55]),
+     True),
+    # Unit rows: every one of the 512 subsets is a candidate.
+    (np.eye(9), np.full(9, 1 / 9), np.full(9, 1 / 9), True),
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_integer_duals_batch_mixes_every_case():
+    pairs = [(np.asarray(w, dtype=float), r, c) for w, r, c, _ in _DUAL_CASES]
+    batch = transport._integer_duals(pairs)
+    assert np.isnan(batch).tolist() == [declines for *_, declines in _DUAL_CASES]
+    for pair, value in zip(pairs, batch.tolist()):
+        alone = transport._integer_duals([pair])[0]
+        if np.isnan(value):
+            assert np.isnan(alone)
+        else:
+            assert value == alone
+            assert abs(value - float(_dual_brute(*pair))) <= 1e-12
 
 
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
@@ -682,17 +728,17 @@ def _mixed_route_graph():
 def test_one_block_mixes_every_route(monkeypatch, lp_solves):
     graph, hop = _mixed_route_graph()
     duals = []
-    closed_form = transport._integer_dual
+    closed_form = transport._integer_duals
 
-    def integer_dual(w, rcaps, ccaps):
-        duals.append(closed_form(w, rcaps, ccaps))
+    def integer_duals(pairs):
+        duals.append(closed_form(pairs))
         return duals[-1]
 
-    monkeypatch.setattr(transport, "_integer_dual", integer_dual)
+    monkeypatch.setattr(transport, "_integer_duals", integer_duals)
     per_pair = average_curvature(graph, mode="pairs", hop=hop).per_pair
     assert len(per_pair) == 21 <= transport.PAIR_BLOCK
     assert len(lp_solves) == 1
-    assert any(carried is not None for carried in duals)
+    assert any(np.isfinite(carried).any() for carried in duals)
     assert per_pair[(4, 6)] == 1.0
     assert per_pair[(4, 5)] == pytest.approx(1.0 - 2.0 / 3.5, abs=1e-12)
     mu_2 = node_measure(graph, 2)
@@ -724,7 +770,7 @@ def test_one_sided_residual_moves_nothing(monkeypatch):
     for e, pair in enumerate(pairs):
         for side, mu in enumerate(pair):
             rows[side, e, list(mu.support)] = mu.masses
-    monkeypatch.setattr(transport, "_integer_dual", lambda *args: pytest.fail("integer dual"))
+    monkeypatch.setattr(transport, "_integer_duals", lambda *args: pytest.fail("integer dual"))
     assert transport._w1_block(rows[0], rows[1], h).tolist() == [1.0, 0.0, 0.0]
     assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
 
@@ -758,6 +804,28 @@ def test_window_curvature_memory_stays_flat(regime_panel):
     finally:
         tracemalloc.stop()
     assert graph.edge_count > 900
+    assert peak < 4e6
+
+
+# A full block of the largest pooled shape seen in crisis windows, 21
+# sources against 16 sinks at 2 levels. Staircase rows give 44-92
+# candidates, more than the 51 seen there, and none declines, so every
+# stage runs on padded arrays; they stay within the window budget above.
+def test_integer_duals_memory_stays_flat():
+    rng = np.random.default_rng(0)
+    pairs = []
+    for _ in range(transport.PAIR_BLOCK):
+        lo, hi = np.sort(rng.integers(0, 17, size=(2, 21)), axis=0)
+        w = (np.arange(16) < lo[:, None]) + (np.arange(16) < hi[:, None]).astype(float)
+        w[0, 0] = 2.0
+        pairs.append((w, rng.dirichlet(np.ones(21)), rng.dirichlet(np.ones(16))))
+    tracemalloc.start()
+    try:
+        duals = transport._integer_duals(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(duals).all()
     assert peak < 4e6
 
 
