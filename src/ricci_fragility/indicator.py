@@ -269,7 +269,7 @@ def _points_for_starts(prices: PriceMatrix, config: WindowConfig, window_value,
     for k in starts:
         label = prices.dates[k + config.T - 1]
         try:
-            value, extra = window_value(prices._rows(k, k + config.T), config)
+            value, extra = window_value(prices.window(k, k + config.T), config)
             out.append((label, value, extra, None))
         except DataError as exc:
             out.append((label, float("nan"), (), f"{label}: {exc}"))

@@ -124,25 +124,16 @@ class PriceMatrix:
 
         Raises ``DataError`` if some ticker has no observation inside
         the slice (the panel invariant), which rolling callers treat as
-        a per-window gap.
+        a per-window gap. A row slice of a valid panel keeps its dates,
+        tickers and prices valid, so only that check runs again; the
+        slice shares this panel's read-only values.
         """
         if not 0 <= start < stop <= self.n_dates:
             raise ConfigError(f"window [{start}, {stop}) out of range")
-        return PriceMatrix(dates=self.dates[start:stop], tickers=self.tickers,
-                           values=self.values[start:stop])
-
-    def _rows(self, start: int, stop: int) -> "PriceMatrix":
-        """``window`` for the rolling drivers, which pass in-range bounds.
-
-        A row slice of a valid panel keeps its dates, tickers and prices
-        valid, so only the per-ticker check runs again, with the same
-        ``DataError``; the slice shares this panel's read-only values.
-        """
-        values = self.values[start:stop]
         _require_observed(self.tickers, ~self.missing[start:stop])
         out = object.__new__(PriceMatrix)
         for name, value in (("dates", self.dates[start:stop]), ("tickers", self.tickers),
-                            ("values", values)):
+                            ("values", self.values[start:stop])):
             object.__setattr__(out, name, value)
         return out
 

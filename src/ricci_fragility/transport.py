@@ -53,8 +53,12 @@ AVERAGING_MODES = ("edges", "pairs")
 #: Residuals with more integer-dual candidates than this go to the LP.
 _UNION_CAP = 256
 
+#: Cells (8 bytes each) per `_integer_duals` closure or scoring array:
+#: larger sets of rows are split in halves.
+_DUAL_CELLS = 1 << 17
+
 #: Pairs per `_w1_block` call in `average_curvature`; bounds its work arrays,
-#: the padded `_integer_duals` arrays among them.
+#: the padded `_integer_duals` inputs among them.
 PAIR_BLOCK = 64
 
 
@@ -248,43 +252,58 @@ def _integer_duals(pairs) -> np.ndarray:
             @ (1 << np.minimum(level[:, None] * cols[:, None, None] + np.arange(k), 62))
             .reshape(live.size, -1, 1))
     gens = code >> np.minimum(level * cols[:, None], 63)[:, None]
-    gen_set, size = _row_sets(np.concatenate((gens.reshape(live.size, -1),
-                                              np.zeros((live.size, 1), np.int64)), axis=1))
+    gen_set, gen_size = _row_sets(np.concatenate((gens.reshape(live.size, -1),
+                                                  np.zeros((live.size, 1), np.int64)), axis=1))
 
     # OR-ing every union with every generator (0 included) keeps the old
-    # unions and adds the next layer; a row is scored once it stops growing.
-    rows, unions, gen_size = np.arange(live.size), gen_set, size
-    while True:
-        keep = size <= _UNION_CAP
-        if not keep.all():
-            rows, unions, size = rows[keep], unions[keep], size[keep]
-        if not rows.size:
-            return out
+    # unions and adds the next layer. A row declines once it passes
+    # _UNION_CAP and is scored once it stops growing. Rows whose product
+    # or scoring arrays (unions x generators, rows or level bits) would
+    # pass _DUAL_CELLS are split in halves, which go on alone.
+    rows = np.flatnonzero(gen_size <= _UNION_CAP)
+    work = [(rows, gen_set[rows], gen_size[rows])] if rows.size else []
+    while work:
+        rows, unions, size = work.pop()
         unions = unions[:, unions.shape[1] - size.max():]
         gen = gen_set[rows, gen_set.shape[1] - gen_size[rows].max():]
+        depth = max(gen.shape[1], m, (levels * cols)[rows].max())
+        if rows.size > 1 and rows.size * unions.shape[1] * depth > _DUAL_CELLS:
+            half = rows.size // 2
+            work += [(rows[:half], unions[:half], size[:half]),
+                     (rows[half:], unions[half:], size[half:])]
+            continue
         grown, grown_size = _row_sets((unions[:, :, None] | gen[:, None, :]).reshape(rows.size, -1))
         fixed = grown_size == size
         if fixed.any():
             done, cand = rows[fixed], unions[fixed]
-            cand = cand[:, cand.shape[1] - size[fixed].max():]
-            # For a candidate q, p_i counts row i's generators with a bit
-            # outside q, and c.q adds the column cap of each bit set in q.
-            free, row_gens = ~cand, gens[done].transpose(1, 2, 0)
-            p = sum(((row_gens[:, t, :, None] & free) != 0 for t in range(levels[done].max())),
-                    np.uint8(0))
-            bits = np.unpackbits(cand.astype("<i8", copy=False).view(np.uint8)
-                                 .reshape(done.size, -1, 8).transpose(2, 0, 1),
-                                 axis=0, count=(levels * cols)[done].max(), bitorder="little")
-            p = p * rcaps[done].T[:, :, None]
-            q = bits * ccaps[done, np.arange(bits.shape[0])[:, None] % cols[done]][:, :, None]
-            # Running sums over the leading axis add a pair's terms in its
-            # own order, then the padding's zeros, so a pair's value does
-            # not depend on its batch.
-            for terms in (p, q):
-                np.cumsum(terms, axis=0, out=terms)
-            out[live[done]] = step[done] * (p[-1] + q[-1]).min(axis=1)
-            rows, grown, grown_size = rows[~fixed], grown[~fixed], grown_size[~fixed]
-        unions, size = grown, grown_size
+            out[live[done]] = step[done] * _dual_scores(
+                cand[:, cand.shape[1] - size[fixed].max():], gens[done], rcaps[done],
+                ccaps[done], cols[done], levels[done])
+        keep = ~fixed & (grown_size <= _UNION_CAP)
+        if keep.any():
+            work.append((rows[keep], grown[keep], grown_size[keep]))
+    return out
+
+
+def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
+    """Smallest ``r.p + c.q`` over each row's candidate codes ``q`` (see
+    `_integer_duals`), given the generators, caps, column count and level
+    count of that row's pair. Its work arrays are freed on return."""
+    # p_i counts row i's generators with a bit outside q, and c.q adds the
+    # column cap of each bit set in q.
+    free, row_gens = ~cand, gens.transpose(1, 2, 0)
+    p = sum(((row_gens[:, t, :, None] & free) != 0 for t in range(levels.max())), np.uint8(0))
+    bits = np.unpackbits(cand.astype("<i8", copy=False).view(np.uint8)
+                         .reshape(len(cand), -1, 8).transpose(2, 0, 1),
+                         axis=0, count=(levels * cols).max(), bitorder="little")
+    p = p * rcaps.T[:, :, None]
+    q = bits * ccaps[np.arange(cols.size), np.arange(bits.shape[0])[:, None] % cols][:, :, None]
+    # Running sums over the leading axis add a pair's terms in its own
+    # order, then the padding's zeros, so a pair's value does not depend
+    # on its batch.
+    for terms in (p, q):
+        np.cumsum(terms, axis=0, out=terms)
+    return (p[-1] + q[-1]).min(axis=1)
 
 
 def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndarray:

@@ -103,30 +103,6 @@ class TestPriceMatrix:
         with pytest.raises(DataError):
             panel.window(0, 2)
 
-    def test_rolling_slice_matches_window(self):
-        # The rolling drivers slice with ``_rows``, which skips re-parsing
-        # the dates; it must give the same panel, or the same DataError.
-        panel = make_panel(
-            ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07"],
-            ["A", "B", "C"],
-            [[1.0, np.nan, 4.0], [2.0, np.nan, np.nan], [3.0, 5.0, np.nan],
-             [np.nan, 6.0, np.nan], [4.0, 7.0, 8.0]],
-        )
-        for start in range(5):
-            for stop in range(start + 1, 6):
-                try:
-                    want = panel.window(start, stop)
-                except DataError as exc:
-                    with pytest.raises(DataError) as err:
-                        panel._rows(start, stop)
-                    assert str(err.value) == str(exc)
-                    continue
-                got = panel._rows(start, stop)
-                assert (got.dates, got.tickers) == (want.dates, want.tickers)
-                assert np.array_equal(got.values, want.values, equal_nan=True)
-                assert np.array_equal(got.missing, want.missing)
-                assert not got.values.flags.writeable
-
 
 class TestCsvRoundTrip:
     def test_complete_panel(self, tmp_path):

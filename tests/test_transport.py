@@ -633,6 +633,16 @@ def test_integer_duals_batch_mixes_every_case():
             assert abs(value - float(_dual_brute(*pair))) <= 1e-12
 
 
+# Splitting a batch's rows down to one apiece changes no value and no
+# decline.
+@pytest.mark.filterwarnings("error")
+def test_integer_duals_split_rows_keep_their_values(monkeypatch):
+    pairs = [(np.asarray(w, dtype=float), r, c) for w, r, c, _ in _DUAL_CASES]
+    whole = transport._integer_duals(pairs)
+    monkeypatch.setattr(transport, "_DUAL_CELLS", 1)
+    assert np.array_equal(transport._integer_duals(pairs), whole, equal_nan=True)
+
+
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
 # in int64, so it goes to the LP, which must still return the exact value
 # (1.9 on the unscaled line), not fail on the size of the costs.
@@ -807,17 +817,36 @@ def test_window_curvature_memory_stays_flat(regime_panel):
     assert peak < 4e6
 
 
+# The transition window k=360 held 4.9 MB of dual work arrays in one
+# piece, and the calm window k=100 in pairs mode meets more than two
+# distance levels; split rows keep both within the budget above.
+@pytest.mark.parametrize("k, mode", [(360, "edges"), (360, "pairs"), (100, "pairs")])
+def test_curvature_memory_stays_flat_in_both_modes(regime_panel, k, mode):
+    graph = window_graph(regime_panel.window(k, k + 132), WindowConfig(T=132, xi=0.85))
+    hop = hop_distances(graph)
+    tracemalloc.start()
+    try:
+        average_curvature(graph, mode=mode, hop=hop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 # A full block of the largest pooled shape seen in crisis windows, 21
-# sources against 16 sinks at 2 levels. Staircase rows give 44-92
-# candidates, more than the 51 seen there, and none declines, so every
-# stage runs on padded arrays; they stay within the window budget above.
-def test_integer_duals_memory_stays_flat():
+# sources against 16 sinks, as staircases of 2 levels (44-92 candidates,
+# more than the 51 seen there, none declines) or 3 (up to and past the
+# union cap: 48 bits, and 64-generator rows). Every stage runs on padded
+# arrays; they stay within the window budget above, and each pair keeps
+# its value alone.
+@pytest.mark.parametrize("levels", [2, 3])
+def test_integer_duals_memory_stays_flat(levels):
     rng = np.random.default_rng(0)
     pairs = []
     for _ in range(transport.PAIR_BLOCK):
-        lo, hi = np.sort(rng.integers(0, 17, size=(2, 21)), axis=0)
-        w = (np.arange(16) < lo[:, None]) + (np.arange(16) < hi[:, None]).astype(float)
-        w[0, 0] = 2.0
+        cuts = np.sort(rng.integers(0, 17, size=(levels, 21)), axis=0)
+        w = sum((np.arange(16) < cut[:, None]).astype(float) for cut in cuts)
+        w[0, 0] = levels
         pairs.append((w, rng.dirichlet(np.ones(21)), rng.dirichlet(np.ones(16))))
     tracemalloc.start()
     try:
@@ -825,8 +854,10 @@ def test_integer_duals_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.isfinite(duals).all()
     assert peak < 4e6
+    assert np.isfinite(duals).all() if levels == 2 else np.isfinite(duals).any()
+    alone = [transport._integer_duals([pair])[0] for pair in pairs]
+    assert np.array_equal(duals, alone, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
