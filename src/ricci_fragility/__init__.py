@@ -75,11 +75,9 @@ from .synthetic import SCENARIOS, comoving, iid, make, regime_switch
 from .transport import (
     CurvatureReport,
     NodeMeasure,
-    TransportPlan,
     average_curvature,
     edge_curvature,
     node_measure,
-    wasserstein1,
     wasserstein1_cost,
     wasserstein1_oracle,
 )
@@ -103,11 +101,9 @@ __all__ = [
     "minimum_spanning_tree",
     "CurvatureReport",
     "NodeMeasure",
-    "TransportPlan",
     "average_curvature",
     "edge_curvature",
     "node_measure",
-    "wasserstein1",
     "wasserstein1_cost",
     "wasserstein1_oracle",
     "PriceMatrix",

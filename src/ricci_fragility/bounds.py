@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
-from .graphs import HopDistanceMatrix, MarketGraph, hop_distances
-from .transport import WEIGHTINGS, _w1_block, node_measure, wasserstein1_cost
+from .graphs import HopDistanceMatrix, MarketGraph, _dense, hop_distances
+from .transport import WEIGHTINGS, _measure_rows, _w1_rows
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -79,7 +79,8 @@ def add_edge_instance(graph: MarketGraph, x, y, weight: float = 1.0,
     weight = float(weight)
     if not np.isfinite(weight) or weight <= 0.0:
         raise ConfigError("new edge weight must be positive and finite")
-    if not graph.is_connected():
+    hop = hop_distances(graph)
+    if not hop.connected:
         raise DisconnectedGraphError("perturbation instances need a connected base graph")
 
     key = graph.edge_key(x, y)
@@ -92,7 +93,7 @@ def add_edge_instance(graph: MarketGraph, x, y, weight: float = 1.0,
         corrs[key] = 1.0
     star = MarketGraph(nodes=graph.nodes, edges=edges, weights=weights, correlations=corrs)
     return PerturbationInstance(graph=graph, graph_star=star, x=x, y=y,
-                                hop=hop_distances(graph), hop_star=hop_distances(star),
+                                hop=hop, hop_star=hop_distances(star),
                                 label=label)
 
 
@@ -116,16 +117,26 @@ def check_prop1(instance: PerturbationInstance, a, b,
     an endpoint of the new edge, since the sup-norm form is only derived
     for pairs whose measures are unchanged.
     """
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r}")
     if a == b:
         raise ConfigError("pair must be two distinct nodes")
-    g, gs = instance.graph, instance.graph_star
-    w_before = wasserstein1_cost(node_measure(g, a, weighting),
-                                 node_measure(g, b, weighting), instance.hop)
-    w_after = wasserstein1_cost(node_measure(gs, a, weighting),
-                                node_measure(gs, b, weighting), instance.hop_star)
+    (w_before,), (w_after,) = _prop1_w1(instance, _measures(instance, weighting), [(a, b)])
     return _prop1_reports(instance, a, b, w_before, w_after)
+
+
+def _measures(instance: PerturbationInstance, weighting: str):
+    """Neighbour-measure rows of the graph and of the perturbed graph."""
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"unknown weighting {weighting!r}")
+    return tuple(_measure_rows(*_dense(g), weighting)
+                 for g in (instance.graph, instance.graph_star))
+
+
+def _prop1_w1(instance: PerturbationInstance, measures, pairs):
+    """W^d(mu_a, mu_b) and W^{d*}(mu*_a, mu*_b) for each pair (a, b) of
+    ``pairs``, as two lists, from the rows ``measures`` of `_measures`."""
+    ia, ib = (instance.hop.positions(side) for side in zip(*pairs))
+    return tuple(_w1_rows(rows, rows, hop, ia, ib).tolist()
+                 for rows, hop in zip(measures, (instance.hop, instance.hop_star)))
 
 
 def _report(instance: PerturbationInstance, name: str, lhs: float, rhs: float,
@@ -160,9 +171,9 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
     if which not in ("x", "y"):
         raise ConfigError(f"which must be 'x' or 'y', got {which!r}")
     node = instance.x if which == "x" else instance.y
-    mu_before = node_measure(instance.graph, node, weighting)
-    mu_after = node_measure(instance.graph_star, node, weighting)
-    return _lemma_report(instance, node, wasserstein1_cost(mu_before, mu_after, instance.hop))
+    end = instance.hop.positions((node,))
+    shift = _w1_rows(*_measures(instance, weighting), instance.hop, end, end)
+    return _lemma_report(instance, node, float(shift[0]))
 
 
 def _lemma_report(instance: PerturbationInstance, node, lhs: float) -> BoundReport:
@@ -234,9 +245,9 @@ def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator
     """All five checks on one instance; prop1 at sampled pairs plus (x, y).
 
     The reports equal those of `check_prop1`, `check_lemma_affected` and
-    `check_prop2`, but the W1 values come from three `_w1_block` calls:
-    the prop1 pairs under d, the same pairs under d*, and the measures of
-    x and y before against after under d.
+    `check_prop2`, but the W1 values come from three blocks: the prop1
+    pairs under d and under d* (`_prop1_w1`), and the measures of x and y
+    before against after under d.
     """
     g, x, y = instance.graph, instance.x, instance.y
     nodes = list(g.nodes)
@@ -245,16 +256,10 @@ def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator
         a, b = rng.choice(len(nodes), size=2, replace=False)
         pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
     pairs = sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
-    ends = [a for a, _ in pairs] + [b for _, b in pairs] + [x, y]
-    rows = np.zeros((2, len(ends), len(nodes)))
-    for side, graph in enumerate((g, instance.graph_star)):
-        for i, v in enumerate(ends):
-            mu = node_measure(graph, v, weighting)
-            rows[side, i, instance.hop.positions(mu.support)] = mu.masses
-    k = len(pairs)
-    w_before = _w1_block(rows[0, :k], rows[0, k:2 * k], instance.hop).tolist()
-    w_after = _w1_block(rows[1, :k], rows[1, k:2 * k], instance.hop_star).tolist()
-    shifts = _w1_block(rows[0, 2 * k:], rows[1, 2 * k:], instance.hop).tolist()
+    measures = _measures(instance, weighting)
+    w_before, w_after = _prop1_w1(instance, measures, pairs)
+    ends = instance.hop.positions((x, y))
+    shifts = _w1_rows(*measures, instance.hop, ends, ends).tolist()
 
     reports = []
     for (a, b), before, after in zip(pairs, w_before, w_after):
@@ -341,9 +346,7 @@ def kn_minus_edge_instance(n: int) -> PerturbationInstance:
 def sharpness_reports(n: int, weighting: str = "uniform") -> list:
     """prop1_first reports for every pair of the K_n sharpness instance."""
     inst = kn_minus_edge_instance(n)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            first, _ = check_prop1(inst, i, j, weighting)
-            out.append(first)
-    return out
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    w_before, w_after = _prop1_w1(inst, _measures(inst, weighting), pairs)
+    return [_prop1_reports(inst, a, b, before, after)[0]
+            for (a, b), before, after in zip(pairs, w_before, w_after)]

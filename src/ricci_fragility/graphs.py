@@ -3,6 +3,7 @@
 Construction from distance/correlation matrices, Prim minimum spanning
 trees with deterministic tie-breaking, correlation-threshold edge
 augmentation, unweighted hop-distance matrices, and induced subgraphs.
+Curvature code reads a graph as dense arrays (`_dense`).
 
 Edge weights are *distances* (larger = weaker relationship); raw
 correlations ride along separately because thresholding reads
@@ -11,13 +12,10 @@ correlations while tree construction and transport read distances.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import ConfigError, DisconnectedGraphError, GraphError
 
@@ -157,16 +155,7 @@ class MarketGraph:
         return len(self.neighbors(v))
 
     def is_connected(self) -> bool:
-        start = self.nodes[0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return bool(np.isfinite(_hops(_dense(self)[0])).all())
 
 
 @dataclass(frozen=True)
@@ -271,11 +260,9 @@ def minimum_spanning_tree(graph: MarketGraph) -> MarketGraph:
     are the endpoint positions in node order. Equal-weight inputs
     therefore always produce the same tree.
     """
-    idx = graph.index
-    w = np.full((graph.n, graph.n), np.inf)
-    for (a, b), x in graph.weights.items():
-        w[idx[a], idx[b]] = w[idx[b], idx[a]] = x
-    return _edge_subset(graph, [(graph.nodes[i], graph.nodes[j]) for i, j in _prim(w)])
+    adj, w = _dense(graph)
+    return _edge_subset(graph, [(graph.nodes[i], graph.nodes[j])
+                                for i, j in _prim(np.where(adj, w, np.inf))])
 
 
 def _prim(w: np.ndarray):
@@ -334,11 +321,22 @@ def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
     Unreachable pairs are marked ``UNREACHABLE`` rather than raising, so
     callers decide whether disconnection is an error.
     """
-    idx = graph.index
-    rows, cols = [idx[a] for a, _ in graph.edges], [idx[b] for _, b in graph.edges]
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
-    m = shortest_path(adj, method="D", directed=False, unweighted=True)
-    return HopDistanceMatrix(nodes=graph.nodes, matrix=m)
+    return HopDistanceMatrix(nodes=graph.nodes, matrix=_hops(_dense(graph)[0]))
+
+
+def _hops(adj: np.ndarray) -> np.ndarray:
+    """Hop counts of the symmetric boolean adjacency ``adj`` by one frontier
+    BFS from every node at once; ``UNREACHABLE`` where no path exists."""
+    step = adj.astype(float)
+    reach = frontier = np.eye(len(adj), dtype=bool)
+    hop = np.where(reach, 0.0, UNREACHABLE)
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = ((frontier @ step) > 0) & ~reach
+        hop[frontier] = d
+        reach = reach | frontier
+    return hop
 
 
 def induced_subgraph(graph: MarketGraph, node_subset) -> MarketGraph:
@@ -370,6 +368,19 @@ def _edge_subset(graph: MarketGraph, edges, nodes=None) -> MarketGraph:
         corrs = {e: graph.correlations[e] for e in edges}
     return MarketGraph(nodes=graph.nodes if nodes is None else nodes, edges=tuple(edges),
                        weights={e: graph.weights[e] for e in edges}, correlations=corrs)
+
+
+def _dense(graph: MarketGraph):
+    """``(adj, w)`` of ``graph`` in node order: the boolean adjacency and the
+    edge weights, with 0 where there is no edge."""
+    idx = graph.index
+    i = [idx[a] for a, _ in graph.weights]
+    j = [idx[b] for _, b in graph.weights]
+    adj = np.zeros((graph.n, graph.n), dtype=bool)
+    w = np.zeros((graph.n, graph.n))
+    adj[i, j] = adj[j, i] = True
+    w[i, j] = w[j, i] = list(graph.weights.values())
+    return adj, w
 
 
 def _from_edge_mask(nodes: tuple, mask: np.ndarray, d: np.ndarray, c: np.ndarray) -> MarketGraph:

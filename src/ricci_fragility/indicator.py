@@ -8,7 +8,8 @@ Each window's correlation matrix becomes a distance matrix through a
 decreasing transform, the complete distance graph is pruned to its MST
 plus all edges above the correlation threshold, and the average
 Ollivier-Ricci curvature of that filtered graph is one point of the
-series, labelled by the window's last date so nothing looks ahead.
+series, labelled by the window's last date so nothing looks ahead. The
+series reads each window's graph as arrays; `window_graph` builds it.
 
 Windows that fail validation (insufficient overlap, disconnection)
 yield NaN gaps rather than aborting the series; the reasons are kept on
@@ -25,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientOverlapError
-from .graphs import MarketGraph, _from_edge_mask, _prim, build_complete_graph
+from .graphs import HopDistanceMatrix, MarketGraph, _from_edge_mask, _hops, _prim
+from .graphs import build_complete_graph
 from .ingestion import PriceMatrix
-from .transport import AVERAGING_MODES, WEIGHTINGS, average_curvature
+from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures
 
 #: Minimum overlapping observations for a pairwise correlation.
 MIN_OVERLAP = 3
@@ -243,18 +245,34 @@ def complete_window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGr
 
 def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
     """Filtered correlation network for one window: MST + high-rho edges."""
+    rho, dist, adj = _window_arrays(window, config)
+    return _from_edge_mask(window.tickers, adj, dist, rho)
+
+
+def _window_arrays(window: PriceMatrix, config: WindowConfig):
+    """``(rho, dist, adj)`` of one window: correlations, distances, and the
+    symmetric adjacency of the filtered graph (``rho >= xi`` or a Prim
+    tree pair)."""
     rho, _ = correlation_matrix(window, config.input_mode)
     dist = distance_from_correlation(rho, config.transform)
-    mask = rho >= config.xi
+    adj = rho >= config.xi
+    np.fill_diagonal(adj, False)
     for i, j in _prim(dist):
-        mask[i, j] = True
-    return _from_edge_mask(window.tickers, mask, dist, rho)
+        adj[i, j] = adj[j, i] = True
+    return rho, dist, adj
+
+
+def _window_kappa(window: PriceMatrix, config: WindowConfig) -> np.ndarray:
+    """Curvature of each edge (or node pair) of the window's filtered
+    graph in canonical order, from its arrays alone."""
+    _, dist, adj = _window_arrays(window, config)
+    hop = HopDistanceMatrix(nodes=window.tickers, matrix=_hops(adj))
+    return _curvatures(adj, np.where(adj, dist, 0.0), hop, config.averaging_mode,
+                       config.weighting)
 
 
 def _window_curvature(window: PriceMatrix, config: WindowConfig):
-    report = average_curvature(window_graph(window, config), mode=config.averaging_mode,
-                               weighting=config.weighting)
-    return report.average, ()
+    return float(np.mean(_window_kappa(window, config))), ()
 
 
 def _points_for_starts(prices: PriceMatrix, config: WindowConfig, window_value,

@@ -25,8 +25,10 @@ scan's m (n - m) candidates in closed form with a few array operations;
 under ``uniform`` weighting every K_m scores (m - 2) / (m - 1), the
 equality case of the Jost-Liu triangle bound. On any other host each
 candidate goes through the exact W1 engine. Either way the returned
-report comes from the engine, and `exhaustive_extremum` always uses the
-engine, so it stays an independent oracle.
+value comes from the engine, and `exhaustive_extremum` always uses the
+public `induced_subgraph` + `average_curvature` route, so it stays an
+independent oracle. The search runs on the host's dense arrays; the
+rolling pipeline hands it each window's distance matrix.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, GraphError
-from .graphs import MarketGraph, induced_subgraph
-from .indicator import WindowConfig, _rolling_series, complete_window_graph
+from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, induced_subgraph
+from .indicator import (
+    WindowConfig,
+    _rolling_series,
+    correlation_matrix,
+    distance_from_correlation,
+)
 from .ingestion import PriceMatrix
-from .transport import AVERAGING_MODES, WEIGHTINGS, average_curvature
+from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures, _measure_rows, average_curvature
 
 OBJECTIVES = ("minimize", "maximize")
 
@@ -108,53 +115,46 @@ def _evaluate(graph: MarketGraph, subset: tuple, mode: str, weighting: str):
     return average_curvature(sub, mode=mode, weighting=weighting)
 
 
-def _generic_scorer(graph: MarketGraph, mode: str, weighting: str):
+def _subset_average(adj: np.ndarray, w: np.ndarray, subset, mode: str, weighting: str) -> float:
+    """Average curvature of the subgraph induced on the node positions
+    ``subset`` (ascending) of the dense host ``(adj, w)``, by the exact W1
+    engine; NaN if that subgraph is disconnected."""
+    block = np.ix_(subset, subset)
+    sub = adj[block]
+    hop = _hops(sub)
+    if not np.isfinite(hop).all():
+        return float("nan")
+    hop = HopDistanceMatrix(nodes=tuple(subset), matrix=hop)
+    return float(np.mean(_curvatures(sub, w[block], hop, mode, weighting)))
+
+
+def _generic_scorer(adj: np.ndarray, w: np.ndarray, mode: str, weighting: str):
     """Score candidates one by one through the exact W1 engine; NaN marks
     a candidate whose induced subgraph is disconnected."""
     def score(candidates: np.ndarray) -> np.ndarray:
-        out = np.full(len(candidates), np.nan)
-        for c, row in enumerate(candidates):
-            report = _evaluate(graph, tuple(graph.nodes[p] for p in sorted(row)),
-                               mode, weighting)
-            if report is not None:
-                out[c] = report.average
-        return out
+        return np.array([_subset_average(adj, w, np.sort(row), mode, weighting)
+                         for row in candidates])
     return score
 
 
-def _clique_scorer(graph: MarketGraph, weighting: str):
-    """Score candidates of a complete host graph in closed form.
+def _clique_scorer(adj: np.ndarray, w: np.ndarray, weighting: str):
+    """Score candidates of a complete dense host ``(adj, w)`` in closed form.
 
     Every candidate induces K_m, where all hop distances are 1, so W1 is
     the total variation distance and kappa(a, b) = sum_v min(mu_a(v),
-    mu_b(v)). Measures follow `node_measure` on K_m: edge weights
-    normalised over S minus {a} (a zero weight carries no mass; an
-    all-zero row falls back to uniform), or uniform for ``uniform``.
-    Edges and node pairs of K_m coincide, so one formula serves both
-    averaging modes.
+    mu_b(v)), with the measures of `_measure_rows` on K_m. Edges and node
+    pairs of K_m coincide, so one formula serves both averaging modes.
     """
-    if weighting == "uniform":
-        weights = 1.0 - np.eye(graph.n)
-    else:
-        idx = graph.index
-        rows = [idx[a] for a, _ in graph.edges]
-        cols = [idx[b] for _, b in graph.edges]
-        weights = np.zeros((graph.n, graph.n))
-        weights[rows, cols] = weights[cols, rows] = [graph.weights[e] for e in graph.edges]
-
     def score(candidates: np.ndarray) -> np.ndarray:
         m = candidates.shape[1]
-        off = ~np.eye(m, dtype=bool)
         # sum_{a<b} min(x_a, x_b) over a column: its k-th smallest entry
         # (from 0) is the minimum of its pairs with the m - 1 - k above it.
         above = np.arange(m - 1, -1, -1, dtype=float)
         out = []
         step = max(1, CLIQUE_BATCH // (m * m))
         for s in range(0, candidates.shape[0], step):
-            block = candidates[s:s + step]
-            w = weights[block[:, :, None], block[:, None, :]]
-            total = w.sum(axis=2, keepdims=True)
-            mu = np.where(total > 0.0, w, off) / np.where(total > 0.0, total, m - 1)
+            block = (candidates[s:s + step, :, None], candidates[s:s + step, None, :])
+            mu = _measure_rows(adj[block], w[block], weighting)
             out.append(np.sort(mu, axis=1).sum(axis=2) @ above)
         return np.concatenate(out) / (m * (m - 1) / 2)
     return score
@@ -171,31 +171,28 @@ def _swap_candidates(inside: tuple, outside: np.ndarray) -> np.ndarray:
     return candidates
 
 
-def _grow_connected_subset(graph: MarketGraph, m: int, rng: random.Random) -> tuple:
-    """Node positions of a random connected m-subset grown from a random
-    start vertex, in ascending order.
+def _grow_connected_subset(adj: np.ndarray, m: int, rng: random.Random) -> tuple:
+    """Node positions of a random connected m-subset of the adjacency
+    ``adj``, grown from a random start vertex, in ascending order.
 
     Starts are tried in a shuffled order; growth from a start can only
     stall if its component is smaller than m, so the loop fails only
     when no component has m nodes.
     """
-    starts = list(graph.nodes)
+    starts = list(range(len(adj)))
     rng.shuffle(starts)
     for start in starts:
         chosen = [start]
-        member = {start}
+        member = np.arange(len(adj)) == start
         while len(chosen) < m:
-            frontier = sorted(
-                {v for u in chosen for v in graph.neighbors(u) if v not in member},
-                key=graph.index.__getitem__,
-            )
-            if not frontier:
+            frontier = np.flatnonzero(adj[chosen].any(axis=0) & ~member)
+            if not frontier.size:
                 break
-            nxt = frontier[rng.randrange(len(frontier))]
+            nxt = int(frontier[rng.randrange(frontier.size)])
             chosen.append(nxt)
-            member.add(nxt)
+            member[nxt] = True
         if len(chosen) == m:
-            return tuple(sorted(graph.index[v] for v in chosen))
+            return tuple(sorted(chosen))
     raise GraphError(f"no connected subset of {m} nodes exists")
 
 
@@ -230,6 +227,29 @@ def _local_search(n: int, subset: tuple, config: SubsampleConfig, score):
     return subset, value
 
 
+def _search(adj: np.ndarray, w: np.ndarray, config: SubsampleConfig, mode: str,
+            weighting: str) -> tuple:
+    """Node positions of the best m-subset of the dense host ``(adj, w)``
+    found over all restarts: closed-form scores on a complete host, the
+    engine per candidate otherwise."""
+    n = len(adj)
+    if config.m == n:
+        return tuple(range(n))
+    if adj.sum() == n * (n - 1):
+        score = _clique_scorer(adj, w, weighting)
+    else:
+        score = _generic_scorer(adj, w, mode, weighting)
+    best_subset = None
+    best_value = None
+    for r in range(config.restarts + 1):
+        rng = random.Random(config.seed + RESTART_STRIDE * r)
+        start = _grow_connected_subset(adj, config.m, rng)
+        subset, value = _local_search(n, start, config, score)
+        if best_value is None or _is_better(value, best_value, config.objective):
+            best_subset, best_value = subset, value
+    return best_subset
+
+
 def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
                       mode: str = "edges", weighting: str = "edge_weight"):
     """Best m-subset found over all restarts.
@@ -247,27 +267,11 @@ def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
         raise ConfigError(f"unknown weighting {weighting!r}")
     if config.m > graph.n:
         raise ConfigError(f"m={config.m} exceeds graph size n={graph.n}")
-
-    if config.m == graph.n:
-        report = _evaluate(graph, graph.nodes, mode, weighting)
-        if report is None:
-            raise GraphError("graph is not connected")
-        return graph.nodes, report
-
-    if graph.edge_count == graph.n * (graph.n - 1) // 2:
-        score = _clique_scorer(graph, weighting)
-    else:
-        score = _generic_scorer(graph, mode, weighting)
-    best_subset = None
-    best_value = None
-    for r in range(config.restarts + 1):
-        rng = random.Random(config.seed + RESTART_STRIDE * r)
-        start = _grow_connected_subset(graph, config.m, rng)
-        subset, value = _local_search(graph.n, start, config, score)
-        if best_value is None or _is_better(value, best_value, config.objective):
-            best_subset, best_value = subset, value
-    nodes = tuple(graph.nodes[p] for p in best_subset)
-    return nodes, _evaluate(graph, nodes, mode, weighting)
+    nodes = tuple(graph.nodes[p] for p in _search(*_dense(graph), config, mode, weighting))
+    report = _evaluate(graph, nodes, mode, weighting)
+    if report is None:
+        raise GraphError("graph is not connected")
+    return nodes, report
 
 
 def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
@@ -295,9 +299,13 @@ def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
 
 
 def _window_extremum(window: PriceMatrix, config: WindowConfig, sub_config):
-    subset, report = extremal_subgraph(complete_window_graph(window, config), sub_config,
-                                       config.averaging_mode, config.weighting)
-    return report.average, subset
+    """`extremal_subgraph` on the window's complete graph, from its arrays."""
+    rho, _ = correlation_matrix(window, config.input_mode)
+    dist = distance_from_correlation(rho, config.transform)
+    adj = ~np.eye(len(dist), dtype=bool)
+    subset = _search(adj, dist, sub_config, config.averaging_mode, config.weighting)
+    value = _subset_average(adj, dist, subset, config.averaging_mode, config.weighting)
+    return value, tuple(window.tickers[p] for p in subset)
 
 
 def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,

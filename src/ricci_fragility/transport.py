@@ -10,10 +10,12 @@ block's pairs with more are scored together by the integral dual of the
 max-weight transport (`_integer_duals`: padded level-bit codes, a
 row-wise OR-closure and bit-test scoring), and each pair where it
 declines is solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's
-value does not depend on the block it is solved in. The optimal plan
-(`wasserstein1`) is the fixed shared mass plus one unpooled LP on the
-residual. Every route returns the exact optimum up to float rounding of
-sums, which keeps closed-form comparisons tight at 1e-12.
+value does not depend on the block it is solved in. Every route returns
+the exact optimum up to float rounding of sums, which keeps closed-form
+comparisons tight at 1e-12.
+
+Curvature runs on a graph's dense arrays (`_curvatures`), with every
+node's neighbour measure as one row of a matrix (`_measure_rows`).
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -38,13 +40,10 @@ from .errors import (
     OracleBudgetError,
     SolverError,
 )
-from .graphs import HopDistanceMatrix, MarketGraph, _packed, hop_distances
+from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, _packed
 
 #: Probability masses must sum to one within this tolerance.
 MASS_TOL = 1e-12
-
-#: Transport plans must reproduce their marginals within this tolerance.
-MARGINAL_TOL = 1e-9
 
 WEIGHTINGS = ("edge_weight", "uniform")
 
@@ -57,7 +56,7 @@ _UNION_CAP = 256
 #: larger sets of rows are split in halves.
 _DUAL_CELLS = 1 << 17
 
-#: Pairs per `_w1_block` call in `average_curvature`; bounds its work arrays,
+#: Pairs per `_w1_block` call in `_w1_rows`; bounds its work arrays,
 #: the padded `_integer_duals` inputs among them.
 PAIR_BLOCK = 64
 
@@ -93,36 +92,6 @@ class NodeMeasure:
 
 
 @dataclass(frozen=True)
-class TransportPlan:
-    """Optimal coupling between two measures.
-
-    ``plan[i, j]`` is the mass shipped from atom ``i`` of the source
-    measure to atom ``j`` of the target measure; ``cost`` is the total
-    transport cost (the W1 value when the plan is optimal).
-    """
-
-    plan: np.ndarray
-    cost: float
-
-    def __post_init__(self):
-        plan = np.asarray(self.plan, dtype=float).copy()
-        if plan.ndim != 2:
-            raise DataError("plan must be a 2-d array")
-        if np.any(plan < -1e-15):
-            raise DataError("plan entries must be nonnegative")
-        plan[plan < 0.0] = 0.0
-        plan.flags.writeable = False
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "cost", float(self.cost))
-
-    def row_marginal(self) -> np.ndarray:
-        return self.plan.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.plan.sum(axis=0)
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
     """Per-pair curvatures plus their arithmetic mean.
 
@@ -137,7 +106,8 @@ class CurvatureReport:
 
 
 def node_measure(graph: MarketGraph, node, weighting: str = "edge_weight") -> NodeMeasure:
-    """Measure spread over the neighbours of ``node``.
+    """Measure spread over the neighbours of ``node``: its `_measure_rows`
+    row, with the zero-mass atoms dropped from the support.
 
     ``edge_weight`` assigns each neighbour mass proportional to the
     connecting edge's weight; ``uniform`` splits mass equally. When all
@@ -151,18 +121,26 @@ def node_measure(graph: MarketGraph, node, weighting: str = "edge_weight") -> No
     nbrs = graph.neighbors(node)
     if not nbrs:
         raise DataError(f"node {node!r} is isolated; its measure is undefined")
+    pos = [graph.index[v] for v in nbrs]
+    adj, w = np.zeros(graph.n, dtype=bool), np.zeros(graph.n)
+    adj[pos] = True
+    w[pos] = [graph.weights[graph.edge_key(node, v)] for v in nbrs]
+    masses = _measure_rows(adj, w, weighting)[pos]
+    keep = masses > 0.0
+    return NodeMeasure(support=tuple(v for v, k in zip(nbrs, keep) if k), masses=masses[keep])
+
+
+def _measure_rows(adj: np.ndarray, w: np.ndarray, weighting: str) -> np.ndarray:
+    """Neighbour measures along the last axis of the boolean adjacency
+    ``adj`` and the weights ``w`` (0 off the edges); the leading axes
+    broadcast. ``uniform`` gives ``adj / degree``, ``edge_weight`` gives
+    ``w / row sum``, and an all-zero weight row falls back to uniform.
+    Every row needs a neighbour."""
+    uniform = adj / adj.sum(axis=-1, keepdims=True)
     if weighting == "uniform":
-        masses = np.full(len(nbrs), 1.0 / len(nbrs))
-        return NodeMeasure(support=nbrs, masses=masses)
-    w = np.array([graph.weights[graph.edge_key(node, v)] for v in nbrs], dtype=float)
-    total = float(w.sum())
-    if total <= 0.0:
-        masses = np.full(len(nbrs), 1.0 / len(nbrs))
-        return NodeMeasure(support=nbrs, masses=masses)
-    keep = w > 0.0
-    support = tuple(v for v, k in zip(nbrs, keep) if k)
-    masses = w[keep] / total
-    return NodeMeasure(support=support, masses=masses)
+        return uniform
+    total = w.sum(axis=-1, keepdims=True)
+    return np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -359,37 +337,19 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndar
     return cost
 
 
-def wasserstein1(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> TransportPlan:
-    """Exact W1 distance between ``mu`` and ``nu`` under hop distances.
-
-    Returns the optimal coupling: shared mass fixed in place plus one
-    unpooled LP on the residual. Its marginals reproduce the input
-    masses within ``MARGINAL_TOL``. Raises ``InfiniteDistanceError``
-    when the supports straddle disconnected components.
-    """
-    pos_a, pos_b = hop.positions(mu.support), hop.positions(nu.support)
-    dist = hop.matrix[np.ix_(pos_a, pos_b)]
-    if not np.all(np.isfinite(dist)):
-        raise InfiniteDistanceError("supports span disconnected components")
-    plan = np.where(pos_a[:, None] == pos_b, np.minimum.outer(mu.masses, nu.masses), 0.0)
-    ra, rb = mu.masses - plan.sum(axis=1), nu.masses - plan.sum(axis=0)
-    src, snk = ra > 0.0, rb > 0.0
-    if src.any() and snk.any():
-        plan[np.ix_(src, snk)] = _solve_lp(ra[src], rb[snk], dist[np.ix_(src, snk)])
-    row_err = float(np.max(np.abs(plan.sum(axis=1) - mu.masses)))
-    col_err = float(np.max(np.abs(plan.sum(axis=0) - nu.masses)))
-    if max(row_err, col_err) > MARGINAL_TOL:
-        raise SolverError(f"transport plan violates marginals (err={max(row_err, col_err)})")
-    return TransportPlan(plan=plan, cost=float((plan * dist).sum()))
-
-
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
-    """W1 value only, skipping plan materialisation: `_w1_block` on a
-    block of one pair."""
+    """Exact W1 between two measures: `_w1_block` on a block of one pair."""
     rows = np.zeros((2, len(hop.nodes)))
     rows[0, hop.positions(mu.support)] = mu.masses
     rows[1, hop.positions(nu.support)] = nu.masses
     return float(_w1_block(rows[:1], rows[1:], hop)[0])
+
+
+def _w1_rows(p: np.ndarray, q: np.ndarray, hop: HopDistanceMatrix, ia, ib) -> np.ndarray:
+    """Exact W1 between the rows ``p[ia[e]]`` and ``q[ib[e]]`` of each pair
+    ``e``, ``PAIR_BLOCK`` pairs per `_w1_block` call."""
+    return np.concatenate([_w1_block(p[ia[s:s + PAIR_BLOCK]], q[ib[s:s + PAIR_BLOCK]], hop)
+                           for s in range(0, len(ia), PAIR_BLOCK)])
 
 
 # ---------------------------------------------------------------------------
@@ -493,35 +453,37 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
     ``edges`` averages kappa over the edge set (requires at least one
     edge); ``pairs`` averages over all unordered node pairs and demands
     a connected graph. Pass a precomputed ``hop`` matrix to amortise BFS
-    across calls on the same graph.
+    across calls on the same graph. Every node needs a neighbour.
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"unknown averaging mode {mode!r}")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
+    adj, w = _dense(graph)
     if hop is None:
-        hop = hop_distances(graph)
+        hop = HopDistanceMatrix(nodes=graph.nodes, matrix=_hops(adj))
     elif hop.nodes != graph.nodes:
         raise GraphError("hop matrix does not match the graph's node set")
 
-    if mode == "edges":
-        if not graph.edges:
-            raise DataError("edges-mode average needs at least one edge")
-        pairs = graph.edges
-    else:
-        if not hop.connected:
-            raise DisconnectedGraphError("pairs-mode average needs a connected graph")
-        pairs = tuple(combinations(graph.nodes, 2))
+    if mode == "edges" and not graph.edges:
+        raise DataError("edges-mode average needs at least one edge")
+    if mode == "pairs" and not hop.connected:
+        raise DisconnectedGraphError("pairs-mode average needs a connected graph")
+    isolated = np.flatnonzero(~adj.any(axis=1))
+    if isolated.size:
+        raise DataError(f"node {graph.nodes[isolated[0]]!r} is isolated; its measure is undefined")
 
-    # Each node's measure as a row over hop positions (graph node order).
-    dense = np.zeros((graph.n, graph.n))
-    for i, v in enumerate(graph.nodes):
-        mu = node_measure(graph, v, weighting)
-        dense[i, hop.positions(mu.support)] = mu.masses
-    ia, ib = (hop.positions(side) for side in zip(*pairs))
-    cost = np.concatenate([
-        _w1_block(dense[ia[s:s + PAIR_BLOCK]], dense[ib[s:s + PAIR_BLOCK]], hop)
-        for s in range(0, len(pairs), PAIR_BLOCK)])
-    kappa = 1.0 - cost / hop.matrix[ia, ib]
+    kappa = _curvatures(adj, w, hop, mode, weighting)
+    pairs = graph.edges if mode == "edges" else tuple(combinations(graph.nodes, 2))
     return CurvatureReport(per_pair=dict(zip(pairs, kappa.tolist())),
                            average=float(np.mean(kappa)), mode=mode)
+
+
+def _curvatures(adj: np.ndarray, w: np.ndarray, hop: HopDistanceMatrix, mode: str,
+                weighting: str) -> np.ndarray:
+    """kappa = 1 - W1 / d of each edge (``pairs`` mode: node pair) of the
+    graph with boolean adjacency ``adj`` and weights ``w`` (0 off the
+    edges), in canonical order; every node needs a neighbour."""
+    ia, ib = np.nonzero(np.triu(adj, 1)) if mode == "edges" else np.triu_indices(len(adj), 1)
+    p = _measure_rows(adj, w, weighting)
+    return 1.0 - _w1_rows(p, p, hop, ia, ib) / hop.matrix[ia, ib]

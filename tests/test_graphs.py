@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from ricci_fragility.errors import ConfigError, DisconnectedGraphError, GraphError
 from ricci_fragility.graphs import (
     UNREACHABLE,
     HopDistanceMatrix,
     MarketGraph,
+    _dense,
+    _hops,
     augment_high_value_edges,
     build_complete_graph,
     hop_distances,
     induced_subgraph,
     minimum_spanning_tree,
 )
+from ricci_fragility.indicator import WindowConfig, window_graph
+from ricci_fragility.synthetic import regime_switch
 
 
 def _complete(n, weight=1.0):
@@ -394,12 +400,57 @@ def test_augment_edge_set_monotone_in_xi(seed):
 # ---------------------------------------------------------------------------
 
 
+def _scipy_hops(graph):
+    """Reference hop matrix: scipy's unweighted shortest paths."""
+    idx = graph.index
+    rows, cols = [idx[a] for a, _ in graph.edges], [idx[b] for _, b in graph.edges]
+    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
+    return shortest_path(adj, directed=False, unweighted=True)
+
+
+def _random_graph(seed):
+    """Seeded random graph of 2-30 nodes at an edge density that leaves
+    about half of them disconnected."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    p = float(rng.uniform(0.0, 3.0 / n))
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    return MarketGraph(nodes=tuple(range(n)), edges=edges, weights={e: 1.0 for e in edges})
+
+
+@pytest.fixture(scope="module")
+def regime_panel():
+    return regime_switch()
+
+
 def test_hop_distances_path():
     h = hop_distances(_path(5))
     for i in range(5):
         for j in range(5):
             assert h.matrix[i, j] == abs(i - j)
     assert h.connected
+    assert np.array_equal(h.matrix, _scipy_hops(_path(5)))
+
+
+# Seeded random graphs, disconnected ones among them, and window graphs
+# of the default corpus from the calm phase (long paths) to the crisis.
+@pytest.mark.parametrize("seed", range(40))
+def test_hop_distances_equal_scipy_on_random_graphs(seed):
+    g = _random_graph(seed)
+    h = hop_distances(g)
+    assert np.array_equal(h.matrix, _scipy_hops(g))
+    assert np.array_equal(_hops(_dense(g)[0]), h.matrix)
+
+
+def test_random_graph_cases_include_disconnected_ones():
+    assert sum(not hop_distances(_random_graph(s)).connected for s in range(40)) >= 10
+
+
+@pytest.mark.parametrize("k", [0, 100, 250, 300, 360, 420, 460])
+@pytest.mark.parametrize("xi", [0.75, 0.9])
+def test_hop_distances_equal_scipy_on_window_graphs(regime_panel, k, xi):
+    g = window_graph(regime_panel.window(k, k + 132), WindowConfig(xi=xi))
+    assert np.array_equal(hop_distances(g).matrix, _scipy_hops(g))
 
 
 def test_hop_distances_cycle():
@@ -424,6 +475,7 @@ def test_hop_distances_disconnected_marked_infinite():
     assert h.dist(0, 2) == UNREACHABLE
     assert not h.connected
     assert h.dist(2, 3) == 1.0
+    assert np.array_equal(h.matrix, _scipy_hops(g))
 
 
 def test_hop_matrix_read_only():
@@ -458,6 +510,7 @@ def test_hop_distance_one_iff_edge(seed):
     g = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges),
                     weights={e: 1.0 for e in edges})
     h = hop_distances(g)
+    assert np.array_equal(h.matrix, _scipy_hops(g))
     for i in range(n):
         for j in range(i + 1, n):
             assert (h.matrix[i, j] == 1.0) == g.has_edge(i, j)

@@ -24,6 +24,7 @@ from ricci_fragility.indicator import (
     DistanceTransform,
     IndicatorSeries,
     WindowConfig,
+    _window_kappa,
     correlation_matrix,
     distance_from_correlation,
     indicator_series,
@@ -34,7 +35,7 @@ from ricci_fragility.indicator import (
 )
 from ricci_fragility.ingestion import PriceMatrix
 from ricci_fragility.synthetic import comoving, iid, regime_switch
-from ricci_fragility.transport import average_curvature
+from ricci_fragility.transport import NodeMeasure, average_curvature
 
 
 def make_panel(values, start_day=1):
@@ -266,6 +267,22 @@ class TestWindowGraph:
         assert len(built) == 1 and built[0] is g
 
 
+    # The series reads each window from its arrays; `window_graph` and
+    # `average_curvature` are the public composition it must equal.
+    @pytest.mark.parametrize("mode", ["edges", "pairs"])
+    @pytest.mark.parametrize("weighting", ["edge_weight", "uniform"])
+    @pytest.mark.parametrize("xi", [0.75, 0.85, 0.9])
+    @pytest.mark.parametrize("k", [40, 250, 460])
+    def test_array_route_equals_public_composition(self, k, xi, weighting, mode):
+        window = regime_switch().window(k, k + 132)
+        config = WindowConfig(xi=xi, weighting=weighting, averaging_mode=mode)
+        report = average_curvature(window_graph(window, config), mode=mode,
+                                   weighting=weighting)
+        kappa = _window_kappa(window, config)
+        assert kappa.size == len(report.per_pair)
+        assert np.max(np.abs(kappa - list(report.per_pair.values()))) <= 1e-12
+
+
 class TestIndicatorSeriesPipeline:
     def test_length_and_labels(self):
         panel = iid(n_assets=5, n_dates=30, seed=11)
@@ -283,6 +300,17 @@ class TestIndicatorSeriesPipeline:
             expected = average_curvature(g, mode=cfg.averaging_mode,
                                          weighting=cfg.weighting).average
             assert series.values[k] == expected
+
+    def test_builds_no_graph_or_node_measure(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the window path")
+
+        panel = iid(n_assets=6, n_dates=30, seed=5)
+        monkeypatch.setattr(MarketGraph, "__post_init__", refuse)
+        monkeypatch.setattr(NodeMeasure, "__post_init__", refuse)
+        for mode in ("edges", "pairs"):
+            series = indicator_series(panel, WindowConfig(T=12, xi=0.6, averaging_mode=mode))
+            assert series.gap_count() == 0 and len(series.values) == 19
 
     def test_too_short_panel(self):
         panel = iid(n_assets=4, n_dates=10, seed=1)

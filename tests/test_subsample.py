@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ricci_fragility.bounds import random_instance
 from ricci_fragility.errors import ConfigError, GraphError
-from ricci_fragility.graphs import MarketGraph, build_complete_graph, induced_subgraph
+from ricci_fragility.graphs import MarketGraph, _dense, build_complete_graph, induced_subgraph
 from ricci_fragility.indicator import (
     WindowConfig,
     complete_window_graph,
@@ -28,12 +28,13 @@ from ricci_fragility.subsample import (
     _grow_connected_subset,
     _is_better,
     _local_search,
+    _window_extremum,
     exhaustive_extremum,
     extremal_subgraph,
     subsample_indicator_series,
 )
 from ricci_fragility.synthetic import comoving, iid, regime_switch
-from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS
+from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS, NodeMeasure
 from ricci_fragility.transport import average_curvature
 
 
@@ -315,7 +316,7 @@ class TestCliqueScorer:
         # the node with no positive weight.
         candidates = np.array([[dead, *others[:m - 1]]]
                               + [rng.permutation(g.n)[:m] for _ in range(6)])
-        scores = _clique_scorer(g, weighting)(candidates)
+        scores = _clique_scorer(*_dense(g), weighting)(candidates)
         for row, score in zip(candidates, scores):
             sub = induced_subgraph(g, tuple(sorted(int(v) for v in row)))
             expected = average_curvature(sub, mode=mode, weighting=weighting).average
@@ -324,7 +325,7 @@ class TestCliqueScorer:
     def test_uniform_value_is_jost_liu_equality_case(self):
         g, _ = random_complete_graph(np.random.default_rng(3), 8)
         for m in range(2, 8):
-            (score,) = _clique_scorer(g, "uniform")(np.arange(m)[None, :])
+            (score,) = _clique_scorer(*_dense(g), "uniform")(np.arange(m)[None, :])
             assert score == pytest.approx((m - 2) / (m - 1), abs=1e-15)
 
     @pytest.fixture(scope="class")
@@ -344,12 +345,41 @@ class TestCliqueScorer:
                                      restarts=0)
         nodes, report = extremal_subgraph(g, sub_config)
 
-        start = _grow_connected_subset(g, 5, random.Random(k))
+        adj, w = _dense(g)
+        start = _grow_connected_subset(adj, 5, random.Random(k))
         subset, value = _local_search(g.n, start, sub_config,
-                                      _generic_scorer(g, "edges", "edge_weight"))
+                                      _generic_scorer(adj, w, "edges", "edge_weight"))
         assert subset != start
         assert nodes == tuple(g.nodes[p] for p in subset)
         assert report.average == pytest.approx(value, abs=1e-12)
+
+    # The rolling pipeline searches on the window's distance matrix; the
+    # public route builds the complete window graph first.
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("k", [100, 300, 440])
+    def test_window_extremum_equals_public_route(self, regime_panel, k, objective, weighting,
+                                                  mode):
+        config = WindowConfig(weighting=weighting, averaging_mode=mode)
+        window = regime_panel.window(k, k + config.T)
+        sub_config = SubsampleConfig(m=6, objective=objective, seed=k, restarts=2)
+        value, subset = _window_extremum(window, config, sub_config)
+        nodes, report = extremal_subgraph(complete_window_graph(window, config), sub_config,
+                                          mode, weighting)
+        assert subset == nodes
+        assert value == pytest.approx(report.average, abs=1e-12)
+
+    def test_window_path_builds_no_graph_or_node_measure(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built on the window path")
+
+        panel = iid(n_assets=8, n_dates=30, seed=4)
+        monkeypatch.setattr(MarketGraph, "__post_init__", refuse)
+        monkeypatch.setattr(NodeMeasure, "__post_init__", refuse)
+        series, subsets = subsample_indicator_series(
+            panel, WindowConfig(T=12), SubsampleConfig(m=3, restarts=1))
+        assert series.gap_count() == 0 and all(len(s) == 3 for s in subsets)
 
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     @pytest.mark.parametrize("objective", OBJECTIVES)
