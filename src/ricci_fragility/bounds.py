@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
-from .graphs import HopDistanceMatrix, MarketGraph, _dense, hop_distances
-from .transport import WEIGHTINGS, _measure_rows, _w1_rows
+from .graphs import (HopDistanceMatrix, MarketGraph, _code_planes, _dense, _hops,
+                     _hops_with_edge)
+from .transport import PAIR_BLOCK, WEIGHTINGS, _measure_rows, _w1_block, _w1_rows
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -79,21 +80,31 @@ def add_edge_instance(graph: MarketGraph, x, y, weight: float = 1.0,
     weight = float(weight)
     if not np.isfinite(weight) or weight <= 0.0:
         raise ConfigError("new edge weight must be positive and finite")
-    hop = hop_distances(graph)
-    if not hop.connected:
+    hop = _hops(_dense(graph)[0])
+    if not np.isfinite(hop).all():
         raise DisconnectedGraphError("perturbation instances need a connected base graph")
+    return _instance(graph, hop, x, y, weight, label)
 
+
+def _instance(graph: MarketGraph, hop: np.ndarray, x, y, weight: float,
+              label: str) -> PerturbationInstance:
+    """The instance of the connected ``graph`` with hop matrix ``hop`` plus
+    the absent edge {x, y} of positive ``weight``; the perturbed hop matrix
+    comes from ``hop`` by the one-edge rule."""
     key = graph.edge_key(x, y)
-    edges = graph.edges + (key,)
     weights = dict(graph.weights)
     weights[key] = weight
     corrs = None
     if graph.correlations is not None:
         corrs = dict(graph.correlations)
         corrs[key] = 1.0
-    star = MarketGraph(nodes=graph.nodes, edges=edges, weights=weights, correlations=corrs)
+    star = MarketGraph(nodes=graph.nodes, edges=graph.edges + (key,), weights=weights,
+                       correlations=corrs)
+    i, j = graph.index[x], graph.index[y]
     return PerturbationInstance(graph=graph, graph_star=star, x=x, y=y,
-                                hop=hop, hop_star=hop_distances(star),
+                                hop=HopDistanceMatrix(nodes=graph.nodes, matrix=hop),
+                                hop_star=HopDistanceMatrix(nodes=graph.nodes,
+                                                           matrix=_hops_with_edge(hop, i, j)),
                                 label=label)
 
 
@@ -123,19 +134,25 @@ def check_prop1(instance: PerturbationInstance, a, b,
     return _prop1_reports(instance, a, b, w_before, w_after)
 
 
-def _measures(instance: PerturbationInstance, weighting: str):
-    """Neighbour-measure rows of the graph and of the perturbed graph."""
+def _measures(instance: PerturbationInstance, weighting: str) -> np.ndarray:
+    """Neighbour-measure rows of the graph and of the perturbed graph, as
+    one ``(2, n, n)`` array from one dense build."""
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    return tuple(_measure_rows(*_dense(g), weighting)
-                 for g in (instance.graph, instance.graph_star))
+    adj, w = (np.stack((a, a)) for a in _dense(instance.graph))
+    i, j = instance.hop.positions((instance.x, instance.y))
+    adj[1, i, j] = adj[1, j, i] = True
+    w[1, i, j] = w[1, j, i] = instance.graph_star.weight(instance.x, instance.y)
+    return _measure_rows(adj, w, weighting)
 
 
 def _prop1_w1(instance: PerturbationInstance, measures, pairs):
     """W^d(mu_a, mu_b) and W^{d*}(mu*_a, mu*_b) for each pair (a, b) of
-    ``pairs``, as two lists, from the rows ``measures`` of `_measures`."""
+    ``pairs``, as two lists, from the rows ``measures`` of `_measures`;
+    each metric is a stack of one."""
     ia, ib = (instance.hop.positions(side) for side in zip(*pairs))
-    return tuple(_w1_rows(rows, rows, hop, ia, ib).tolist()
+    return tuple(_w1_rows(rows, rows, hop.matrix[None], hop.code_planes, ia, ib,
+                          np.zeros(len(ia), np.intp)).tolist()
                  for rows, hop in zip(measures, (instance.hop, instance.hop_star)))
 
 
@@ -172,7 +189,8 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
         raise ConfigError(f"which must be 'x' or 'y', got {which!r}")
     node = instance.x if which == "x" else instance.y
     end = instance.hop.positions((node,))
-    shift = _w1_rows(*_measures(instance, weighting), instance.hop, end, end)
+    shift = _w1_block(*_measures(instance, weighting)[:, end], instance.hop.matrix[None],
+                      instance.hop.code_planes, np.zeros(1, np.intp))
     return _lemma_report(instance, node, float(shift[0]))
 
 
@@ -221,23 +239,86 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
             and 0.0 <= weight_low <= weight_high):
         raise ConfigError(f"need finite 0 <= weight_low <= weight_high, "
                           f"got {weight_low!r}, {weight_high!r}")
+    if weight_high <= 0.0:
+        raise ConfigError(f"need weight_high > 0 for a positive new edge, got {weight_high!r}")
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         n = int(rng.integers(n_low, n_high + 1))
         p = float(rng.uniform(0.25, 0.75))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        if len(edges) >= n * (n - 1) // 2:
+        i, j = np.triu_indices(n, 1)
+        drawn = rng.random(i.size) < p
+        if drawn.all():
             continue  # no absent edge to add
-        weights = {e: float(rng.uniform(weight_low, weight_high)) for e in edges}
-        g = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights)
-        if not g.is_connected():
+        i, j = i[drawn], j[drawn]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[i, j] = adj[j, i] = True
+        edges = tuple(zip(i.tolist(), j.tolist()))
+        weights = dict(zip(edges, rng.uniform(weight_low, weight_high, len(edges)).tolist()))
+        hop = _hops(adj)
+        if not np.isfinite(hop).all():
             continue
-        absent = [(i, j) for i in range(n) for j in range(i + 1, n)
-                  if (i, j) not in g.weights]
-        x, y = absent[int(rng.integers(len(absent)))]
+        absent = np.argwhere(np.triu(~adj, 1))
+        x, y = absent[int(rng.integers(len(absent)))].tolist()
         w_new = float(rng.uniform(weight_low, weight_high))
-        return add_edge_instance(g, x, y, w_new, label=f"seed={seed}")
+        graph = MarketGraph(nodes=tuple(range(n)), edges=edges, weights=weights)
+        return _instance(graph, hop, x, y, w_new, f"seed={seed}")
     raise DataError(f"could not generate a connected instance for seed {seed}")
+
+
+def _sample_pairs(instance: PerturbationInstance, rng: np.random.Generator) -> list:
+    """(x, y) plus up to ``_PAIR_SAMPLES`` distinct node pairs drawn from
+    ``rng``, as edge keys in node order."""
+    g = instance.graph
+    nodes = list(g.nodes)
+    pairs = {(instance.x, instance.y)}
+    while len(pairs) < _PAIR_SAMPLES + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
+        a, b = rng.choice(len(nodes), size=2, replace=False)
+        pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
+    return sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
+
+
+def _group_reports(group, weighting: str) -> list:
+    """All five checks on each ``(instance, pairs)`` of ``group``, in order.
+
+    Every W1 value of the group comes from one `_w1_rows` call over the
+    stack of its graphs' hop matrices, zero-padded to the largest: per
+    instance, the prop1 pairs under d and under d*, and the measures of x
+    and y before against after under d. A pair's value is the one it has
+    alone (see `_w1_block`).
+    """
+    size = max(instance.graph.n for instance, _ in group)
+    dist = np.zeros((2 * len(group), size, size))
+    rows = np.zeros((2 * len(group), size, size))
+    ia, ib, g = [], [], []
+    for k, (instance, pairs) in enumerate(group):
+        n = instance.graph.n
+        dist[2 * k:2 * k + 2, :n, :n] = instance.hop.matrix, instance.hop_star.matrix
+        rows[2 * k:2 * k + 2, :n, :n] = _measures(instance, weighting)
+        a, b = (instance.hop.positions(side) for side in zip(*pairs))
+        ends = instance.hop.positions((instance.x, instance.y))
+        before, after = 2 * k * size, (2 * k + 1) * size
+        ia += [before + a, after + a, before + ends]
+        ib += [before + b, after + b, after + ends]
+        g += [2 * k] * len(pairs) + [2 * k + 1] * len(pairs) + [2 * k] * 2
+    rows = rows.reshape(-1, size)
+    w1 = iter(_w1_rows(rows, rows, dist, _code_planes(dist), np.concatenate(ia),
+                       np.concatenate(ib), np.array(g)).tolist())
+
+    reports = []
+    for instance, pairs in group:
+        x, y = instance.x, instance.y
+        w_before, w_after, shifts = ([next(w1) for _ in range(count)]
+                                     for count in (len(pairs), len(pairs), 2))
+        for (a, b), before, after in zip(pairs, w_before, w_after):
+            first, sup = _prop1_reports(instance, a, b, before, after)
+            reports.append(first)
+            if sup is not None:
+                reports.append(sup)
+            if (a, b) == (x, y):
+                jump = first.lhs
+        reports += [_lemma_report(instance, node, lhs) for node, lhs in zip((x, y), shifts)]
+        reports.extend(_prop2_reports(instance, jump))
+    return reports
 
 
 def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator,
@@ -245,33 +326,10 @@ def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator
     """All five checks on one instance; prop1 at sampled pairs plus (x, y).
 
     The reports equal those of `check_prop1`, `check_lemma_affected` and
-    `check_prop2`, but the W1 values come from three blocks: the prop1
-    pairs under d and under d* (`_prop1_w1`), and the measures of x and y
-    before against after under d.
+    `check_prop2`, and those `run_bounds_suite` gives the same instance:
+    this is its group routine on a group of one.
     """
-    g, x, y = instance.graph, instance.x, instance.y
-    nodes = list(g.nodes)
-    pairs = {(x, y)}
-    while len(pairs) < _PAIR_SAMPLES + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
-        a, b = rng.choice(len(nodes), size=2, replace=False)
-        pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
-    pairs = sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
-    measures = _measures(instance, weighting)
-    w_before, w_after = _prop1_w1(instance, measures, pairs)
-    ends = instance.hop.positions((x, y))
-    shifts = _w1_rows(*measures, instance.hop, ends, ends).tolist()
-
-    reports = []
-    for (a, b), before, after in zip(pairs, w_before, w_after):
-        first, sup = _prop1_reports(instance, a, b, before, after)
-        reports.append(first)
-        if sup is not None:
-            reports.append(sup)
-        if (a, b) == (x, y):
-            jump = first.lhs
-    reports += [_lemma_report(instance, node, lhs) for node, lhs in zip((x, y), shifts)]
-    reports.extend(_prop2_reports(instance, jump))
-    return reports
+    return _group_reports([(instance, _sample_pairs(instance, rng))], weighting)
 
 
 @dataclass(frozen=True)
@@ -306,18 +364,28 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
 
     Every instance is reproducible from ``seed`` and its trial index;
     violated reports carry the instance label so a failure can be
-    replayed exactly.
+    replayed exactly. Instances are checked in groups that share W1
+    blocks (`_group_reports`), with the reports `run_instance_checks`
+    gives each instance alone.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    reports = []
+    reports, group, pending = [], [], 0
     for t in range(trials):
         instance_seed = seed * 1_000_003 + t
         instance = random_instance(instance_seed)
-        rng = np.random.default_rng(instance_seed + 500_009)
-        reports.extend(run_instance_checks(instance, rng, weighting))
+        pairs = _sample_pairs(instance, np.random.default_rng(instance_seed + 500_009))
+        # An instance needs its pairs under d and d* plus two shifts; a
+        # group is solved before it would pass PAIR_BLOCK pairs.
+        count = 2 * len(pairs) + 2
+        if pending + count > PAIR_BLOCK:
+            reports += _group_reports(group, weighting)
+            group, pending = [], 0
+        group.append((instance, pairs))
+        pending += count
+    reports += _group_reports(group, weighting)
     return BoundsSuiteResult(reports=tuple(reports), trials=trials, seed=seed,
                              weighting=weighting)
 

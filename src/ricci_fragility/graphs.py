@@ -201,12 +201,21 @@ class HopDistanceMatrix:
 
     @cached_property
     def code_planes(self) -> np.ndarray:
-        """Each entry's index among the sorted distinct entries as `_packed`
-        bit planes, per row then per column: the W1 solver's pooling keys."""
-        values = np.unique(self.matrix)
-        codes = np.searchsorted(values, self.matrix)
-        levels = np.arange(max(1, (values.size - 1).bit_length()))
-        return _packed(np.concatenate((codes, codes.T))[:, None, :] >> levels[:, None] & 1)
+        """`_code_planes` of the stack of this one matrix."""
+        return _code_planes(self.matrix[None])
+
+
+def _code_planes(stack: np.ndarray) -> np.ndarray:
+    """The W1 solver's pooling keys of a ``(G, n, n)`` stack of distance
+    matrices: each entry's index among the stack's sorted distinct entries
+    as `_packed` bit planes, per graph, per row then per column, shape
+    ``(G, 2n, levels, words)``. A hop matrix of a connected graph holds
+    0..D, so each entry's code is its own value in any stack."""
+    values = np.unique(stack)
+    codes = np.searchsorted(values, stack)
+    levels = np.arange(max(1, (values.size - 1).bit_length()))
+    return _packed(np.concatenate((codes, codes.transpose(0, 2, 1)), axis=1)[:, :, None, :]
+                   >> levels[:, None] & 1)
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
@@ -337,6 +346,13 @@ def _hops(adj: np.ndarray) -> np.ndarray:
         hop[frontier] = d
         reach = reach | frontier
     return hop
+
+
+def _hops_with_edge(hop: np.ndarray, i: int, j: int) -> np.ndarray:
+    """`_hops` of a graph with hop matrix ``hop`` once edge (i, j) is added:
+    a new shortest path crosses the edge once, in one direction."""
+    return np.minimum(hop, np.minimum(hop[:, i, None] + 1.0 + hop[j],
+                                      hop[:, j, None] + 1.0 + hop[i]))
 
 
 def induced_subgraph(graph: MarketGraph, node_subset) -> MarketGraph:

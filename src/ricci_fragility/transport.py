@@ -2,17 +2,20 @@
 Ollivier-Ricci curvature.
 
 The W1 solver is exact, not approximate. One front end (`_w1_block`)
-takes a block of pairs as dense measure rows (a window's pairs, or one
-pair), fixes shared mass in place, since it never moves under a metric
-cost, and pools interchangeable residual atoms for the whole block. No
+takes a block of pairs as dense measure rows over a stack of distance
+matrices, with a graph index per pair: a window's pairs or one pair on a
+stack of one, or the pairs of a group of `bounds` instances on their
+zero-padded hop matrices. It fixes shared mass in place, since it never
+moves under a metric cost, sums each pair's moved mass left to right,
+and pools interchangeable residual atoms for the whole block. No
 residual costs nothing and one distinct distance has a closed form. The
 block's pairs with more are scored together by the integral dual of the
 max-weight transport (`_integer_duals`: padded level-bit codes, a
 row-wise OR-closure and bit-test scoring), and each pair where it
 declines is solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's
-value does not depend on the block it is solved in. Every route returns
-the exact optimum up to float rounding of sums, which keeps closed-form
-comparisons tight at 1e-12.
+value does not depend on the block or the padded stack it is solved in.
+Every route returns the exact optimum up to float rounding of sums,
+which keeps closed-form comparisons tight at 1e-12.
 
 Curvature runs on a graph's dense arrays (`_curvatures`), with every
 node's neighbour measure as one row of a matrix (`_measure_rows`).
@@ -284,36 +287,48 @@ def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
     return (p[-1] + q[-1]).min(axis=1)
 
 
-def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndarray:
+def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarray,
+              g: np.ndarray) -> np.ndarray:
     """Exact W1 between the measure rows ``pa[e]`` and ``pb[e]`` of each pair.
 
-    Rows hold masses over ``hop``'s positions. Shared mass is peeled off
-    for the whole block; residual sources (sinks) of a pair with equal
-    distances to all its residual sinks (sources) are pooled into one atom,
-    grouped by one lexsort over (side of a pair, ``hop.code_planes`` masked
-    to its other side). A loop gathers each pair's pooled distances; pairs
-    with several distinct distances are then scored together as ``vmax *
-    moved - _integer_duals(vmax - dist)``, and each pair that declines is
-    solved alone as one LP.
+    ``dist`` is a ``(G, n, n)`` stack of distance matrices, ``planes`` its
+    `_code_planes`, and pair ``e`` is solved on ``dist[g[e]]``; its rows
+    hold masses over that graph's positions, zero past its own nodes.
+    Shared mass is peeled off for the whole block, and a pair's moved mass
+    is its residual sources' sum left to right, which zero padding leaves
+    alone. Residual sources (sinks) of a pair with equal distances to all
+    its residual sinks (sources) are pooled into one atom, grouped by one
+    lexsort over (side of a pair, ``planes[g[e]]`` masked to its other
+    side). A loop gathers each pair's pooled distances; pairs with several
+    distinct distances are then scored together as ``vmax * moved -
+    _integer_duals(vmax - dist)``, and each pair that declines is solved
+    alone as one LP. A pair's value does not depend on its block or stack
+    as long as its codes do not (hop matrices of connected graphs).
     """
-    if not hop.connected and ((pa > 0) @ ~np.isfinite(hop.matrix) & (pb > 0)).any():
-        raise InfiniteDistanceError("supports span disconnected components")
     size, n = pa.shape
+    for k in np.flatnonzero(~np.isfinite(dist).all(axis=(1, 2))).tolist():
+        on = g == k
+        if ((pa[on] > 0) @ ~np.isfinite(dist[k]) & (pb[on] > 0)).any():
+            raise InfiniteDistanceError("supports span disconnected components")
     shared = np.minimum(pa, pb)
     # Residual sources of pair e in row e, its residual sinks in row size + e.
     residual = np.concatenate((pa - shared, pb - shared))
-    moved = residual.sum(axis=1).reshape(2, size).min(axis=0)
+    moved = np.cumsum(residual, axis=1)[:, -1].reshape(2, size).min(axis=0)
     atoms = residual > 0.0
     other = atoms.reshape(2, size, n)[::-1].reshape(2 * size, n)
     side, node = np.nonzero(atoms)
-    words = hop.code_planes[node + n * (side >= size)] & _packed(other)[side, None]
+    graph = g[side % size]
+    planes = planes.reshape(-1, *planes.shape[2:])
+    words = planes[node + n * (side >= size) + 2 * n * graph] & _packed(other)[side, None]
     keys = np.concatenate((side[:, None].astype(np.uint64),
-                           words.reshape(side.size, hop.code_planes[0].size)), axis=1)
+                           words.reshape(side.size, planes[0].size)), axis=1)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))[:side.size]
     caps = np.bincount(np.cumsum(new) - 1, weights=residual[atoms][order])
     gside, gnode = side[order[new]], node[order[new]]
+    # Pooled sources index the rows of the stack read as one (G * n, n) matrix.
+    grow, dist = gnode + n * graph[order[new]], dist.reshape(-1, n)
 
     # Row e's pooled atoms are gnode[bounds[e]:bounds[e + 1]]. A pair with
     # residual mass on one side only (rounding) moves nothing.
@@ -323,7 +338,7 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, hop: HopDistanceMatrix) -> np.ndar
     multi = []
     for e in np.flatnonzero(counts[:size] * counts[size:]).tolist():
         rows, cols = slice(bounds[e], bounds[e + 1]), slice(bounds[size + e], bounds[size + e + 1])
-        w = hop.matrix[gnode[rows, None], gnode[cols]]
+        w = dist[grow[rows, None], gnode[cols]]
         v = float(w.max())
         if float(w.min()) == v:
             cost[e] = v * moved[e]
@@ -342,13 +357,17 @@ def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) 
     rows = np.zeros((2, len(hop.nodes)))
     rows[0, hop.positions(mu.support)] = mu.masses
     rows[1, hop.positions(nu.support)] = nu.masses
-    return float(_w1_block(rows[:1], rows[1:], hop)[0])
+    return float(_w1_block(rows[:1], rows[1:], hop.matrix[None], hop.code_planes,
+                           np.zeros(1, np.intp))[0])
 
 
-def _w1_rows(p: np.ndarray, q: np.ndarray, hop: HopDistanceMatrix, ia, ib) -> np.ndarray:
+def _w1_rows(p: np.ndarray, q: np.ndarray, dist: np.ndarray, planes: np.ndarray, ia, ib,
+             g) -> np.ndarray:
     """Exact W1 between the rows ``p[ia[e]]`` and ``q[ib[e]]`` of each pair
-    ``e``, ``PAIR_BLOCK`` pairs per `_w1_block` call."""
-    return np.concatenate([_w1_block(p[ia[s:s + PAIR_BLOCK]], q[ib[s:s + PAIR_BLOCK]], hop)
+    ``e`` on ``dist[g[e]]`` (see `_w1_block`), ``PAIR_BLOCK`` pairs per
+    `_w1_block` call."""
+    return np.concatenate([_w1_block(p[ia[s:s + PAIR_BLOCK]], q[ib[s:s + PAIR_BLOCK]], dist,
+                                     planes, g[s:s + PAIR_BLOCK])
                            for s in range(0, len(ia), PAIR_BLOCK)])
 
 
@@ -486,4 +505,5 @@ def _curvatures(adj: np.ndarray, w: np.ndarray, hop: HopDistanceMatrix, mode: st
     edges), in canonical order; every node needs a neighbour."""
     ia, ib = np.nonzero(np.triu(adj, 1)) if mode == "edges" else np.triu_indices(len(adj), 1)
     p = _measure_rows(adj, w, weighting)
-    return 1.0 - _w1_rows(p, p, hop, ia, ib) / hop.matrix[ia, ib]
+    return 1.0 - _w1_rows(p, p, hop.matrix[None], hop.code_planes, ia, ib,
+                          np.zeros(len(ia), np.intp)) / hop.matrix[ia, ib]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricci_fragility import bounds, transport
 from ricci_fragility.bounds import (
     BOUND_NAMES,
     BoundReport,
@@ -23,7 +24,7 @@ from ricci_fragility.bounds import (
     sup_distance_change,
 )
 from ricci_fragility.errors import ConfigError, DataError, DisconnectedGraphError, GraphError
-from ricci_fragility.graphs import MarketGraph
+from ricci_fragility.graphs import MarketGraph, hop_distances
 from ricci_fragility.transport import WEIGHTINGS, edge_curvature
 
 
@@ -297,8 +298,9 @@ class TestSuite:
             again = check_lemma_affected(inst, which, res.weighting)
             assert again.lhs == pytest.approx(r.lhs, abs=1e-12)
 
-    # The suite solves each instance's W1 values in three blocks; every
-    # report must be the one the public checks give one pair at a time.
+    # The suite solves a group of instances' W1 values in shared blocks
+    # over a padded stack of hop matrices; every report must be the one
+    # the public checks give one pair at a time.
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_batched_checks_match_one_pair_at_a_time(self, weighting):
         res = run_bounds_suite(trials=60, seed=7, weighting=weighting)
@@ -327,6 +329,31 @@ class TestSuite:
             assert got[name]["violations"] == want[name]["violations"]
             assert got[name]["min_slack"] == pytest.approx(want[name]["min_slack"], abs=1e-12)
 
+    # perfbench's traced pass compares the suite with per-instance checks
+    # bit for bit, so grouping must not move a report in the last bit.
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_suite_equals_per_instance_checks_exactly(self, weighting):
+        res = run_bounds_suite(trials=60, seed=7, weighting=weighting)
+        single = []
+        for t in range(60):
+            seed = 7 * 1_000_003 + t
+            single += run_instance_checks(random_instance(seed),
+                                          np.random.default_rng(seed + 500_009), weighting)
+        assert list(res.reports) == single
+
+    # A group of instances shares its W1 blocks: a suite makes at most
+    # one partly filled block per group on top of the full ones.
+    def test_suite_solves_groups_in_shared_blocks(self, monkeypatch):
+        blocks, groups = [], []
+        solve, group_reports = transport._w1_block, bounds._group_reports
+        monkeypatch.setattr(transport, "_w1_block",
+                            lambda pa, *rest: blocks.append(len(pa)) or solve(pa, *rest))
+        monkeypatch.setattr(bounds, "_group_reports",
+                            lambda group, w: groups.append(len(group)) or group_reports(group, w))
+        run_bounds_suite(trials=100, seed=0)
+        assert sum(groups) == 100
+        assert len(blocks) <= math.ceil(sum(blocks) / transport.PAIR_BLOCK) + len(groups)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
             run_bounds_suite(trials=0)
@@ -341,7 +368,7 @@ class TestRandomInstance:
             random_instance(0, n_low=n_low, n_high=n_high)
 
     @pytest.mark.parametrize("low, high", [(-0.1, 1.0), (1.0, 0.5), (0.05, math.inf),
-                                           (math.nan, 1.0), (0.05, math.nan)])
+                                           (math.nan, 1.0), (0.05, math.nan), (0.0, 0.0)])
     def test_rejects_bad_weight_range(self, low, high):
         with pytest.raises(ConfigError):
             random_instance(0, weight_low=low, weight_high=high)
@@ -351,13 +378,57 @@ class TestRandomInstance:
         assert inst.graph.n == 3 and inst.graph.edge_count == 2
         assert inst.graph.is_connected()
 
-    def test_exhausted_draws_is_data_error(self, monkeypatch):
-        def reject(*args, **kwargs):
-            raise GraphError("rejected")
+    def test_zero_weight_high_is_named(self):
+        with pytest.raises(ConfigError, match="weight_high > 0"):
+            random_instance(0, weight_low=0.0, weight_high=0.0)
 
-        monkeypatch.setattr("ricci_fragility.bounds.MarketGraph", reject)
-        with pytest.raises(DataError):
+    # Every draw fails the connectivity test, so all 1000 draws run; the
+    # few complete graphs among them never reach it.
+    def test_exhausted_draws_is_data_error(self, monkeypatch):
+        tested = []
+
+        def disconnected(adj):
+            tested.append(1)
+            return np.full(adj.shape, np.inf)
+
+        monkeypatch.setattr("ricci_fragility.bounds._hops", disconnected)
+        with pytest.raises(DataError, match="could not generate a connected instance"):
             random_instance(0)
+        assert 900 < len(tested) <= 1000
+
+    # The draw keeps its random stream: each instance equals the one a
+    # plain draw builds, with both hop matrices from BFS.
+    def test_instances_match_a_plain_draw(self):
+        for seed in range(200):
+            graph, x, y, weight = _plain_draw(seed)
+            inst = random_instance(seed)
+            assert (inst.x, inst.y, inst.label) == (x, y, f"seed={seed}")
+            assert type(inst.x) is int and type(inst.y) is int
+            star = MarketGraph(nodes=graph.nodes, edges=graph.edges + ((x, y),),
+                               weights={**graph.weights, (x, y): weight})
+            for got, want in ((inst.graph, graph), (inst.graph_star, star)):
+                assert (got.nodes, got.edges, got.weights) == (want.nodes, want.edges, want.weights)
+            assert np.array_equal(inst.hop.matrix, hop_distances(graph).matrix)
+            assert np.array_equal(inst.hop_star.matrix, hop_distances(star).matrix)
+
+
+def _plain_draw(seed):
+    """``random_instance``'s draw one value at a time: the graph, the new
+    edge and its weight, with connectivity tested on the built graph."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = int(rng.integers(4, 13))
+        p = float(rng.uniform(0.25, 0.75))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        if len(edges) == n * (n - 1) // 2:
+            continue
+        weights = {e: float(rng.uniform(0.05, 2.0)) for e in edges}
+        graph = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights)
+        if not graph.is_connected():
+            continue
+        absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in weights]
+        x, y = absent[int(rng.integers(len(absent)))]
+        return graph, x, y, float(rng.uniform(0.05, 2.0))
 
 
 # ---------------------------------------------------------------------------

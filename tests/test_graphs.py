@@ -16,6 +16,7 @@ from ricci_fragility.graphs import (
     MarketGraph,
     _dense,
     _hops,
+    _hops_with_edge,
     augment_high_value_edges,
     build_complete_graph,
     hop_distances,
@@ -444,6 +445,23 @@ def test_hop_distances_equal_scipy_on_random_graphs(seed):
 
 def test_random_graph_cases_include_disconnected_ones():
     assert sum(not hop_distances(_random_graph(s)).connected for s in range(40)) >= 10
+
+
+# Adding one edge to a connected graph: the one-edge rule on the old hop
+# matrix equals BFS on the new graph, for every absent pair.
+@pytest.mark.parametrize("seed", range(30))
+def test_one_edge_rule_equals_bfs_of_the_new_graph(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.5), 1)
+    adj[[int(rng.integers(v)) for v in range(1, n)], range(1, n)] = True  # a spanning tree
+    adj |= adj.T
+    hop = _hops(adj)
+    assert np.isfinite(hop).all()
+    for i, j in zip(*np.nonzero(np.triu(~adj, 1))):
+        grown = adj.copy()
+        grown[i, j] = grown[j, i] = True
+        assert np.array_equal(_hops_with_edge(hop, i, j), _hops(grown))
 
 
 @pytest.mark.parametrize("k", [0, 100, 250, 300, 360, 420, 460])

@@ -20,7 +20,14 @@ from ricci_fragility.errors import (
     OracleBudgetError,
     SolverError,
 )
-from ricci_fragility.graphs import HopDistanceMatrix, MarketGraph, _dense, hop_distances
+from ricci_fragility.graphs import (
+    HopDistanceMatrix,
+    MarketGraph,
+    _code_planes,
+    _dense,
+    _hops,
+    hop_distances,
+)
 from ricci_fragility.indicator import WindowConfig, window_graph
 from ricci_fragility.synthetic import regime_switch
 from ricci_fragility.transport import (
@@ -763,8 +770,83 @@ def test_one_sided_residual_moves_nothing(monkeypatch):
         for side, mu in enumerate(pair):
             rows[side, e, list(mu.support)] = mu.masses
     monkeypatch.setattr(transport, "_integer_duals", lambda *args: pytest.fail("integer dual"))
-    assert transport._w1_block(rows[0], rows[1], h).tolist() == [1.0, 0.0, 0.0]
+    assert transport._w1_block(rows[0], rows[1], h.matrix[None], h.code_planes,
+                               np.zeros(3, np.intp)).tolist() == [1.0, 0.0, 0.0]
     assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
+
+
+def _alone(pa, pb, dist):
+    """W1 of each pair of rows on the one matrix ``dist``, one block each."""
+    return [transport._w1_block(pa[e:e + 1], pb[e:e + 1], dist[None], _code_planes(dist[None]),
+                                np.zeros(1, np.intp))[0] for e in range(len(pa))]
+
+
+def _stack(graphs, weighting):
+    """Hop matrices and measure rows of ``(adj, w)`` graphs, zero-padded to
+    the largest: ``(G, n, n)`` each."""
+    size = max(len(adj) for adj, _ in graphs)
+    dist, rows = np.zeros((2, len(graphs), size, size))
+    for k, (adj, w) in enumerate(graphs):
+        dist[k, :len(adj), :len(adj)] = _hops(adj)
+        rows[k, :len(adj), :len(adj)] = transport._measure_rows(adj, w, weighting)
+    return dist, rows
+
+
+# Pairs of 4-12 node graphs solved together, in blocks over a zero-padded
+# stack of the graphs' hop matrices, equal each pair solved alone on its
+# own unpadded matrix, bit for bit; the integer dual serves some of them.
+# A pairwise sum of the moved mass would differ in the last bit here.
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting):
+    rng = np.random.default_rng(3)
+    graphs = []
+    for _ in range(40):
+        n = int(rng.integers(4, 13))
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.2, 0.6), 1)
+        adj[[int(rng.integers(v)) for v in range(1, n)], range(1, n)] = True
+        w = np.triu(rng.uniform(0.05, 2.0, (n, n)), 1) * adj
+        graphs.append((adj | adj.T, w + w.T))
+    dist, rows = _stack(graphs, weighting)
+    size = dist.shape[1]
+    g, a, b = (np.array(v) for v in zip(*[(k, i, j) for k, (adj, _) in enumerate(graphs)
+                                          for i, j in zip(*np.triu_indices(len(adj), 1))]))
+    order = rng.permutation(len(g))
+    g, a, b = g[order], a[order], b[order]
+    duals = []
+    closed_form = transport._integer_duals
+    monkeypatch.setattr(transport, "_integer_duals",
+                        lambda pairs: duals.append(len(pairs)) or closed_form(pairs))
+    flat = rows.reshape(-1, size)
+    stacked = transport._w1_rows(flat, flat, dist, _code_planes(dist), g * size + a,
+                                 g * size + b, g)
+    assert len(g) > 3 * transport.PAIR_BLOCK and sum(duals) > 0
+    for k, (adj, _) in enumerate(graphs):
+        n, on = len(adj), g == k
+        alone = _alone(rows[k, a[on], :n], rows[k, b[on], :n], dist[k, :n, :n])
+        assert stacked[on].tolist() == alone
+
+
+# Graph 0 of the stack is the path 0-1-2 beside the edge 3-4, graph 1 the
+# 4-cycle 0-1-2-3. A pair whose supports span graph 0's components raises;
+# graph 1's pair (1, 2) sits at positions that would span them on graph 0
+# and solves, as do graph 0's pairs within one component.
+def test_stack_with_a_disconnected_graph_raises_only_across_components():
+    path = np.zeros((5, 5), dtype=bool)
+    path[[0, 1, 3], [1, 2, 4]] = True
+    cycle = np.zeros((4, 4), dtype=bool)
+    cycle[[0, 1, 2, 0], [1, 2, 3, 3]] = True
+    graphs = [(m | m.T, (m | m.T).astype(float)) for m in (path, cycle)]
+    dist, rows = _stack(graphs, "uniform")
+    flat, planes = rows.reshape(-1, 5), _code_planes(dist)
+    g, a, b = np.array([0, 0, 1, 1]), np.array([0, 3, 1, 0]), np.array([1, 4, 2, 2])
+    got = transport._w1_rows(flat, flat, dist, planes, 5 * g + a, 5 * g + b, g)
+    for k, (adj, _) in enumerate(graphs):
+        n, on = len(adj), g == k
+        assert got[on].tolist() == _alone(rows[k, a[on], :n], rows[k, b[on], :n],
+                                          dist[k, :n, :n])
+    with pytest.raises(InfiniteDistanceError):
+        transport._w1_rows(flat, flat, dist, planes, np.array([1, 5 + 1]), np.array([3, 5 + 2]),
+                           np.array([0, 1]))
 
 
 def test_block_path_raises_on_infinite_support_distance():
