@@ -131,7 +131,7 @@ def check_prop1(instance: PerturbationInstance, a, b,
     if a == b:
         raise ConfigError("pair must be two distinct nodes")
     (w_before,), (w_after,) = _prop1_w1(instance, _measures(instance, weighting), [(a, b)])
-    return _prop1_reports(instance, a, b, w_before, w_after)
+    return _prop1_reports(instance, a, b, w_before, w_after, sup_distance_change(instance))
 
 
 def _measures(instance: PerturbationInstance, weighting: str) -> np.ndarray:
@@ -164,8 +164,10 @@ def _report(instance: PerturbationInstance, name: str, lhs: float, rhs: float,
                        instance_label=instance.label)
 
 
-def _prop1_reports(instance: PerturbationInstance, a, b, w_before: float, w_after: float):
-    """prop1 reports at (a, b) from W^d(mu_a, mu_b) and W^{d*}(mu*_a, mu*_b)."""
+def _prop1_reports(instance: PerturbationInstance, a, b, w_before: float, w_after: float,
+                   sup: float):
+    """prop1 reports at (a, b) from W^d(mu_a, mu_b), W^{d*}(mu*_a, mu*_b)
+    and the instance's `sup_distance_change` ``sup``."""
     ds_ab = instance.hop_star.dist(a, b)
     kappa_before = 1.0 - w_before / instance.hop.dist(a, b)
     kappa_after = 1.0 - w_after / ds_ab
@@ -173,8 +175,7 @@ def _prop1_reports(instance: PerturbationInstance, a, b, w_before: float, w_afte
     first = _report(instance, "prop1_first", lhs, (w_before - w_after) / ds_ab, (a, b))
     if a in (instance.x, instance.y) or b in (instance.x, instance.y):
         return first, None
-    return first, _report(instance, "prop1_sup", lhs, sup_distance_change(instance) / ds_ab,
-                          (a, b))
+    return first, _report(instance, "prop1_sup", lhs, sup / ds_ab, (a, b))
 
 
 def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
@@ -203,14 +204,13 @@ def _lemma_report(instance: PerturbationInstance, node, lhs: float) -> BoundRepo
 def check_prop2(instance: PerturbationInstance, weighting: str = "edge_weight"):
     """Bounds on the curvature jump of the new pair (x, y) itself."""
     first, _ = check_prop1(instance, instance.x, instance.y, weighting)
-    return _prop2_reports(instance, first.lhs)
+    return _prop2_reports(instance, first.lhs, sup_distance_change(instance))
 
 
-def _prop2_reports(instance: PerturbationInstance, lhs: float):
+def _prop2_reports(instance: PerturbationInstance, lhs: float, sup: float):
     """prop2 reports for the curvature jump ``lhs`` of (x, y), which is
-    the left side of prop1 at (x, y)."""
+    the left side of prop1 at (x, y), and `sup_distance_change` ``sup``."""
     x, y = instance.x, instance.y
-    sup = sup_distance_change(instance)
     inv_deg = (1.0 / (instance.graph.degree(x) + 1.0)
                + 1.0 / (instance.graph.degree(y) + 1.0))
     ds_xy = instance.hop_star.dist(x, y)
@@ -306,18 +306,18 @@ def _group_reports(group, weighting: str) -> list:
 
     reports = []
     for instance, pairs in group:
-        x, y = instance.x, instance.y
+        x, y, sup = instance.x, instance.y, sup_distance_change(instance)
         w_before, w_after, shifts = ([next(w1) for _ in range(count)]
                                      for count in (len(pairs), len(pairs), 2))
         for (a, b), before, after in zip(pairs, w_before, w_after):
-            first, sup = _prop1_reports(instance, a, b, before, after)
+            first, second = _prop1_reports(instance, a, b, before, after, sup)
             reports.append(first)
-            if sup is not None:
-                reports.append(sup)
+            if second is not None:
+                reports.append(second)
             if (a, b) == (x, y):
                 jump = first.lhs
         reports += [_lemma_report(instance, node, lhs) for node, lhs in zip((x, y), shifts)]
-        reports.extend(_prop2_reports(instance, jump))
+        reports.extend(_prop2_reports(instance, jump, sup))
     return reports
 
 
@@ -416,5 +416,6 @@ def sharpness_reports(n: int, weighting: str = "uniform") -> list:
     inst = kn_minus_edge_instance(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     w_before, w_after = _prop1_w1(inst, _measures(inst, weighting), pairs)
-    return [_prop1_reports(inst, a, b, before, after)[0]
+    sup = sup_distance_change(inst)
+    return [_prop1_reports(inst, a, b, before, after, sup)[0]
             for (a, b), before, after in zip(pairs, w_before, w_after)]

@@ -7,15 +7,16 @@ matrices, with a graph index per pair: a window's pairs or one pair on a
 stack of one, or the pairs of a group of `bounds` instances on their
 zero-padded hop matrices. It fixes shared mass in place, since it never
 moves under a metric cost, sums each pair's moved mass left to right,
-and pools interchangeable residual atoms for the whole block. No
-residual costs nothing and one distinct distance has a closed form. The
-block's pairs with more are scored together by the integral dual of the
-max-weight transport (`_integer_duals`: padded level-bit codes, a
-row-wise OR-closure and bit-test scoring), and each pair where it
-declines is solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's
-value does not depend on the block or the padded stack it is solved in.
-Every route returns the exact optimum up to float rounding of sums,
-which keeps closed-form comparisons tight at 1e-12.
+pools interchangeable residual atoms and reads their distances into
+padded arrays for the whole block. No residual costs nothing and one
+distinct distance has a closed form. The block's pairs with more are
+scored together by the integral dual of the max-weight transport
+(`_integer_duals`: level-bit codes, a row-wise OR-closure and bit-test
+scoring), and each pair where it declines is solved alone as one pooled
+HiGHS LP (`_solve_lp`). A pair's value does not depend on the block or
+the padded stack it is solved in. Every route returns the exact optimum
+up to float rounding of sums, which keeps closed-form comparisons tight
+at 1e-12.
 
 Curvature runs on a graph's dense arrays (`_curvatures`), with every
 node's neighbour measure as one row of a matrix (`_measure_rows`).
@@ -188,41 +189,34 @@ def _row_sets(a: np.ndarray):
     return a[:, a.shape[1] - size.max():].copy(), size
 
 
-def _integer_duals(pairs) -> np.ndarray:
-    """Largest ``sum(w * x)`` over pooled transports ``x`` for each
-    ``(w, rcaps, ccaps)`` of ``pairs``, or NaN where that pair declines.
+def _integer_duals(gaps, rcaps, ccaps, cols) -> np.ndarray:
+    """Largest ``sum(w * x)`` over pooled transports ``x`` for each pair
+    ``e``, of gains ``w = gaps[e]`` and caps ``rcaps[e]``, ``ccaps[e]``, or
+    NaN where that pair declines.
 
     It equals ``min r.p + c.q`` over ``p, q >= 0`` with ``p_i + q_j >=
     w_ij``. For integer ``w / gcd`` an optimum is integral (total
     unimodularity), with ``p_i = max_j (w_ij - q_j)+`` and ``q`` a pointwise
-    max of row generators ``(w_i - t)+``. With a pair's smaller side as its
-    ``k`` columns, ``q`` is coded in level bits (bit ``sk + j`` iff ``q_j >
-    s``), so the candidates are the OR-closure of the generators, and
-    ``p_i`` counts the generators of row ``i`` with a bit outside ``q``. A
-    pair declines on non-integer ``w``, ``w`` past int64, over 63 bits or
-    over ``_UNION_CAP`` candidates. Each ``w`` is nonnegative with a
-    positive entry. Pairs are padded to the largest with zero caps but keep
-    their own ``k``, so every pair's bits and declines are its own.
+    max of row generators ``(w_i - t)+``. With ``k = cols[e]``, ``q`` is
+    coded in level bits (bit ``sk + j`` iff ``q_j > s``), so the candidates
+    are the OR-closure of the generators, and ``p_i`` counts the generators
+    of row ``i`` with a bit outside ``q``. A pair declines on non-integer
+    ``w``, ``w`` past int64, over 63 bits or over ``_UNION_CAP`` candidates.
+    Inputs are padded, ``(E, M, K)``, ``(E, M)`` and ``(E, K)``: a pair's
+    ``w`` (nonnegative, with a positive entry) and positive caps fill the
+    top left, and zero gaps and caps the rest, so its bits and declines are
+    its own. `_w1_block` orients the pairs, its larger side as rows.
     """
-    out = np.full(len(pairs), np.nan)
-    pairs = [(w, r, c) if w.shape[0] >= w.shape[1] else (w.T, c, r) for w, r, c in pairs]
-    shape = np.array([w.shape for w, _, _ in pairs])
-    m, k = shape.max(axis=0)
-    w, rcaps, ccaps = (np.zeros((len(pairs), m, k)), np.zeros((len(pairs), m)),
-                       np.zeros((len(pairs), k)))
-    for e, (gap, r, c) in enumerate(pairs):
-        w[e, :r.size, :c.size], rcaps[e, :r.size], ccaps[e, :c.size] = gap, r, c
-    flat = w.reshape(len(pairs), -1)
-    fits = ((np.rint(flat) == flat) & (flat < 2.0 ** 63)).all(axis=1)
-    flat[~fits] = 0.0
-    flat = flat.astype(np.int64)
-    step = np.maximum(np.gcd.reduce(flat, axis=1), 1)
-    cols = shape[:, 1]
-    live = np.flatnonzero(fits & (flat.max(axis=1) // step <= 63 // cols))
+    out = np.full(len(gaps), np.nan)
+    w = gaps.reshape(len(gaps), -1)
+    fits = ((np.rint(w) == w) & (w < 2.0 ** 63)).all(axis=1)
+    w = np.where(fits[:, None], w, 0.0).astype(np.int64)
+    step = np.maximum(np.gcd.reduce(w, axis=1), 1)
+    live = np.flatnonzero(fits & (w.max(axis=1) // step <= 63 // cols))
     if not live.size:
         return out
-    m, k = shape[live].max(axis=0)
-    w = flat.reshape(w.shape)[live, :m, :k] // step[live, None, None]
+    m, k = (rcaps[live] > 0).sum(axis=1).max(), cols[live].max()
+    w = w.reshape(gaps.shape)[live, :m, :k] // step[live, None, None]
     rcaps, ccaps, cols, step = rcaps[live, :m], ccaps[live, :k], cols[live], step[live]
     levels = w.max(axis=(1, 2))
     level = np.arange(levels.max())
@@ -299,11 +293,11 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     alone. Residual sources (sinks) of a pair with equal distances to all
     its residual sinks (sources) are pooled into one atom, grouped by one
     lexsort over (side of a pair, ``planes[g[e]]`` masked to its other
-    side). A loop gathers each pair's pooled distances; pairs with several
-    distinct distances are then scored together as ``vmax * moved -
-    _integer_duals(vmax - dist)``, and each pair that declines is solved
-    alone as one LP. A pair's value does not depend on its block or stack
-    as long as its codes do not (hop matrices of connected graphs).
+    side). One indexed read gathers the pooled distances, padded, each
+    pair's larger side as rows. Pairs with several distinct distances are
+    scored together as ``vmax * moved - _integer_duals(vmax - dist)``;
+    each that declines is solved alone as one LP. Values do not depend on
+    the block or stack while the codes do not (connected hop matrices).
     """
     size, n = pa.shape
     for k in np.flatnonzero(~np.isfinite(dist).all(axis=(1, 2))).tolist():
@@ -327,28 +321,34 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))[:side.size]
     caps = np.bincount(np.cumsum(new) - 1, weights=residual[atoms][order])
     gside, gnode = side[order[new]], node[order[new]]
-    # Pooled sources index the rows of the stack read as one (G * n, n) matrix.
-    grow, dist = gnode + n * graph[order[new]], dist.reshape(-1, n)
-
-    # Row e's pooled atoms are gnode[bounds[e]:bounds[e + 1]]. A pair with
-    # residual mass on one side only (rounding) moves nothing.
+    # offset[source] + offset[sink] indexes their distance in the flat stack.
+    offset = np.where(gside < size, (gnode + n * graph[order[new]]) * n, gnode)
+    # Side row s's pooled atoms run from start[s], counts[s] of them. A
+    # pair with residual mass on one side only (rounding) moves nothing.
     counts = np.bincount(gside, minlength=2 * size)
-    bounds = [0] + np.cumsum(counts).tolist()
+    start = np.cumsum(counts) - counts
+    pair = np.flatnonzero(counts[:size] * counts[size:])
+    # Rows are a pair's larger side; padding repeats a side's last atom.
+    flip = counts[pair] < counts[size + pair]
+    rs, cs = pair + size * flip, pair + size * ~flip
+    m, k = counts[rs], counts[cs]
+    ri, ci = (start[s, None] + np.minimum(np.arange(c.max(initial=0)), c[:, None] - 1)
+              for s, c in ((rs, m), (cs, k)))
+    w = dist.ravel()[offset[ri][:, :, None] + offset[ci][:, None, :]]
+    v = w.max(axis=(1, 2), initial=-np.inf)
     cost = np.zeros(size)
-    multi = []
-    for e in np.flatnonzero(counts[:size] * counts[size:]).tolist():
-        rows, cols = slice(bounds[e], bounds[e + 1]), slice(bounds[size + e], bounds[size + e + 1])
-        w = dist[grow[rows, None], gnode[cols]]
-        v = float(w.max())
-        if float(w.min()) == v:
-            cost[e] = v * moved[e]
-        else:
-            multi.append((e, v, w, caps[rows], caps[cols]))
-    if multi:
-        carried = _integer_duals([(v - w, r, c) for _, v, w, r, c in multi])
-        for (e, v, w, r, c), dual in zip(multi, carried.tolist()):
-            cost[e] = (np.dot(w.ravel(), _solve_lp(r, c, w).ravel()) if np.isnan(dual)
-                       else v * moved[e] - dual)
+    cost[pair] = v * moved[pair]
+    multi = np.flatnonzero(w.min(axis=(1, 2), initial=np.inf) < v)
+    if multi.size:
+        m, k, v, ri, ci, w = m[multi], k[multi], v[multi], ri[multi], ci[multi], w[multi]
+        rows, cols = np.arange(ri.shape[1]) < m[:, None], np.arange(ci.shape[1]) < k[:, None]
+        gaps = np.where(rows[:, :, None] & cols[:, None, :], v[:, None, None] - w, 0.0)
+        dual = _integer_duals(gaps, caps[ri] * rows, caps[ci] * cols, k)
+        cost[pair[multi]] -= dual
+        for e in np.flatnonzero(np.isnan(dual)).tolist():
+            r, c, d = caps[ri[e, :m[e]]], caps[ci[e, :k[e]]], w[e, :m[e], :k[e]]
+            r, c, d = (c, r, d.T) if flip[multi[e]] else (r, c, d)
+            cost[pair[multi[e]]] = np.dot(d.ravel(), _solve_lp(r, c, d).ravel())
     return cost
 
 

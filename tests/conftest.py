@@ -19,9 +19,10 @@ def failing_lp(monkeypatch):
     calls = []
     closed_form = transport._integer_duals
 
-    def integer_duals(pairs):
-        out = closed_form(pairs)
-        out[[np.unique(w).size > 2 for w, _, _ in pairs]] = np.nan
+    def integer_duals(gaps, rcaps, ccaps, cols):
+        out = closed_form(gaps, rcaps, ccaps, cols)
+        out[[np.unique(w[r > 0][:, c > 0]).size > 2
+             for w, r, c in zip(gaps, rcaps, ccaps)]] = np.nan
         return out
 
     monkeypatch.setattr(transport, "_integer_duals", integer_duals)

@@ -578,11 +578,25 @@ def test_fractional_distance_gaps_go_to_lp(lp_solves, sinks, route):
     assert len(lp_solves) == route
 
 
+def _pad(pairs):
+    """`_integer_duals` inputs for ``(w, rcaps, ccaps)`` pairs: each pair
+    turned to have its larger side as rows, as `_w1_block` does, and
+    zero-padded to the largest."""
+    pairs = [(w, r, c) if len(r) >= len(c) else (w.T, c, r) for w, r, c in pairs]
+    size, (m, k) = len(pairs), (max(len(pair[side]) for pair in pairs) for side in (1, 2))
+    gaps, rcaps, ccaps = np.zeros((size, m, k)), np.zeros((size, m)), np.zeros((size, k))
+    for e, (w, r, c) in enumerate(pairs):
+        gaps[e, :len(r), :len(c)], rcaps[e, :len(r)], ccaps[e, :len(c)] = w, r, c
+    return gaps, rcaps, ccaps, np.array([len(c) for _, _, c in pairs])
+
+
 @pytest.mark.filterwarnings("error")
 def test_integer_dual_declines_gaps_past_int64():
     caps = np.array([0.5, 0.5])
-    assert transport._integer_duals([(np.array([[2.0, 0.0], [0.0, 4.0]]), caps, caps)]) == [3.0]
-    assert np.isnan(transport._integer_duals([(np.array([[2e19, 0.0], [0.0, 4e19]]), caps, caps)]))
+    assert transport._integer_duals(*_pad([(np.array([[2.0, 0.0], [0.0, 4.0]]), caps,
+                                            caps)])) == [3.0]
+    assert np.isnan(transport._integer_duals(*_pad([(np.array([[2e19, 0.0], [0.0, 4e19]]), caps,
+                                                     caps)])))
 
 
 # One batch holding every case the integer dual meets, as (gains w,
@@ -594,7 +608,7 @@ _DUAL_CASES = [
      np.array([0.5, 0.25, 0.25]), False),
     (np.array([[2, 1, 0], [1, 2, 0], [0, 0, 2], [1, 1, 1], [0, 0, 0]]),
      np.array([0.1, 0.2, 0.3, 0.25, 0.15]), np.array([0.3, 0.3, 0.4]), False),
-    # Fewer rows than columns: the routine scores the transpose.
+    # Fewer rows than columns: `_pad` passes the transpose.
     (np.array([[2, 0, 1, 1, 0], [0, 2, 1, 0, 1]]), np.array([0.4, 0.6]), np.full(5, 0.2), False),
     # gcd 2.
     (np.array([[4, 0], [2, 4], [0, 2]]), np.full(3, 1 / 3), np.array([0.5, 0.5]), False),
@@ -612,10 +626,10 @@ _DUAL_CASES = [
 @pytest.mark.filterwarnings("error")
 def test_integer_duals_batch_mixes_every_case():
     pairs = [(np.asarray(w, dtype=float), r, c) for w, r, c, _ in _DUAL_CASES]
-    batch = transport._integer_duals(pairs)
+    batch = transport._integer_duals(*_pad(pairs))
     assert np.isnan(batch).tolist() == [declines for *_, declines in _DUAL_CASES]
     for pair, value in zip(pairs, batch.tolist()):
-        alone = transport._integer_duals([pair])[0]
+        alone = transport._integer_duals(*_pad([pair]))[0]
         if np.isnan(value):
             assert np.isnan(alone)
         else:
@@ -628,9 +642,9 @@ def test_integer_duals_batch_mixes_every_case():
 @pytest.mark.filterwarnings("error")
 def test_integer_duals_split_rows_keep_their_values(monkeypatch):
     pairs = [(np.asarray(w, dtype=float), r, c) for w, r, c, _ in _DUAL_CASES]
-    whole = transport._integer_duals(pairs)
+    whole = transport._integer_duals(*_pad(pairs))
     monkeypatch.setattr(transport, "_DUAL_CELLS", 1)
-    assert np.array_equal(transport._integer_duals(pairs), whole, equal_nan=True)
+    assert np.array_equal(transport._integer_duals(*_pad(pairs)), whole, equal_nan=True)
 
 
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
@@ -694,6 +708,21 @@ def test_block_matches_one_pair_at_a_time(regime_panel, k, weighting):
     assert _max_gap_to_dense_lp(graph, hop, per_pair, weighting, k, 10) <= 1e-9
 
 
+# Cutting a window's pairs into blocks of 64, 7 or 1 changes no value,
+# not even in the last bit.
+@pytest.mark.parametrize("k", [100, 300, 420, 460])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, weighting):
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting=weighting))
+    (adj, w), hop = _dense(graph), hop_distances(graph)
+    kappa = []
+    for block in (64, 7, 1):
+        monkeypatch.setattr(transport, "PAIR_BLOCK", block)
+        kappa.append(transport._curvatures(adj, w, hop, "edges", weighting).tolist())
+    assert kappa[0] == kappa[1] == kappa[2]
+
+
 # Pairs mode on a calm, tree-like window: the diameter is above 3, so
 # residuals see more than two distance levels and the code planes more
 # than two bits.
@@ -729,8 +758,8 @@ def test_one_block_mixes_every_route(monkeypatch, lp_solves):
     duals = []
     closed_form = transport._integer_duals
 
-    def integer_duals(pairs):
-        duals.append(closed_form(pairs))
+    def integer_duals(*padded):
+        duals.append(closed_form(*padded))
         return duals[-1]
 
     monkeypatch.setattr(transport, "_integer_duals", integer_duals)
@@ -753,6 +782,41 @@ def test_one_block_mixes_every_route(monkeypatch, lp_solves):
     for block in (1, 7):
         monkeypatch.setattr(transport, "PAIR_BLOCK", block)
         assert average_curvature(graph, mode="pairs", hop=hop).per_pair == per_pair
+
+
+# One block on the path 0-...-9 whose multi-distance pairs have fewer,
+# more and as many pooled sources as sinks, then two one-distance pairs
+# (the last pools sources 4 and 6). The integer dual gets the first three
+# in one call, each with its larger side as rows, and every pair keeps its
+# value alone and the dense LP's.
+def test_block_orients_pairs_of_every_shape(monkeypatch):
+    hop = hop_distances(_path_graph(10))
+    pairs = [({0: 0.3, 1: 0.7}, {5: 0.2, 6: 0.5, 7: 0.3}),
+             ({0: 0.2, 1: 0.5, 2: 0.3}, {6: 0.6, 7: 0.4}),
+             ({0: 0.4, 2: 0.6}, {5: 0.7, 8: 0.3}),
+             ({0: 1.0}, {3: 1.0}),
+             ({4: 0.5, 6: 0.5}, {5: 1.0})]
+    rows = np.zeros((2, len(pairs), 10))
+    for e, pair in enumerate(pairs):
+        for side, masses in enumerate(pair):
+            rows[side, e, list(masses)] = list(masses.values())
+    calls = []
+    closed_form = transport._integer_duals
+    monkeypatch.setattr(transport, "_integer_duals",
+                        lambda *padded: calls.append(padded) or closed_form(*padded))
+    block = transport._w1_block(rows[0], rows[1], hop.matrix[None], hop.code_planes,
+                                np.zeros(len(pairs), np.intp))
+    assert len(calls) == 1
+    gaps, rcaps, ccaps, cols = calls[0]
+    assert [((r > 0).sum(), (c > 0).sum()) for r, c in zip(rcaps, ccaps)] == [(3, 2), (3, 2),
+                                                                               (2, 2)]
+    assert cols.tolist() == [2, 2, 2]
+    assert all(np.unique(w[r > 0][:, c > 0]).size > 1 for w, r, c in zip(gaps, rcaps, ccaps))
+    assert np.isfinite(closed_form(gaps, rcaps, ccaps, cols)).all()
+    for e, (a, b) in enumerate(pairs):
+        mu, nu = (NodeMeasure(tuple(masses), list(masses.values())) for masses in (a, b))
+        assert block[e] == _alone(rows[0, e:e + 1], rows[1, e:e + 1], hop.matrix)[0]
+        assert block[e] == pytest.approx(_dense_lp_w1(mu, nu, hop), abs=1e-9)
 
 
 # Rounding can leave residual mass on one side of a pair only (masses
@@ -815,11 +879,12 @@ def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting):
     duals = []
     closed_form = transport._integer_duals
     monkeypatch.setattr(transport, "_integer_duals",
-                        lambda pairs: duals.append(len(pairs)) or closed_form(pairs))
+                        lambda *padded: duals.append(len(padded[0])) or closed_form(*padded))
     flat = rows.reshape(-1, size)
     stacked = transport._w1_rows(flat, flat, dist, _code_planes(dist), g * size + a,
                                  g * size + b, g)
     assert len(g) > 3 * transport.PAIR_BLOCK and sum(duals) > 0
+    assert len(duals) <= -(-len(g) // transport.PAIR_BLOCK)
     for k, (adj, _) in enumerate(graphs):
         n, on = len(adj), g == k
         alone = _alone(rows[k, a[on], :n], rows[k, b[on], :n], dist[k, :n, :n])
@@ -914,13 +979,13 @@ def test_integer_duals_memory_stays_flat(levels):
         pairs.append((w, rng.dirichlet(np.ones(21)), rng.dirichlet(np.ones(16))))
     tracemalloc.start()
     try:
-        duals = transport._integer_duals(pairs)
+        duals = transport._integer_duals(*_pad(pairs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6
     assert np.isfinite(duals).all() if levels == 2 else np.isfinite(duals).any()
-    alone = [transport._integer_duals([pair])[0] for pair in pairs]
+    alone = [transport._integer_duals(*_pad([pair]))[0] for pair in pairs]
     assert np.array_equal(duals, alone, equal_nan=True)
 
 
