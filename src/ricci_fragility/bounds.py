@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
-from .graphs import (HopDistanceMatrix, MarketGraph, _code_planes, _dense, _hops,
-                     _hops_with_edge)
-from .transport import PAIR_BLOCK, WEIGHTINGS, _measure_rows, _w1_block, _w1_rows
+from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, _hops_with_edge
+from .transport import PAIR_BLOCK, WEIGHTINGS, _measure_rows, _w1_rows
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -130,7 +129,7 @@ def check_prop1(instance: PerturbationInstance, a, b,
     """
     if a == b:
         raise ConfigError("pair must be two distinct nodes")
-    (w_before,), (w_after,) = _prop1_w1(instance, _measures(instance, weighting), [(a, b)])
+    (w_before,), (w_after,), _ = _group_w1([(instance, [(a, b)])], weighting)[0]
     return _prop1_reports(instance, a, b, w_before, w_after, sup_distance_change(instance))
 
 
@@ -144,16 +143,6 @@ def _measures(instance: PerturbationInstance, weighting: str) -> np.ndarray:
     adj[1, i, j] = adj[1, j, i] = True
     w[1, i, j] = w[1, j, i] = instance.graph_star.weight(instance.x, instance.y)
     return _measure_rows(adj, w, weighting)
-
-
-def _prop1_w1(instance: PerturbationInstance, measures, pairs):
-    """W^d(mu_a, mu_b) and W^{d*}(mu*_a, mu*_b) for each pair (a, b) of
-    ``pairs``, as two lists, from the rows ``measures`` of `_measures`;
-    each metric is a stack of one."""
-    ia, ib = (instance.hop.positions(side) for side in zip(*pairs))
-    return tuple(_w1_rows(rows, rows, hop.matrix[None], hop.code_planes, ia, ib,
-                          np.zeros(len(ia), np.intp)).tolist()
-                 for rows, hop in zip(measures, (instance.hop, instance.hop_star)))
 
 
 def _report(instance: PerturbationInstance, name: str, lhs: float, rhs: float,
@@ -188,11 +177,9 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
     """
     if which not in ("x", "y"):
         raise ConfigError(f"which must be 'x' or 'y', got {which!r}")
+    _, _, shifts = _group_w1([(instance, [(instance.x, instance.y)])], weighting)[0]
     node = instance.x if which == "x" else instance.y
-    end = instance.hop.positions((node,))
-    shift = _w1_block(*_measures(instance, weighting)[:, end], instance.hop.matrix[None],
-                      instance.hop.code_planes, np.zeros(1, np.intp))
-    return _lemma_report(instance, node, float(shift[0]))
+    return _lemma_report(instance, node, shifts["xy".index(which)])
 
 
 def _lemma_report(instance: PerturbationInstance, node, lhs: float) -> BoundReport:
@@ -277,19 +264,20 @@ def _sample_pairs(instance: PerturbationInstance, rng: np.random.Generator) -> l
     return sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
 
 
-def _group_reports(group, weighting: str) -> list:
-    """All five checks on each ``(instance, pairs)`` of ``group``, in order.
+def _group_w1(group, weighting: str) -> list:
+    """Each ``(instance, pairs)`` of ``group``'s W1 values, in order, as
+    (W^d(mu_a, mu_b) of the pairs, W^{d*}(mu*_a, mu*_b) of the pairs, the
+    shifts W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)).
 
-    Every W1 value of the group comes from one `_w1_rows` call over the
-    stack of its graphs' hop matrices, zero-padded to the largest: per
-    instance, the prop1 pairs under d and under d*, and the measures of x
-    and y before against after under d. A pair's value is the one it has
+    They come from one `_w1_rows` call over the stack of the group's hop
+    matrices, each instance's d then d*, zero-padded to the largest; a
+    shift pair's first row is a row of d. A pair's value is the one it has
     alone (see `_w1_block`).
     """
     size = max(instance.graph.n for instance, _ in group)
     dist = np.zeros((2 * len(group), size, size))
     rows = np.zeros((2 * len(group), size, size))
-    ia, ib, g = [], [], []
+    ia, ib = [], []
     for k, (instance, pairs) in enumerate(group):
         n = instance.graph.n
         dist[2 * k:2 * k + 2, :n, :n] = instance.hop.matrix, instance.hop_star.matrix
@@ -299,16 +287,18 @@ def _group_reports(group, weighting: str) -> list:
         before, after = 2 * k * size, (2 * k + 1) * size
         ia += [before + a, after + a, before + ends]
         ib += [before + b, after + b, after + ends]
-        g += [2 * k] * len(pairs) + [2 * k + 1] * len(pairs) + [2 * k] * 2
-    rows = rows.reshape(-1, size)
-    w1 = iter(_w1_rows(rows, rows, dist, _code_planes(dist), np.concatenate(ia),
-                       np.concatenate(ib), np.array(g)).tolist())
+    w1 = iter(_w1_rows(rows.reshape(-1, size), dist, np.concatenate(ia),
+                       np.concatenate(ib)).tolist())
+    return [tuple([next(w1) for _ in range(count)] for count in (len(pairs), len(pairs), 2))
+            for _, pairs in group]
 
+
+def _group_reports(group, weighting: str) -> list:
+    """All five checks on each ``(instance, pairs)`` of ``group``, in order,
+    from the group's `_group_w1` values."""
     reports = []
-    for instance, pairs in group:
+    for (instance, pairs), (w_before, w_after, shifts) in zip(group, _group_w1(group, weighting)):
         x, y, sup = instance.x, instance.y, sup_distance_change(instance)
-        w_before, w_after, shifts = ([next(w1) for _ in range(count)]
-                                     for count in (len(pairs), len(pairs), 2))
         for (a, b), before, after in zip(pairs, w_before, w_after):
             first, second = _prop1_reports(instance, a, b, before, after, sup)
             reports.append(first)
@@ -415,7 +405,7 @@ def sharpness_reports(n: int, weighting: str = "uniform") -> list:
     """prop1_first reports for every pair of the K_n sharpness instance."""
     inst = kn_minus_edge_instance(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    w_before, w_after = _prop1_w1(inst, _measures(inst, weighting), pairs)
+    w_before, w_after, _ = _group_w1([(inst, pairs)], weighting)[0]
     sup = sup_distance_change(inst)
     return [_prop1_reports(inst, a, b, before, after, sup)[0]
             for (a, b), before, after in zip(pairs, w_before, w_after)]

@@ -199,31 +199,6 @@ class HopDistanceMatrix:
     def connected(self) -> bool:
         return bool(np.all(np.isfinite(self.matrix)))
 
-    @cached_property
-    def code_planes(self) -> np.ndarray:
-        """`_code_planes` of the stack of this one matrix."""
-        return _code_planes(self.matrix[None])
-
-
-def _code_planes(stack: np.ndarray) -> np.ndarray:
-    """The W1 solver's pooling keys of a ``(G, n, n)`` stack of distance
-    matrices: each entry's index among the stack's sorted distinct entries
-    as `_packed` bit planes, per graph, per row then per column, shape
-    ``(G, 2n, levels, words)``. A hop matrix of a connected graph holds
-    0..D, so each entry's code is its own value in any stack."""
-    values = np.unique(stack)
-    codes = np.searchsorted(values, stack)
-    levels = np.arange(max(1, (values.size - 1).bit_length()))
-    return _packed(np.concatenate((codes, codes.transpose(0, 2, 1)), axis=1)[:, :, None, :]
-                   >> levels[:, None] & 1)
-
-
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """The last axis of ``bits`` packed into uint64 words."""
-    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), dtype=np.uint8)
-    padded[..., :bits.shape[-1]] = bits
-    return np.packbits(padded, axis=-1).view(np.uint64)
-
 
 def build_complete_graph(distances, correlations, nodes=None) -> MarketGraph:
     """Build the complete graph K_n with distance weights and correlations.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientOverlapError
-from .graphs import HopDistanceMatrix, MarketGraph, _from_edge_mask, _hops, _prim
+from .graphs import MarketGraph, _from_edge_mask, _hops, _prim
 from .graphs import build_complete_graph
 from .ingestion import PriceMatrix
 from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures
@@ -266,8 +266,7 @@ def _window_kappa(window: PriceMatrix, config: WindowConfig) -> np.ndarray:
     """Curvature of each edge (or node pair) of the window's filtered
     graph in canonical order, from its arrays alone."""
     _, dist, adj = _window_arrays(window, config)
-    hop = HopDistanceMatrix(nodes=window.tickers, matrix=_hops(adj))
-    return _curvatures(adj, np.where(adj, dist, 0.0), hop, config.averaging_mode,
+    return _curvatures(adj, np.where(adj, dist, 0.0), _hops(adj), config.averaging_mode,
                        config.weighting)
 
 

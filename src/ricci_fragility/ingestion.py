@@ -231,7 +231,8 @@ def write_price_csv(prices: PriceMatrix, path) -> None:
 def screen_entities(prices: PriceMatrix, start: str | None = None,
                     end: str | None = None, min_coverage: float = 0.0,
                     strict: bool = False):
-    """Restrict to a date range, keeping every entity observed in it.
+    """Restrict to the dates from ``start`` to ``end`` (inclusive,
+    ``YYYY-MM-DD``), keeping every entity observed in them.
 
     Coverage is measured inside the range. Tickers with zero in-range
     observations are excluded (their correlations are undefined);
@@ -243,6 +244,12 @@ def screen_entities(prices: PriceMatrix, start: str | None = None,
     """
     if not 0.0 <= min_coverage <= 1.0:
         raise ConfigError(f"min_coverage {min_coverage} outside [0, 1]")
+    for day in (start, end):
+        if day is not None:
+            try:
+                _parse_date(day)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad date {day!r}: {exc}") from exc
     lo, hi = 0, prices.n_dates
     if start is not None:
         lo = next((i for i, d in enumerate(prices.dates) if d >= start), prices.n_dates)

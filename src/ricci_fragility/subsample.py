@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, GraphError
-from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, induced_subgraph
+from .graphs import MarketGraph, _dense, _hops, induced_subgraph
 from .indicator import (
     WindowConfig,
     _rolling_series,
@@ -124,7 +124,6 @@ def _subset_average(adj: np.ndarray, w: np.ndarray, subset, mode: str, weighting
     hop = _hops(sub)
     if not np.isfinite(hop).all():
         return float("nan")
-    hop = HopDistanceMatrix(nodes=tuple(subset), matrix=hop)
     return float(np.mean(_curvatures(sub, w[block], hop, mode, weighting)))
 
 

@@ -1,22 +1,23 @@
 """Neighbor measures, exact Wasserstein-1 on the hop metric, and
 Ollivier-Ricci curvature.
 
-The W1 solver is exact, not approximate. One front end (`_w1_block`)
-takes a block of pairs as dense measure rows over a stack of distance
-matrices, with a graph index per pair: a window's pairs or one pair on a
-stack of one, or the pairs of a group of `bounds` instances on their
-zero-padded hop matrices. It fixes shared mass in place, since it never
-moves under a metric cost, sums each pair's moved mass left to right,
-pools interchangeable residual atoms and reads their distances into
-padded arrays for the whole block. No residual costs nothing and one
-distinct distance has a closed form. The block's pairs with more are
-scored together by the integral dual of the max-weight transport
-(`_integer_duals`: level-bit codes, a row-wise OR-closure and bit-test
-scoring), and each pair where it declines is solved alone as one pooled
-HiGHS LP (`_solve_lp`). A pair's value does not depend on the block or
-the padded stack it is solved in. Every route returns the exact optimum
-up to float rounding of sums, which keeps closed-form comparisons tight
-at 1e-12.
+The W1 solver is exact, not approximate. Its one entry point
+(`_w1_rows`) takes measure rows over a stack of distance matrices and
+two rows per pair, solved on the graph of its first row: a window's
+pairs or one pair on a stack of one, or the pairs of a group of `bounds`
+instances on their zero-padded hop matrices. It builds the pooling keys
+once and hands blocks of pairs to `_w1_block`, which fixes shared mass
+in place, since it never moves under a metric cost, sums each pair's
+moved mass left to right, pools interchangeable residual atoms and reads
+their distances into padded arrays for the whole block. No residual
+costs nothing and one distinct distance has a closed form. The block's
+pairs with more are scored together by the integral dual of the
+max-weight transport (`_integer_duals`: level-bit codes, a row-wise
+OR-closure and bit-test scoring), and each pair where it declines is
+solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's value does
+not depend on the block or the padded stack it is solved in. Every route
+returns the exact optimum up to float rounding of sums, which keeps
+closed-form comparisons tight at 1e-12.
 
 Curvature runs on a graph's dense arrays (`_curvatures`), with every
 node's neighbour measure as one row of a matrix (`_measure_rows`).
@@ -44,7 +45,7 @@ from .errors import (
     OracleBudgetError,
     SolverError,
 )
-from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, _packed
+from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops
 
 #: Probability masses must sum to one within this tolerance.
 MASS_TOL = 1e-12
@@ -281,23 +282,54 @@ def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
     return (p[-1] + q[-1]).min(axis=1)
 
 
+def _code_planes(stack: np.ndarray) -> np.ndarray:
+    """The pooling keys of a ``(G, n, n)`` stack of distance matrices: each
+    entry's index among the stack's sorted distinct entries as `_packed`
+    bit planes, per graph, per row then per column, shape ``(G, 2n,
+    levels, words)``. A hop matrix of a connected graph holds 0..D, so
+    each entry's code is its own value in any stack."""
+    values = np.unique(stack)
+    codes = np.searchsorted(values, stack)
+    levels = np.arange(max(1, (values.size - 1).bit_length()))
+    return _packed(np.concatenate((codes, codes.transpose(0, 2, 1)), axis=1)[:, :, None, :]
+                   >> levels[:, None] & 1)
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """The last axis of ``bits`` packed into uint64 words."""
+    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), dtype=np.uint8)
+    padded[..., :bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Exact W1 between ``rows[ia[e]]`` and ``rows[ib[e]]`` on ``dist[ia[e] // n]``
+    for each pair ``e``; ``rows`` holds ``n`` measure rows per graph of the
+    ``(G, n, n)`` stack ``dist``, in stack order, zero past each graph's
+    nodes. Builds the stack's `_code_planes` once and solves ``PAIR_BLOCK``
+    pairs per `_w1_block` call."""
+    planes, g = _code_planes(dist), ia // dist.shape[1]
+    return np.concatenate([_w1_block(rows[ia[s:s + PAIR_BLOCK]], rows[ib[s:s + PAIR_BLOCK]],
+                                     dist, planes, g[s:s + PAIR_BLOCK])
+                           for s in range(0, len(ia), PAIR_BLOCK)])
+
+
 def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarray,
               g: np.ndarray) -> np.ndarray:
-    """Exact W1 between the measure rows ``pa[e]`` and ``pb[e]`` of each pair.
+    """Exact W1 between the rows ``pa[e]`` and ``pb[e]`` of each pair on ``dist[g[e]]``.
 
-    ``dist`` is a ``(G, n, n)`` stack of distance matrices, ``planes`` its
-    `_code_planes`, and pair ``e`` is solved on ``dist[g[e]]``; its rows
-    hold masses over that graph's positions, zero past its own nodes.
-    Shared mass is peeled off for the whole block, and a pair's moved mass
-    is its residual sources' sum left to right, which zero padding leaves
-    alone. Residual sources (sinks) of a pair with equal distances to all
-    its residual sinks (sources) are pooled into one atom, grouped by one
+    ``planes`` are the stack's `_code_planes`. Shared mass is peeled off
+    for the whole block, and a pair's moved mass is its residual
+    sources' sum left to right, which zero padding leaves alone.
+    Residual sources (sinks) of a pair with equal distances to all its
+    residual sinks (sources) are pooled into one atom, grouped by one
     lexsort over (side of a pair, ``planes[g[e]]`` masked to its other
     side). One indexed read gathers the pooled distances, padded, each
-    pair's larger side as rows. Pairs with several distinct distances are
-    scored together as ``vmax * moved - _integer_duals(vmax - dist)``;
-    each that declines is solved alone as one LP. Values do not depend on
-    the block or stack while the codes do not (connected hop matrices).
+    pair's larger side as rows. Pairs with several distinct distances
+    are scored together as ``vmax * moved - _integer_duals(vmax -
+    dist)``; each that declines is solved alone as one LP. Values do
+    not depend on the block or stack while the codes do not (connected
+    hop matrices).
     """
     size, n = pa.shape
     for k in np.flatnonzero(~np.isfinite(dist).all(axis=(1, 2))).tolist():
@@ -353,22 +385,11 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
 
 
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:
-    """Exact W1 between two measures: `_w1_block` on a block of one pair."""
+    """Exact W1 between two measures: `_w1_rows` on one pair of rows."""
     rows = np.zeros((2, len(hop.nodes)))
     rows[0, hop.positions(mu.support)] = mu.masses
     rows[1, hop.positions(nu.support)] = nu.masses
-    return float(_w1_block(rows[:1], rows[1:], hop.matrix[None], hop.code_planes,
-                           np.zeros(1, np.intp))[0])
-
-
-def _w1_rows(p: np.ndarray, q: np.ndarray, dist: np.ndarray, planes: np.ndarray, ia, ib,
-             g) -> np.ndarray:
-    """Exact W1 between the rows ``p[ia[e]]`` and ``q[ib[e]]`` of each pair
-    ``e`` on ``dist[g[e]]`` (see `_w1_block`), ``PAIR_BLOCK`` pairs per
-    `_w1_block` call."""
-    return np.concatenate([_w1_block(p[ia[s:s + PAIR_BLOCK]], q[ib[s:s + PAIR_BLOCK]], dist,
-                                     planes, g[s:s + PAIR_BLOCK])
-                           for s in range(0, len(ia), PAIR_BLOCK)])
+    return float(_w1_rows(rows, hop.matrix[None], np.array([0]), np.array([1]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +513,17 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
     if isolated.size:
         raise DataError(f"node {graph.nodes[isolated[0]]!r} is isolated; its measure is undefined")
 
-    kappa = _curvatures(adj, w, hop, mode, weighting)
+    kappa = _curvatures(adj, w, hop.matrix, mode, weighting)
     pairs = graph.edges if mode == "edges" else tuple(combinations(graph.nodes, 2))
     return CurvatureReport(per_pair=dict(zip(pairs, kappa.tolist())),
                            average=float(np.mean(kappa)), mode=mode)
 
 
-def _curvatures(adj: np.ndarray, w: np.ndarray, hop: HopDistanceMatrix, mode: str,
+def _curvatures(adj: np.ndarray, w: np.ndarray, hop: np.ndarray, mode: str,
                 weighting: str) -> np.ndarray:
     """kappa = 1 - W1 / d of each edge (``pairs`` mode: node pair) of the
-    graph with boolean adjacency ``adj`` and weights ``w`` (0 off the
-    edges), in canonical order; every node needs a neighbour."""
+    graph with boolean adjacency ``adj``, weights ``w`` (0 off the edges)
+    and hop matrix ``hop``, in canonical order; every node needs a
+    neighbour."""
     ia, ib = np.nonzero(np.triu(adj, 1)) if mode == "edges" else np.triu_indices(len(adj), 1)
-    p = _measure_rows(adj, w, weighting)
-    return 1.0 - _w1_rows(p, p, hop.matrix[None], hop.code_planes, ia, ib,
-                          np.zeros(len(ia), np.intp)) / hop.matrix[ia, ib]
+    return 1.0 - _w1_rows(_measure_rows(adj, w, weighting), hop[None], ia, ib) / hop[ia, ib]

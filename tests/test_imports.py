@@ -73,3 +73,47 @@ def test_detector_flags_a_dead_private_name():
 
 def test_package_has_no_dead_private_names():
     assert _dead_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+#: The exact W1 engine's block routine and pooling keys: every caller goes
+#: through `transport._w1_rows`.
+ENGINE_NAMES = ("_w1_block", "_code_planes", "_packed")
+
+
+def _engine_names_outside(sources: dict, home: str = "transport") -> list:
+    """``module:name`` for each `ENGINE_NAMES` entry that a module of
+    ``sources`` (name -> source) other than ``home`` defines, imports or
+    reads."""
+    found = set()
+    for module, source in sources.items():
+        if module == home:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update(f"{module}:{name}" for name in names if name in ENGINE_NAMES)
+    return sorted(found)
+
+
+def test_detector_flags_engine_names_outside_transport():
+    sources = {
+        "transport": "def _w1_block():\n    return _packed(_code_planes())\n",
+        "bounds": "from .transport import _w1_block as solve, _w1_rows\n",
+        "graphs": "def _code_planes(stack):\n    return stack\n",
+        "subsample": "from . import transport\nkeys = transport._packed\n",
+        "indicator": "def _curvatures():\n    return _w1_rows()\n",
+    }
+    assert _engine_names_outside(sources) == ["bounds:_w1_block", "graphs:_code_planes",
+                                              "subsample:_packed"]
+
+
+def test_engine_names_live_only_in_transport():
+    assert _engine_names_outside({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -12,6 +12,7 @@ from ricci_fragility.ingestion import (
     screen_entities,
     write_price_csv,
 )
+from ricci_fragility.synthetic import regime_switch
 
 
 def make_panel(dates, tickers, values):
@@ -276,6 +277,15 @@ class TestScreening:
             screen_entities(self.panel(), start="2021-01-01", end="2021-02-01")
         with pytest.raises(ConfigError, match="selects no rows"):
             screen_entities(self.panel(), start="2020-01-05", end="2020-01-02")
+
+    # Dates compare as strings: "2000-1-10" sorts after every "2000-0x-"
+    # date, so it would keep the rows through September, not eight.
+    @pytest.mark.parametrize("bound", ["start", "end"])
+    @pytest.mark.parametrize("day", ["2000-1-10", "20000110", "2000-01-32", "10/01/2000"])
+    def test_rejects_a_date_not_in_iso_form(self, bound, day):
+        with pytest.raises(ConfigError, match="bad date"):
+            screen_entities(regime_switch(), **{bound: day})
+        assert screen_entities(regime_switch(), end="2000-01-10")[0].n_dates == 8
 
     def test_bad_min_coverage(self):
         with pytest.raises(ConfigError):

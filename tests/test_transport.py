@@ -23,7 +23,6 @@ from ricci_fragility.errors import (
 from ricci_fragility.graphs import (
     HopDistanceMatrix,
     MarketGraph,
-    _code_planes,
     _dense,
     _hops,
     hop_distances,
@@ -719,7 +718,7 @@ def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, we
     kappa = []
     for block in (64, 7, 1):
         monkeypatch.setattr(transport, "PAIR_BLOCK", block)
-        kappa.append(transport._curvatures(adj, w, hop, "edges", weighting).tolist())
+        kappa.append(transport._curvatures(adj, w, hop.matrix, "edges", weighting).tolist())
     assert kappa[0] == kappa[1] == kappa[2]
 
 
@@ -804,8 +803,8 @@ def test_block_orients_pairs_of_every_shape(monkeypatch):
     closed_form = transport._integer_duals
     monkeypatch.setattr(transport, "_integer_duals",
                         lambda *padded: calls.append(padded) or closed_form(*padded))
-    block = transport._w1_block(rows[0], rows[1], hop.matrix[None], hop.code_planes,
-                                np.zeros(len(pairs), np.intp))
+    block = transport._w1_rows(rows.reshape(-1, 10), hop.matrix[None], np.arange(5),
+                               5 + np.arange(5))
     assert len(calls) == 1
     gaps, rcaps, ccaps, cols = calls[0]
     assert [((r > 0).sum(), (c > 0).sum()) for r, c in zip(rcaps, ccaps)] == [(3, 2), (3, 2),
@@ -834,15 +833,15 @@ def test_one_sided_residual_moves_nothing(monkeypatch):
         for side, mu in enumerate(pair):
             rows[side, e, list(mu.support)] = mu.masses
     monkeypatch.setattr(transport, "_integer_duals", lambda *args: pytest.fail("integer dual"))
-    assert transport._w1_block(rows[0], rows[1], h.matrix[None], h.code_planes,
-                               np.zeros(3, np.intp)).tolist() == [1.0, 0.0, 0.0]
+    assert transport._w1_rows(rows.reshape(-1, 5), h.matrix[None], np.arange(3),
+                              3 + np.arange(3)).tolist() == [1.0, 0.0, 0.0]
     assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
 
 
 def _alone(pa, pb, dist):
     """W1 of each pair of rows on the one matrix ``dist``, one block each."""
-    return [transport._w1_block(pa[e:e + 1], pb[e:e + 1], dist[None], _code_planes(dist[None]),
-                                np.zeros(1, np.intp))[0] for e in range(len(pa))]
+    return [transport._w1_rows(np.stack((pa[e], pb[e])), dist[None], np.array([0]),
+                               np.array([1]))[0] for e in range(len(pa))]
 
 
 def _stack(graphs, weighting):
@@ -881,8 +880,7 @@ def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting):
     monkeypatch.setattr(transport, "_integer_duals",
                         lambda *padded: duals.append(len(padded[0])) or closed_form(*padded))
     flat = rows.reshape(-1, size)
-    stacked = transport._w1_rows(flat, flat, dist, _code_planes(dist), g * size + a,
-                                 g * size + b, g)
+    stacked = transport._w1_rows(flat, dist, g * size + a, g * size + b)
     assert len(g) > 3 * transport.PAIR_BLOCK and sum(duals) > 0
     assert len(duals) <= -(-len(g) // transport.PAIR_BLOCK)
     for k, (adj, _) in enumerate(graphs):
@@ -902,16 +900,39 @@ def test_stack_with_a_disconnected_graph_raises_only_across_components():
     cycle[[0, 1, 2, 0], [1, 2, 3, 3]] = True
     graphs = [(m | m.T, (m | m.T).astype(float)) for m in (path, cycle)]
     dist, rows = _stack(graphs, "uniform")
-    flat, planes = rows.reshape(-1, 5), _code_planes(dist)
+    flat = rows.reshape(-1, 5)
     g, a, b = np.array([0, 0, 1, 1]), np.array([0, 3, 1, 0]), np.array([1, 4, 2, 2])
-    got = transport._w1_rows(flat, flat, dist, planes, 5 * g + a, 5 * g + b, g)
+    got = transport._w1_rows(flat, dist, 5 * g + a, 5 * g + b)
     for k, (adj, _) in enumerate(graphs):
         n, on = len(adj), g == k
         assert got[on].tolist() == _alone(rows[k, a[on], :n], rows[k, b[on], :n],
                                           dist[k, :n, :n])
     with pytest.raises(InfiniteDistanceError):
-        transport._w1_rows(flat, flat, dist, planes, np.array([1, 5 + 1]), np.array([3, 5 + 2]),
-                           np.array([0, 1]))
+        transport._w1_rows(flat, dist, np.array([1, 5 + 1]), np.array([3, 5 + 2]))
+
+
+# The stack holds the path 0-...-5, the 5-cycle and the 4-star, each pair
+# with its first row in graph k's rows and its second in graph k + 1's,
+# as the `bounds` shift pairs are. A pair is solved on graph k alone: it
+# equals the pair solved on its own on dist[k], and not on dist[k + 1].
+def test_pair_is_solved_on_the_graph_of_its_first_row():
+    def undirected(n, edges):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[tuple(zip(*edges))] = True
+        return adj | adj.T
+
+    graphs = [undirected(6, [(i, i + 1) for i in range(5)]),
+              undirected(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+              undirected(4, [(0, 1), (0, 2), (0, 3)])]
+    dist, rows = _stack([(adj, adj.astype(float)) for adj in graphs], "uniform")
+    k, a, b = (np.array(v) for v in zip((0, 0, 0), (1, 1, 1), (0, 0, 3), (1, 2, 0), (0, 1, 3),
+                                        (0, 3, 1), (1, 2, 3), (0, 5, 1), (1, 4, 2), (0, 5, 4)))
+    got = transport._w1_rows(rows.reshape(-1, 6), dist, 6 * k + a, 6 * (k + 1) + b)
+    for e in range(len(k)):
+        pa, pb = rows[k[e], a[e]], rows[k[e] + 1, b[e]]
+        n, m = len(graphs[k[e]]), len(graphs[k[e] + 1])
+        assert got[e] == _alone(pa[None, :n], pb[None, :n], dist[k[e], :n, :n])[0]
+        assert got[e] != _alone(pa[None, :m], pb[None, :m], dist[k[e] + 1, :m, :m])[0]
 
 
 def test_block_path_raises_on_infinite_support_distance():
