@@ -220,6 +220,8 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
     required. Raises ``DataError`` if no usable graph turns up in 1000
     draws.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_low < 3 or n_low > n_high:
         raise ConfigError(f"need 3 <= n_low <= n_high, got n_low={n_low}, n_high={n_high}")
     if not (np.isfinite(weight_low) and np.isfinite(weight_high)
@@ -360,6 +362,8 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
     reports, group, pending = [], [], 0

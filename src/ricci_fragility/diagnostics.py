@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .indicator import IndicatorSeries, WindowConfig, indicator_series
+from .indicator import IndicatorSeries, WindowConfig, _sweep_label, indicator_series
 from .ingestion import PriceMatrix
 
 
@@ -101,6 +101,19 @@ def write_acf_csv(result: AcfResult, path) -> None:
             fh.write(f"{k},{a!r},{result.band!r}\n")
 
 
+def _sweep_configs(base_config: WindowConfig, parameter: str, values: list) -> dict:
+    """Each grid value's `WindowConfig`, keyed by value in grid order, all
+    built before any series runs. Values that share a key or a column
+    label (`_sweep_label`) are duplicates."""
+    if not values:
+        raise ConfigError(f"{parameter} grid must be nonempty")
+    configs = {v: replace(base_config, **{parameter: v}) for v in values}
+    labels = [_sweep_label(parameter, v) for v in values]
+    if len(configs) < len(values) or len(set(labels)) < len(values):
+        raise ConfigError(f"duplicate {parameter} values in sweep: {', '.join(labels)}")
+    return configs
+
+
 def xi_sweep(prices: PriceMatrix, base_config: WindowConfig, xi_values,
              jobs: int = 1) -> dict:
     """One indicator series per threshold, everything else fixed.
@@ -108,19 +121,8 @@ def xi_sweep(prices: PriceMatrix, base_config: WindowConfig, xi_values,
     All series share the same window grid, so their date vectors are
     identical and the result can be written as one aligned table.
     """
-    xi_values = list(xi_values)
-    if not xi_values:
-        raise ConfigError("xi_values must be nonempty")
-    for xi in xi_values:
-        if not -1.0 <= float(xi) <= 1.0:
-            raise ConfigError(f"threshold xi={xi} outside [-1, 1]")
-    if len(set(float(x) for x in xi_values)) != len(xi_values):
-        raise ConfigError("duplicate xi values in sweep")
-    return {
-        float(xi): indicator_series(prices, replace(base_config, xi=float(xi)),
-                                    jobs=jobs)
-        for xi in xi_values
-    }
+    configs = _sweep_configs(base_config, "xi", [float(xi) for xi in xi_values])
+    return {xi: indicator_series(prices, config, jobs=jobs) for xi, config in configs.items()}
 
 
 def t_sweep(prices: PriceMatrix, base_config: WindowConfig, t_values,
@@ -131,22 +133,16 @@ def t_sweep(prices: PriceMatrix, base_config: WindowConfig, t_values,
     dates the longest window can reach; gap notes for truncated dates
     are dropped with them.
     """
-    t_values = list(t_values)
-    if not t_values:
-        raise ConfigError("t_values must be nonempty")
-    for T in t_values:
-        if not isinstance(T, int) or T < 3:
-            raise ConfigError(f"window length T={T!r} must be an integer >= 3")
+    configs = _sweep_configs(base_config, "T", list(t_values))
+    for T in configs:
         if T + 1 > prices.n_dates:
             raise ConfigError(
                 f"T={T} needs at least {T + 1} rows; panel has {prices.n_dates}")
-    if len(set(t_values)) != len(t_values):
-        raise ConfigError("duplicate T values in sweep")
 
-    cutoff = prices.dates[max(t_values) - 1]
+    cutoff = prices.dates[max(configs) - 1]
     out = {}
-    for T in t_values:
-        series = indicator_series(prices, replace(base_config, T=T), jobs=jobs)
+    for T, config in configs.items():
+        series = indicator_series(prices, config, jobs=jobs)
         offset = series.dates.index(cutoff)
         out[T] = IndicatorSeries(
             dates=series.dates[offset:],

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientOverlapError
 from .graphs import MarketGraph, _from_edge_mask, _hops, _prim
-from .graphs import build_complete_graph
 from .ingestion import PriceMatrix
 from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures
 
@@ -236,13 +235,6 @@ def distance_from_correlation(rho: np.ndarray, transform: DistanceTransform) -> 
     return transform.apply(np.clip(rho, -1.0, 1.0))
 
 
-def complete_window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
-    """Complete correlation-distance graph K_n of one window."""
-    rho, _ = correlation_matrix(window, config.input_mode)
-    dist = distance_from_correlation(rho, config.transform)
-    return build_complete_graph(dist, rho, nodes=window.tickers)
-
-
 def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
     """Filtered correlation network for one window: MST + high-rho edges."""
     rho, dist, adj = _window_arrays(window, config)
@@ -368,6 +360,11 @@ def write_series_json(series: IndicatorSeries, path) -> None:
         fh.write("\n")
 
 
+def _sweep_label(parameter: str, value) -> str:
+    """Column label of one sweep value in `write_sweep_csv`."""
+    return f"{parameter}={value:g}"
+
+
 def write_sweep_csv(series_by_value: dict, path, parameter: str) -> None:
     """Column-aligned sweep table: ``date`` plus one column per value."""
     items = list(series_by_value.items())
@@ -378,7 +375,7 @@ def write_sweep_csv(series_by_value: dict, path, parameter: str) -> None:
         if s.dates != dates:
             raise DataError("sweep series are not column-aligned")
     with open(path, "w", newline="") as fh:
-        fh.write("date," + ",".join(f"{parameter}={v:g}" for v, _ in items) + "\n")
+        fh.write("date," + ",".join(_sweep_label(parameter, v) for v, _ in items) + "\n")
         for i, d in enumerate(dates):
             cells = [d]
             for _, s in items:

@@ -14,7 +14,8 @@ costs nothing and one distinct distance has a closed form. The block's
 pairs with more are scored together by the integral dual of the
 max-weight transport (`_integer_duals`: level-bit codes, a row-wise
 OR-closure and bit-test scoring), and each pair where it declines is
-solved alone as one pooled HiGHS LP (`_solve_lp`). A pair's value does
+solved alone as one pooled HiGHS LP with dense constraints (`_solve_lp`,
+the package's only SciPy call, imported there). A pair's value does
 not depend on the block or the padded stack it is solved in. Every route
 returns the exact optimum up to float rounding of sums, which keeps
 closed-form comparisons tight at 1e-12.
@@ -33,8 +34,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .errors import (
     ConfigError,
@@ -156,15 +155,15 @@ def _measure_rows(adj: np.ndarray, w: np.ndarray, weighting: str) -> np.ndarray:
 def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Optimal shipment matrix of one transportation LP, by HiGHS.
 
-    The constraint matrix is assembled directly in CSR form: row i sums
-    source i's shipments, row m + j sums sink j's. Costs are divided by
-    the largest, which keeps the optimal plan and any metric in range.
+    SciPy is imported here, as the LP is the package's only use of it and
+    is rarely reached. The equality constraints are a dense matrix: row i
+    sums source i's shipments, row m + j sums sink j's. Costs are divided
+    by the largest, which keeps the optimal plan and any metric in range.
     """
+    from scipy.optimize import linprog
+
     m, k = dist.shape
-    cells = np.arange(m * k).reshape(m, k)
-    indptr = np.concatenate((np.arange(0, m * k, k), np.arange(m * k, 2 * m * k + 1, m)))
-    a_eq = csr_matrix((np.ones(2 * m * k), np.concatenate((cells.ravel(), cells.T.ravel())),
-                       indptr), shape=(m + k, m * k))
+    a_eq = np.concatenate((np.repeat(np.eye(m), k, axis=1), np.tile(np.eye(k), m)))
     # Equality constraints need matching totals; the inputs agree to
     # ~1e-12, so rescale the columns onto the row total.
     b_eq = np.concatenate((row_caps, col_caps * (float(row_caps.sum()) / float(col_caps.sum()))))

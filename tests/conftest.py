@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeResult
 
 from ricci_fragility import transport
@@ -31,5 +32,5 @@ def failing_lp(monkeypatch):
         calls.append(1)
         return OptimizeResult(status=4, message="simulated numerical difficulties", x=None)
 
-    monkeypatch.setattr(transport, "linprog", linprog)
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     return calls

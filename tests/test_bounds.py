@@ -360,6 +360,13 @@ class TestSuite:
         with pytest.raises(ConfigError):
             run_bounds_suite(trials=5, weighting="nope")
 
+    def test_rejects_negative_seed_before_drawing(self, monkeypatch):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            random_instance(-1)
+        monkeypatch.setattr(bounds, "random_instance", lambda seed: pytest.fail("drew an instance"))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            run_bounds_suite(trials=3, seed=-1)
+
 
 class TestRandomInstance:
     @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 6), (0, 4), (5, 4)])

@@ -182,6 +182,14 @@ class TestSweep:
                      "--grid", ",", "--output", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
 
+    def test_values_with_one_column_label_are_rejected(self, panel_csv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--input", panel_csv, "--T", "10", "--sweep", "xi",
+                     "--grid", "0.85,0.8500001", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "xi=0.85, xi=0.85" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_value(self, panel_csv, tmp_path):
         code = main(["sweep", "--input", panel_csv, "--sweep", "T",
                      "--grid", "5,abc", "--output", str(tmp_path / "s.csv")])
@@ -237,6 +245,13 @@ class TestBounds:
         code = main(["bounds", "--trials", "5",
                      "--output", str(tmp_path / "b.csv")])
         assert code == EXIT_CONFIG
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        code = main(["bounds", "--trials", "3", "--seed", "-1", "--output", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_is_data_error(self, tmp_path, failing_lp, capsys):
         code = main(["bounds", "--trials", "20", "--seed", "3",

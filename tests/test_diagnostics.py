@@ -6,6 +6,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from ricci_fragility import diagnostics
 from ricci_fragility.diagnostics import (
     AcfResult,
     autocorrelation,
@@ -144,6 +145,15 @@ class TestXiSweep:
             xi_sweep(panel, base, [0.5, 1.5])
         with pytest.raises(ConfigError):
             xi_sweep(panel, base, [0.5, 0.5])
+
+    # Values are duplicates when their sweep columns would share a key or
+    # a header label; every grid value is checked before any series runs.
+    @pytest.mark.parametrize("grid", [[0.85, 0.8500001], [0.0, -0.0], [0.5, 1.5]])
+    def test_grid_is_checked_before_any_series(self, monkeypatch, grid):
+        monkeypatch.setattr(diagnostics, "indicator_series",
+                            lambda *args, **kwargs: pytest.fail("a series ran"))
+        with pytest.raises(ConfigError):
+            xi_sweep(iid(n_assets=4, n_dates=30, seed=1), WindowConfig(T=10), grid)
 
 
 class TestTSweep:

@@ -1,8 +1,12 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 private module-level function or constant is used somewhere in the
-package."""
+package, and SciPy is loaded only when a transport LP runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,3 +121,65 @@ def test_detector_flags_engine_names_outside_transport():
 
 def test_engine_names_live_only_in_transport():
     assert _engine_names_outside({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _module_level_scipy_imports(source: str) -> list:
+    """Line numbers of the ``import scipy...`` and ``from scipy... import``
+    statements of ``source`` that run on import: those outside any
+    function body."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_detector_flags_module_level_scipy_imports():
+    source = ("import numpy as np\nimport scipy.sparse\nfrom scipy.optimize import linprog\n"
+              "if np:\n    import scipy as sp\nclass A:\n    from scipy import stats\n"
+              "def f():\n    from scipy.optimize import linprog\n    return linprog\n"
+              "import scipyx\nfrom . import scipy\n")
+    assert _module_level_scipy_imports(source) == [2, 3, 5, 7]
+
+
+# SciPy serves only the rare transport LP, so importing the package or
+# running the common paths must not pay for loading it.
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_imports_no_scipy_at_module_level(path):
+    assert _module_level_scipy_imports(path.read_text()) == []
+
+
+RUNS_WITHOUT_SCIPY = """
+import json, sys
+from ricci_fragility import WindowConfig, indicator_series, regime_switch, run_bounds_suite
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+indicator_series(regime_switch().window(260, 410), WindowConfig())
+loaded["indicator_series"] = scipy_modules()
+run_bounds_suite(trials=20)
+loaded["run_bounds_suite"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_package_runs_without_loading_scipy():
+    # A fresh interpreter: this pytest process has SciPy loaded already.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE[0].parents[1]), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(run.stdout) == {"import": [], "indicator_series": [],
+                                      "run_bounds_suite": []}

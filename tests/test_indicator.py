@@ -16,6 +16,7 @@ from ricci_fragility.errors import (
 )
 from ricci_fragility.graphs import (
     MarketGraph,
+    _prim,
     augment_high_value_edges,
     build_complete_graph,
     minimum_spanning_tree,
@@ -215,6 +216,27 @@ class TestDistanceFromCorrelation:
             distance_from_correlation(np.array([[0.5, 0.3], [0.3, 1.0]]), t)
 
 
+def kruskal_tree(dist):
+    """Minimum spanning tree of the complete graph on ``dist`` as a set of
+    ``(i, j)`` pairs, ``i < j``: Kruskal over the pairs sorted by
+    ``(dist[i, j], i, j)``, with union-find."""
+    parent = list(range(len(dist)))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    tree = set()
+    for _, i, j in sorted((dist[i, j], i, j) for i, j in zip(*np.triu_indices(len(dist), 1))):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            tree.add((i, j))
+    return tree
+
+
 class TestWindowGraph:
     def test_structure_bounds(self):
         panel = iid(n_assets=6, n_dates=40, seed=11)
@@ -253,6 +275,36 @@ class TestWindowGraph:
                 assert g.edges == expected.edges, (k, xi)
                 assert g.weights == expected.weights, (k, xi)
                 assert g.correlations == expected.correlations, (k, xi)
+
+    # The total order (w, i, j) makes the spanning tree unique, so a plain
+    # Kruskal over it checks `_prim`'s tie-break with no shared code.
+    @pytest.mark.parametrize("corpus", [regime_switch, iid, comoving],
+                             ids=lambda f: f.__name__)
+    def test_equals_kruskal_reference(self, corpus):
+        panel = corpus()
+        T = WindowConfig().T
+        for k in range(0, panel.n_dates - T + 1, 7):
+            window = panel.window(k, k + T)
+            rho, _ = correlation_matrix(window)
+            dist = distance_from_correlation(rho, DistanceTransform())
+            tree = kruskal_tree(dist)
+            for xi in (0.75, 0.8, 0.85, 0.9):
+                pairs = sorted(tree | {(i, j) for i, j in zip(*np.triu_indices(len(rho), 1))
+                                       if rho[i, j] >= xi})
+                edges = tuple((window.tickers[i], window.tickers[j]) for i, j in pairs)
+                g = window_graph(window, WindowConfig(xi=xi))
+                assert g.edges == edges, (k, xi)
+                assert g.weights == {e: float(dist[p]) for e, p in zip(edges, pairs)}, (k, xi)
+                assert g.correlations == {e: float(rho[p]) for e, p in zip(edges, pairs)}, (k, xi)
+
+    # Windows rarely tie, and comoving's graph is complete at every xi, so
+    # the tie-break is checked on small integer distances.
+    def test_prim_tie_break_equals_kruskal_reference(self):
+        rng = np.random.default_rng(0)
+        for n in (4, 7, 12):
+            for _ in range(20):
+                w = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
+                assert set(_prim(w + w.T)) == kruskal_tree(w + w.T)
 
     def test_builds_one_market_graph(self, monkeypatch):
         built = []

@@ -13,7 +13,6 @@ from ricci_fragility.errors import ConfigError, GraphError
 from ricci_fragility.graphs import MarketGraph, _dense, build_complete_graph, induced_subgraph
 from ricci_fragility.indicator import (
     WindowConfig,
-    complete_window_graph,
     correlation_matrix,
     distance_from_correlation,
 )
@@ -262,7 +261,10 @@ class TestSearchQuality:
         # Subsets recorded from the search before its candidate walk was
         # filtered; m=10 with 20 restarts takes several scans per start.
         config = WindowConfig()
-        g = complete_window_graph(regime_switch().window(k, k + config.T), config)
+        window = regime_switch().window(k, k + config.T)
+        rho, _ = correlation_matrix(window, config.input_mode)
+        g = build_complete_graph(distance_from_correlation(rho, config.transform), rho,
+                                 nodes=window.tickers)
         nodes, _ = extremal_subgraph(g, SubsampleConfig(m=10, objective=objective))
         assert nodes == tuple(f"A{i:03d}" for i in expected)
 
@@ -365,8 +367,10 @@ class TestCliqueScorer:
         window = regime_panel.window(k, k + config.T)
         sub_config = SubsampleConfig(m=6, objective=objective, seed=k, restarts=2)
         value, subset = _window_extremum(window, config, sub_config)
-        nodes, report = extremal_subgraph(complete_window_graph(window, config), sub_config,
-                                          mode, weighting)
+        rho, _ = correlation_matrix(window, config.input_mode)
+        g = build_complete_graph(distance_from_correlation(rho, config.transform), rho,
+                                 nodes=window.tickers)
+        nodes, report = extremal_subgraph(g, sub_config, mode, weighting)
         assert subset == nodes
         assert value == pytest.approx(report.average, abs=1e-12)
 
