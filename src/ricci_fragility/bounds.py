@@ -274,7 +274,7 @@ def _group_w1(group, weighting: str) -> list:
     They come from one `_w1_rows` call over the stack of the group's hop
     matrices, each instance's d then d*, zero-padded to the largest; a
     shift pair's first row is a row of d. A pair's value is the one it has
-    alone (see `_w1_block`).
+    alone (see `_w1_rows`).
     """
     size = max(instance.graph.n for instance, _ in group)
     dist = np.zeros((2 * len(group), size, size))

@@ -6,19 +6,21 @@ The W1 solver is exact, not approximate. Its one entry point
 two rows per pair, solved on the graph of its first row: a window's
 pairs or one pair on a stack of one, or the pairs of a group of `bounds`
 instances on their zero-padded hop matrices. It builds the pooling keys
-once and hands blocks of pairs to `_w1_block`, which fixes shared mass
-in place, since it never moves under a metric cost, sums each pair's
-moved mass left to right, pools interchangeable residual atoms and reads
-their distances into padded arrays for the whole block. No residual
-costs nothing and one distinct distance has a closed form. The block's
-pairs with more are scored together by the integral dual of the
-max-weight transport (`_integer_duals`: level-bit codes, a row-wise
-OR-closure and bit-test scoring), and each pair where it declines is
-solved alone as one pooled HiGHS LP with dense constraints (`_solve_lp`,
-the package's only SciPy call, imported there). A pair's value does
-not depend on the block or the padded stack it is solved in. Every route
-returns the exact optimum up to float rounding of sums, which keeps
-closed-form comparisons tight at 1e-12.
+once and hands blocks of pairs to `_w1_block`, the front end, which fixes
+shared mass in place, since it never moves under a metric cost, sums each
+pair's moved mass left to right, pools interchangeable residual atoms and
+reads their distances for the whole block. No residual costs nothing and
+one distinct distance has a closed form. Pairs with more come back as
+lists of pooled atoms, larger side as rows, and `_w1_rows` scores all of
+the call's such pairs in chunks of `PAIR_BLOCK`, sorted by level bits and
+each padded to its largest pair, by the integral dual of the max-weight
+transport (`_integer_duals`: level-bit codes, a row-wise OR-closure and
+bit-test scoring). Each pair where it declines is solved alone as one
+pooled HiGHS LP with dense constraints (`_solve_lp`, the package's only
+SciPy call, imported there). A pair's value does not depend on the
+block, chunk, padded stack or call it is solved in. Every route returns
+the exact optimum up to float rounding of sums, which keeps closed-form
+comparisons tight at 1e-12.
 
 Curvature runs on a graph's dense arrays (`_curvatures`), with every
 node's neighbour measure as one row of a matrix (`_measure_rows`).
@@ -60,8 +62,8 @@ _UNION_CAP = 256
 #: larger sets of rows are split in halves.
 _DUAL_CELLS = 1 << 17
 
-#: Pairs per `_w1_block` call in `_w1_rows`; bounds its work arrays,
-#: the padded `_integer_duals` inputs among them.
+#: Pairs per `_w1_block` call and per `_integer_duals` chunk in
+#: `_w1_rows`; bounds their padded work arrays.
 PAIR_BLOCK = 64
 
 
@@ -205,7 +207,8 @@ def _integer_duals(gaps, rcaps, ccaps, cols) -> np.ndarray:
     Inputs are padded, ``(E, M, K)``, ``(E, M)`` and ``(E, K)``: a pair's
     ``w`` (nonnegative, with a positive entry) and positive caps fill the
     top left, and zero gaps and caps the rest, so its bits and declines are
-    its own. `_w1_block` orients the pairs, its larger side as rows.
+    its own. `_w1_block` orients the pairs, its larger side as rows, and
+    `_w1_rows` pads them.
     """
     out = np.full(len(gaps), np.nan)
     w = gaps.reshape(len(gaps), -1)
@@ -305,17 +308,55 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
     """Exact W1 between ``rows[ia[e]]`` and ``rows[ib[e]]`` on ``dist[ia[e] // n]``
     for each pair ``e``; ``rows`` holds ``n`` measure rows per graph of the
     ``(G, n, n)`` stack ``dist``, in stack order, zero past each graph's
-    nodes. Builds the stack's `_code_planes` once and solves ``PAIR_BLOCK``
-    pairs per `_w1_block` call."""
-    planes, g = _code_planes(dist), ia // dist.shape[1]
-    return np.concatenate([_w1_block(rows[ia[s:s + PAIR_BLOCK]], rows[ib[s:s + PAIR_BLOCK]],
-                                     dist, planes, g[s:s + PAIR_BLOCK])
-                           for s in range(0, len(ia), PAIR_BLOCK)])
+    nodes; raises `InfiniteDistanceError` where a pair's supports span two
+    components of its graph. Builds the stack's `_code_planes` once and
+    runs `_w1_block` on ``PAIR_BLOCK`` pairs at a time. The pairs it hands
+    back, with two or more residual distances, are scored in one pass over
+    the call: stably sorted by (largest gap times columns, which is their
+    level bits before the gcd, rows), cut into chunks of ``PAIR_BLOCK``,
+    each padded to its largest pair, and charged ``vmax * moved -
+    _integer_duals(vmax - dist)``. Each pair the dual declines is solved
+    alone as one LP.
+    """
+    if not len(ia):
+        return np.zeros(0)
+    g = ia // dist.shape[1]
+    for k in np.flatnonzero(~np.isfinite(dist).all(axis=(1, 2))).tolist():
+        on = g == k
+        if ((rows[ia[on]] > 0) @ ~np.isfinite(dist[k]) & (rows[ib[on]] > 0)).any():
+            raise InfiniteDistanceError("supports span disconnected components")
+    planes = _code_planes(dist)
+    parts, base = [], 0
+    for s in range(0, len(ia), PAIR_BLOCK):
+        block = slice(s, s + PAIR_BLOCK)
+        cost, pair, offset, caps, rfirst, cfirst, *rest = _w1_block(
+            rows[ia[block]], rows[ib[block]], dist, planes, g[block])
+        parts.append((cost, pair + s, offset, caps, rfirst + base, cfirst + base, *rest))
+        base += offset.size
+    cost, pair, offset, caps, rfirst, cfirst, v, m, k, flip, key = (
+        parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+    del parts  # the blocks' pieces, copied above
+    order = np.lexsort((m, key))
+    for s in range(0, order.size, PAIR_BLOCK):
+        c = order[s:s + PAIR_BLOCK]
+        (ri, rmask), (ci, cmask) = _runs(rfirst[c], m[c]), _runs(cfirst[c], k[c])
+        w = dist.ravel()[offset[ri][:, :, None] + offset[ci][:, None, :]]
+        gaps = np.where(rmask[:, :, None] & cmask[:, None, :], v[c, None, None] - w, 0.0)
+        rcaps, ccaps = caps[ri] * rmask, caps[ci] * cmask
+        dual = _integer_duals(gaps, rcaps, ccaps, k[c])
+        cost[pair[c]] -= dual
+        for i in np.flatnonzero(np.isnan(dual)).tolist():
+            e = c[i]
+            r, q, d = rcaps[i, :m[e]], ccaps[i, :k[e]], w[i, :m[e], :k[e]]
+            r, q, d = (q, r, d.T) if flip[e] else (r, q, d)
+            cost[pair[e]] = np.dot(d.ravel(), _solve_lp(r, q, d).ravel())
+    return cost
 
 
 def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarray,
-              g: np.ndarray) -> np.ndarray:
-    """Exact W1 between the rows ``pa[e]`` and ``pb[e]`` of each pair on ``dist[g[e]]``.
+              g: np.ndarray) -> tuple:
+    """The front end of `_w1_rows` for the rows ``pa[e]`` and ``pb[e]`` of
+    each pair on ``dist[g[e]]``.
 
     ``planes`` are the stack's `_code_planes`. Shared mass is peeled off
     for the whole block, and a pair's moved mass is its residual
@@ -324,17 +365,18 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     residual sinks (sources) are pooled into one atom, grouped by one
     lexsort over (side of a pair, ``planes[g[e]]`` masked to its other
     side). One indexed read gathers the pooled distances, padded, each
-    pair's larger side as rows. Pairs with several distinct distances
-    are scored together as ``vmax * moved - _integer_duals(vmax -
-    dist)``; each that declines is solved alone as one LP. Values do
-    not depend on the block or stack while the codes do not (connected
-    hop matrices).
+    pair's larger side as rows. Values do not depend on the block or
+    stack while the codes do not (connected hop matrices).
+
+    Returns each pair's ``vmax * moved``, its W1 when its residual sees at
+    most one distance; the block's pooled atoms as offsets into the flat
+    stack (a source's plus a sink's indexes their distance) and caps; and
+    for the pairs that see more, in order: their indices, the first atom of
+    their rows and of their columns, ``vmax``, the row and column counts,
+    whether the rows are the sinks, and the largest gap times the column
+    count.
     """
     size, n = pa.shape
-    for k in np.flatnonzero(~np.isfinite(dist).all(axis=(1, 2))).tolist():
-        on = g == k
-        if ((pa[on] > 0) @ ~np.isfinite(dist[k]) & (pb[on] > 0)).any():
-            raise InfiniteDistanceError("supports span disconnected components")
     shared = np.minimum(pa, pb)
     # Residual sources of pair e in row e, its residual sinks in row size + e.
     residual = np.concatenate((pa - shared, pb - shared))
@@ -359,28 +401,28 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     counts = np.bincount(gside, minlength=2 * size)
     start = np.cumsum(counts) - counts
     pair = np.flatnonzero(counts[:size] * counts[size:])
-    # Rows are a pair's larger side; padding repeats a side's last atom.
+    # Rows are a pair's larger side.
     flip = counts[pair] < counts[size + pair]
     rs, cs = pair + size * flip, pair + size * ~flip
     m, k = counts[rs], counts[cs]
-    ri, ci = (start[s, None] + np.minimum(np.arange(c.max(initial=0)), c[:, None] - 1)
-              for s, c in ((rs, m), (cs, k)))
+    rfirst, cfirst = start[rs], start[cs]
+    (ri, _), (ci, _) = _runs(rfirst, m), _runs(cfirst, k)
     w = dist.ravel()[offset[ri][:, :, None] + offset[ci][:, None, :]]
     v = w.max(axis=(1, 2), initial=-np.inf)
     cost = np.zeros(size)
     cost[pair] = v * moved[pair]
-    multi = np.flatnonzero(w.min(axis=(1, 2), initial=np.inf) < v)
-    if multi.size:
-        m, k, v, ri, ci, w = m[multi], k[multi], v[multi], ri[multi], ci[multi], w[multi]
-        rows, cols = np.arange(ri.shape[1]) < m[:, None], np.arange(ci.shape[1]) < k[:, None]
-        gaps = np.where(rows[:, :, None] & cols[:, None, :], v[:, None, None] - w, 0.0)
-        dual = _integer_duals(gaps, caps[ri] * rows, caps[ci] * cols, k)
-        cost[pair[multi]] -= dual
-        for e in np.flatnonzero(np.isnan(dual)).tolist():
-            r, c, d = caps[ri[e, :m[e]]], caps[ci[e, :k[e]]], w[e, :m[e], :k[e]]
-            r, c, d = (c, r, d.T) if flip[multi[e]] else (r, c, d)
-            cost[pair[multi[e]]] = np.dot(d.ravel(), _solve_lp(r, c, d).ravel())
-    return cost
+    gap = v - w.min(axis=(1, 2), initial=np.inf)
+    multi = np.flatnonzero(gap > 0.0)
+    return (cost, pair[multi], offset, caps, rfirst[multi], cfirst[multi], v[multi], m[multi],
+            k[multi], flip[multi], gap[multi] * k[multi])
+
+
+def _runs(first: np.ndarray, count: np.ndarray) -> tuple:
+    """Indices ``first[i] + j`` for ``j < count[i]``, padded with ``first[i]``
+    to the largest count, and the mask of the unpadded ones."""
+    span = np.arange(count.max(initial=0))
+    on = span < count[:, None]
+    return first[:, None] + span * on, on
 
 
 def wasserstein1_cost(mu: NodeMeasure, nu: NodeMeasure, hop: HopDistanceMatrix) -> float:

@@ -313,6 +313,45 @@ def test_window_curvature_matches_dense_lp(regime_panel, k, weighting):
         assert per_pair[(a, b)] == pytest.approx(exact, abs=1e-9)
 
 
+def _level_bits(mu, nu, hop):
+    """Level bits ``levels * k`` of a pair's pooled residual, computed
+    apart from the solver: after the shared-mass peel, residual atoms with
+    equal distances to the other side's pool into one, ``k`` is the
+    smaller pooled side and ``levels`` the largest gap ``vmax - d`` over
+    the gaps' gcd; 0 for a residual with fewer than two distances."""
+    a, b = np.zeros(len(hop.nodes)), np.zeros(len(hop.nodes))
+    a[hop.positions(mu.support)], b[hop.positions(nu.support)] = mu.masses, nu.masses
+    shared = np.minimum(a, b)
+    src, snk = np.flatnonzero(a > shared), np.flatnonzero(b > shared)
+    dist = hop.matrix[np.ix_(src, snk)]
+    if np.unique(dist).size < 2:
+        return 0
+    gaps = (dist.max() - dist).astype(np.int64)
+    pooled = min(np.unique(dist, axis=0).shape[0], np.unique(dist, axis=1).shape[1])
+    return int(gaps.max() // np.gcd.reduce(gaps.ravel())) * pooled
+
+
+# The integer dual scores a window's multi-distance pairs in chunks sorted
+# by level bits, so the pairs with the most share the widest chunks. The
+# 20 with the most in a transition and a crisis window match the dense,
+# unpooled LP and the pair solved alone.
+@pytest.mark.parametrize("k", [360, 460])
+def test_widest_dual_pairs_match_dense_lp(regime_panel, k):
+    graph = window_graph(regime_panel.window(k, k + 132), WindowConfig(T=132, xi=0.85))
+    hop = hop_distances(graph)
+    per_pair = average_curvature(graph, hop=hop).per_pair
+    measures = {v: node_measure(graph, v) for v in graph.nodes}
+    bits = [_level_bits(measures[a], measures[b], hop) for a, b in graph.edges]
+    widest = np.argsort(-np.array(bits), kind="stable")[:20]
+    assert min(bits[e] for e in widest) > 0
+    for e in widest.tolist():
+        (a, b), d = graph.edges[e], hop.dist(*graph.edges[e])
+        mu, nu = measures[a], measures[b]
+        assert per_pair[(a, b)] == pytest.approx(1.0 - _dense_lp_w1(mu, nu, hop) / d, abs=1e-9)
+        assert per_pair[(a, b)] == pytest.approx(1.0 - wasserstein1_cost(mu, nu, hop) / d,
+                                                 abs=1e-12)
+
+
 @pytest.mark.parametrize("k", [100, 300, 420])
 def test_window_curvature_within_jost_liu_bounds(regime_panel, k):
     """Uniform weighting, every edge: kappa in [-2, 1] and within the
@@ -720,6 +759,46 @@ def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, we
         monkeypatch.setattr(transport, "PAIR_BLOCK", block)
         kappa.append(transport._curvatures(adj, w, hop.matrix, "edges", weighting).tolist())
     assert kappa[0] == kappa[1] == kappa[2]
+
+
+# The integer dual sorts the multi-distance pairs of a whole call, so the
+# pairs that share a pair's chunk depend on every pair of the call. Its
+# value must not: reordering the pairs or splitting them over two calls
+# changes no value, not even in the last bit.
+@pytest.mark.parametrize("k, weighting, mode", [(420, "edge_weight", "edges"),
+                                                (420, "uniform", "edges"),
+                                                (460, "edge_weight", "edges"),
+                                                (460, "uniform", "edges"),
+                                                (100, "edge_weight", "pairs")])
+def test_pair_values_do_not_depend_on_their_call(monkeypatch, regime_panel, k, weighting, mode):
+    graph = window_graph(regime_panel.window(k, k + 132),
+                         WindowConfig(T=132, xi=0.85, weighting=weighting))
+    (adj, w), hop = _dense(graph), hop_distances(graph).matrix[None]
+    rows = transport._measure_rows(adj, w, weighting)
+    ia, ib = np.nonzero(np.triu(adj, 1)) if mode == "edges" else np.triu_indices(len(adj), 1)
+    duals = []
+    closed_form = transport._integer_duals
+    monkeypatch.setattr(transport, "_integer_duals",
+                        lambda *padded: duals.append(len(padded[0])) or closed_form(*padded))
+    canonical = transport._w1_rows(rows, hop, ia, ib)
+    # One dual pass: full chunks of PAIR_BLOCK pairs, then the rest.
+    assert len(duals) == -(-sum(duals) // transport.PAIR_BLOCK) > 1
+    rng = np.random.default_rng(k)
+    order = rng.permutation(len(ia))
+    permuted = np.empty_like(canonical)
+    permuted[order] = transport._w1_rows(rows, hop, ia[order], ib[order])
+    cut = int(rng.integers(1, len(ia)))
+    split = np.concatenate((transport._w1_rows(rows, hop, ia[:cut], ib[:cut]),
+                            transport._w1_rows(rows, hop, ia[cut:], ib[cut:])))
+    for other in (permuted, split):
+        assert np.array_equal(other.view(np.int64), canonical.view(np.int64))
+
+
+def test_no_pairs_give_no_values():
+    hop = hop_distances(_path_graph(3)).matrix
+    none = np.array([], dtype=int)
+    got = transport._w1_rows(np.eye(3), hop[None], none, none)
+    assert got.dtype == float and got.shape == (0,)
 
 
 # Pairs mode on a calm, tree-like window: the diameter is above 3, so
