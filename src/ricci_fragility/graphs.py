@@ -246,35 +246,41 @@ def minimum_spanning_tree(graph: MarketGraph) -> MarketGraph:
     """
     adj, w = _dense(graph)
     return _edge_subset(graph, [(graph.nodes[i], graph.nodes[j])
-                                for i, j in _prim(np.where(adj, w, np.inf))])
+                                for i, j in _prim(np.where(adj, w, np.inf)[None])[0].tolist()])
 
 
-def _prim(w: np.ndarray):
-    """Prim's tree on a dense symmetric weight matrix (``inf``: no edge),
-    with the ``minimum_spanning_tree`` tie-break: each outside node keeps
-    its lightest tree edge, ties to the smaller tree position, which is
-    its smallest ``(weight, i, j)``. Returns the ``(i, j)`` pairs;
-    ``DisconnectedGraphError`` if ``w`` spans no tree."""
-    n = len(w)
-    best = w[0].copy()
-    best[0] = np.nan  # tree nodes hold NaN, which no comparison selects
-    link = np.zeros(n, dtype=np.intp)
-    pairs = []
-    for _ in range(n - 1):
-        lightest = np.fmin.reduce(best)  # the smallest non-NaN entry
-        if lightest == np.inf:
-            raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
-        cand = np.flatnonzero(best == lightest)
-        key = np.minimum(link[cand], cand) * n + np.maximum(link[cand], cand)
-        pick = key.argmin()
-        pairs.append(divmod(int(key[pick]), n))
-        k = cand[pick]
-        best[k] = np.nan
-        row = w[k]
-        better = (row < best) | ((row == best) & (k < link))
-        best[better] = row[better]
-        link[better] = k
-    return pairs
+def _prim(w: np.ndarray) -> np.ndarray:
+    """Prim's trees of a ``(G, n, n)`` stack of dense symmetric weight
+    matrices (``inf``: no edge), each grown from node 0 with the
+    `minimum_spanning_tree` tie-break: a step takes the frontier edge with
+    the smallest ``(weight, i, j)``, ``i < j``. A stable sort of each upper
+    triangle, which is in ``(i, j)`` order, ranks those triples once, so a
+    step is a few array operations on the whole stack, whatever its size.
+    Returns the ``(G, n - 1, 2)`` pairs ``(i, j)`` in the order taken;
+    ``DisconnectedGraphError`` if some ``w`` spans no tree."""
+    size, n = w.shape[:2]
+    iu, ju = np.triu_indices(n, 1)
+    order = np.argsort(w[:, iu, ju], axis=1, kind="stable")
+    stack = np.arange(size)
+    inverse = np.empty(order.shape, dtype=np.int32)
+    inverse[stack[:, None], order] = np.arange(iu.size)
+    rank = np.full((size, n, n), iu.size, dtype=np.int32)
+    rank[:, iu, ju] = rank[:, ju, iu] = inverse
+    # Each outside node keeps the rank of its best tree edge; tree nodes
+    # hold iu.size, which is past every rank.
+    best = rank[:, 0].copy()
+    outside = best < iu.size
+    taken = np.empty((size, n - 1), dtype=np.intp)
+    for s in range(n - 1):
+        k = best.argmin(axis=1)
+        taken[:, s] = best[stack, k]
+        best[stack, k] = iu.size
+        outside[stack, k] = False
+        np.minimum(best, rank[stack, k], out=best, where=outside)
+    pair = order[stack[:, None], taken]
+    if np.isinf(w[stack[:, None], iu[pair], ju[pair]]).any():
+        raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
+    return np.stack((iu[pair], ju[pair]), axis=-1)
 
 
 def augment_high_value_edges(mst: MarketGraph, base: MarketGraph, xi: float) -> MarketGraph:
@@ -309,17 +315,19 @@ def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
 
 
 def _hops(adj: np.ndarray) -> np.ndarray:
-    """Hop counts of the symmetric boolean adjacency ``adj`` by one frontier
-    BFS from every node at once; ``UNREACHABLE`` where no path exists."""
-    step = adj.astype(float)
-    reach = frontier = np.eye(len(adj), dtype=bool)
+    """Hop counts of the symmetric boolean adjacency ``adj``, ``(n, n)`` or a
+    ``(G, n, n)`` stack, by one frontier BFS from every node of every graph
+    at once, run to the stack's largest diameter; ``UNREACHABLE`` where no
+    path exists."""
+    step = adj.astype(np.float32)  # path counts up to n, exact
+    reach = np.eye(adj.shape[-1], dtype=bool) | np.zeros(adj.shape, dtype=bool)
     hop = np.where(reach, 0.0, UNREACHABLE)
-    d = 0
+    frontier, d = reach, 0
     while frontier.any():
         d += 1
         frontier = ((frontier @ step) > 0) & ~reach
         hop[frontier] = d
-        reach = reach | frontier
+        reach |= frontier
     return hop
 
 

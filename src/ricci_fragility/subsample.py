@@ -42,12 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, GraphError
 from .graphs import MarketGraph, _dense, _hops, induced_subgraph
-from .indicator import (
-    WindowConfig,
-    _rolling_series,
-    correlation_matrix,
-    distance_from_correlation,
-)
+from .indicator import WindowConfig, _rolling_series
 from .ingestion import PriceMatrix
 from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures, _measure_rows, average_curvature
 
@@ -124,7 +119,7 @@ def _subset_average(adj: np.ndarray, w: np.ndarray, subset, mode: str, weighting
     hop = _hops(sub)
     if not np.isfinite(hop).all():
         return float("nan")
-    return float(np.mean(_curvatures(sub, w[block], hop, mode, weighting)))
+    return float(np.mean(_curvatures(sub[None], w[block][None], hop[None], mode, weighting)[0]))
 
 
 def _generic_scorer(adj: np.ndarray, w: np.ndarray, mode: str, weighting: str):
@@ -297,14 +292,17 @@ def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
     return best_subset, best_value
 
 
-def _window_extremum(window: PriceMatrix, config: WindowConfig, sub_config):
-    """`extremal_subgraph` on the window's complete graph, from its arrays."""
-    rho, _ = correlation_matrix(window, config.input_mode)
-    dist = distance_from_correlation(rho, config.transform)
+def _window_extremum(dist: np.ndarray, config: WindowConfig, sub_config) -> tuple:
+    """`extremal_subgraph` on a window's complete graph, from its distances:
+    the value and the chosen node positions."""
     adj = ~np.eye(len(dist), dtype=bool)
     subset = _search(adj, dist, sub_config, config.averaging_mode, config.weighting)
-    value = _subset_average(adj, dist, subset, config.averaging_mode, config.weighting)
-    return value, tuple(window.tickers[p] for p in subset)
+    return _subset_average(adj, dist, subset, config.averaging_mode, config.weighting), subset
+
+
+def _stack_extrema(high: np.ndarray, dist: np.ndarray, config: WindowConfig, sub_config) -> list:
+    """`_window_extremum` of each window of a stack, one at a time."""
+    return [_window_extremum(d, config, sub_config) for d in dist]
 
 
 def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,
@@ -320,5 +318,6 @@ def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,
     if sub_config.m > prices.n_tickers:
         raise ConfigError(
             f"m={sub_config.m} exceeds the number of assets {prices.n_tickers}")
-    return _rolling_series(prices, window_config,
-                           partial(_window_extremum, sub_config=sub_config))
+    series, subsets = _rolling_series(prices, window_config,
+                                      partial(_stack_extrema, sub_config=sub_config))
+    return series, tuple(tuple(prices.tickers[p] for p in s) for s in subsets)

@@ -22,8 +22,9 @@ block, chunk, padded stack or call it is solved in. Every route returns
 the exact optimum up to float rounding of sums, which keeps closed-form
 comparisons tight at 1e-12.
 
-Curvature runs on a graph's dense arrays (`_curvatures`), with every
-node's neighbour measure as one row of a matrix (`_measure_rows`).
+Curvature runs on the dense arrays of a stack of graphs (`_curvatures`),
+with every node's neighbour measure as one row of a matrix
+(`_measure_rows`), in one `_w1_rows` call; one graph is a stack of one.
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -146,7 +147,7 @@ def _measure_rows(adj: np.ndarray, w: np.ndarray, weighting: str) -> np.ndarray:
     if weighting == "uniform":
         return uniform
     total = w.sum(axis=-1, keepdims=True)
-    return np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), uniform)
+    return np.divide(w, total, out=uniform, where=total > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +290,18 @@ def _code_planes(stack: np.ndarray) -> np.ndarray:
     entry's index among the stack's sorted distinct entries as `_packed`
     bit planes, per graph, per row then per column, shape ``(G, 2n,
     levels, words)``. A hop matrix of a connected graph holds 0..D, so
-    each entry's code is its own value in any stack."""
+    each entry's code is its own value in any stack. Up to 256 distinct
+    entries, the codes are shifted as uint8."""
     values = np.unique(stack)
-    codes = np.searchsorted(values, stack)
-    levels = np.arange(max(1, (values.size - 1).bit_length()))
-    return _packed(np.concatenate((codes, codes.transpose(0, 2, 1)), axis=1)[:, :, None, :]
-                   >> levels[:, None] & 1)
+    size, n = stack.shape[:2]
+    # Rows, then columns, zero-padded to whole words as in `_packed`.
+    codes = np.zeros((size, 2 * n, -(-n // 64) * 64), np.uint8 if values.size <= 256 else np.int64)
+    codes[:, :n, :n] = np.searchsorted(values, stack)
+    codes[:, n:, :n] = codes[:, :n, :n].transpose(0, 2, 1)
+    bits = codes[:, :, None, :] >> np.arange(max(1, (values.size - 1).bit_length()),
+                                             dtype=codes.dtype)[:, None]
+    bits &= 1
+    return np.packbits(bits.astype(np.uint8, copy=False), axis=-1).view(np.uint64)
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
@@ -554,17 +561,26 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
     if isolated.size:
         raise DataError(f"node {graph.nodes[isolated[0]]!r} is isolated; its measure is undefined")
 
-    kappa = _curvatures(adj, w, hop.matrix, mode, weighting)
+    kappa = _curvatures(adj[None], w[None], hop.matrix[None], mode, weighting)[0]
     pairs = graph.edges if mode == "edges" else tuple(combinations(graph.nodes, 2))
     return CurvatureReport(per_pair=dict(zip(pairs, kappa.tolist())),
                            average=float(np.mean(kappa)), mode=mode)
 
 
 def _curvatures(adj: np.ndarray, w: np.ndarray, hop: np.ndarray, mode: str,
-                weighting: str) -> np.ndarray:
-    """kappa = 1 - W1 / d of each edge (``pairs`` mode: node pair) of the
-    graph with boolean adjacency ``adj``, weights ``w`` (0 off the edges)
-    and hop matrix ``hop``, in canonical order; every node needs a
-    neighbour."""
-    ia, ib = np.nonzero(np.triu(adj, 1)) if mode == "edges" else np.triu_indices(len(adj), 1)
-    return 1.0 - _w1_rows(_measure_rows(adj, w, weighting), hop[None], ia, ib) / hop[ia, ib]
+                weighting: str) -> list:
+    """kappa = 1 - W1 / d of each edge (``pairs`` mode: node pair) of each
+    graph of a stack, given as ``(G, n, n)`` boolean adjacencies ``adj``,
+    weights ``w`` (0 off the edges) and hop matrices ``hop``: one
+    `_w1_rows` call for the whole stack, and one array per graph, in
+    canonical order. Every node needs a neighbour."""
+    size, n = adj.shape[:2]
+    if mode == "edges":
+        g, ia, ib = np.nonzero(np.triu(adj, 1))
+    else:
+        iu, ju = np.triu_indices(n, 1)
+        g, ia, ib = np.repeat(np.arange(size), iu.size), np.tile(iu, size), np.tile(ju, size)
+    kappa = 1.0 - _w1_rows(_measure_rows(adj, w, weighting).reshape(-1, n), hop, ia + g * n,
+                           ib + g * n) / hop[g, ia, ib]
+    ends = np.cumsum(np.bincount(g, minlength=size)).tolist()
+    return [kappa[a:b] for a, b in zip([0] + ends, ends)]

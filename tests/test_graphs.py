@@ -17,6 +17,7 @@ from ricci_fragility.graphs import (
     _dense,
     _hops,
     _hops_with_edge,
+    _prim,
     augment_high_value_edges,
     build_complete_graph,
     hop_distances,
@@ -292,6 +293,62 @@ def test_mst_matches_full_frontier_scan_under_ties():
         assert t.weights == {e: weights[e] for e in expected}
         assert t.correlations == {e: corrs[e] for e in expected}
     assert min(outcomes.values()) >= 30
+
+
+def _stack_of_graphs(rng, n, size):
+    """``size`` seeded graphs on nodes ``0..n-1`` as MarketGraphs and as a
+    ``(size, n, n)`` stack of dense weights (``inf``: no edge): tied
+    integer weights, a path, a star and random densities."""
+    graphs = []
+    for g in range(size):
+        if g % 4 == 0:
+            edges = [(i, i + 1) for i in range(n - 1)]
+        elif g % 4 == 1:
+            edges = [(0, j) for j in range(1, n)] + [(1, 2)] * (n > 2)
+        else:
+            p = rng.uniform(0.3, 1.0)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        weights = {e: float(rng.integers(1, 4)) for e in edges}
+        graphs.append(MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights))
+    w = np.stack([np.where(adj, w, np.inf) for adj, w in map(_dense, graphs)])
+    return graphs, w
+
+
+# Every graph of a stack gets the tree a full frontier scan takes, in the
+# same order, whatever the other graphs; a disconnected one fails the call.
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_prim_equals_full_frontier_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    graphs, w = _stack_of_graphs(rng, n, 12)
+    scans = [_scan_prim(g) for g in graphs]
+    connected = [i for i, scan in enumerate(scans) if scan is not None]
+    trees = _prim(w[connected])
+    assert trees.shape == (len(connected), n - 1, 2)
+    for i, tree in zip(connected, trees):
+        assert list(map(tuple, tree.tolist())) == scans[i]
+        assert list(map(tuple, _prim(w[i][None])[0].tolist())) == scans[i]
+    if len(connected) < len(graphs):
+        with pytest.raises(DisconnectedGraphError):
+            _prim(w)
+
+
+# One BFS over a stack: paths (long diameters), stars, tied and sparse
+# random graphs, disconnected ones among them, each as scipy finds it.
+@pytest.mark.parametrize("seed", range(10))
+def test_stacked_hops_equal_scipy(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    graphs, w = _stack_of_graphs(rng, n, 9)
+    graphs.append(MarketGraph(nodes=tuple(range(n)), edges=((0, n - 1),) if n > 2 else (),
+                              weights={(0, n - 1): 1.0} if n > 2 else {}))
+    adj = np.stack([_dense(g)[0] for g in graphs])
+    hop = _hops(adj)
+    assert hop.shape == adj.shape
+    for g, h in zip(graphs, hop):
+        assert np.array_equal(h, _scipy_hops(g))
+    assert not np.isfinite(hop[-1]).all()
+    assert len({np.max(h[np.isfinite(h)]) for h in hop}) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ window graphs, series assembly, and serialisation."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricci_fragility import indicator
 from ricci_fragility.errors import (
     ConfigError,
     DataError,
@@ -25,7 +27,10 @@ from ricci_fragility.indicator import (
     DistanceTransform,
     IndicatorSeries,
     WindowConfig,
-    _window_kappa,
+    _points_for_starts,
+    _stack_curvature,
+    _stack_kappa,
+    _window_arrays,
     correlation_matrix,
     distance_from_correlation,
     indicator_series,
@@ -36,7 +41,7 @@ from ricci_fragility.indicator import (
 )
 from ricci_fragility.ingestion import PriceMatrix
 from ricci_fragility.synthetic import comoving, iid, regime_switch
-from ricci_fragility.transport import NodeMeasure, average_curvature
+from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS, NodeMeasure, average_curvature
 
 
 def make_panel(values, start_day=1):
@@ -304,7 +309,18 @@ class TestWindowGraph:
         for n in (4, 7, 12):
             for _ in range(20):
                 w = np.triu(rng.integers(0, 3, (n, n)), 1).astype(float)
-                assert set(_prim(w + w.T)) == kruskal_tree(w + w.T)
+                assert set(map(tuple, _prim((w + w.T)[None])[0].tolist())) == kruskal_tree(w + w.T)
+
+    # One stacked call gives every matrix the tree it gets alone.
+    def test_stacked_prim_equals_kruskal_reference(self):
+        rng = np.random.default_rng(1)
+        for n in (2, 5, 9):
+            w = np.triu(rng.integers(0, 3, (30, n, n)), 1).astype(float)
+            w += w.transpose(0, 2, 1)
+            trees = _prim(w)
+            assert trees.shape == (30, n - 1, 2)
+            for tree, one in zip(trees, w):
+                assert set(map(tuple, tree.tolist())) == kruskal_tree(one)
 
     def test_builds_one_market_graph(self, monkeypatch):
         built = []
@@ -330,7 +346,8 @@ class TestWindowGraph:
         config = WindowConfig(xi=xi, weighting=weighting, averaging_mode=mode)
         report = average_curvature(window_graph(window, config), mode=mode,
                                    weighting=weighting)
-        kappa = _window_kappa(window, config)
+        rho, dist = _window_arrays(window, config)
+        kappa = _stack_kappa((rho >= xi)[None], dist[None], config)[0]
         assert kappa.size == len(report.per_pair)
         assert np.max(np.abs(kappa - list(report.per_pair.values()))) <= 1e-12
 
@@ -410,6 +427,129 @@ class TestIndicatorSeriesPipeline:
         assert len(series.notes) == series.gap_count()
         assert all(note for note in series.notes)
         assert not math.isnan(series.values[-1])
+
+
+def _point_bits(points):
+    """(label, raw bits of the value, note) of each driver point."""
+    return [(label, np.float64(value).view(np.uint64), note)
+            for label, value, _, note in points]
+
+
+def _stack_sizes(panel, config, starts):
+    """Sizes of the stacks the driver forms on ``starts``, solving nothing."""
+    sizes = []
+
+    def step(high, dist, config):
+        sizes.append(len(dist))
+        return [(0.0, ())] * len(dist)
+
+    _points_for_starts(panel, config, step, starts)
+    return sizes
+
+
+def _recording(sizes):
+    """`_stack_curvature` that records the size of each stack it solves."""
+    def step(high, dist, config):
+        sizes.append(len(dist))
+        return _stack_curvature(high, dist, config)
+    return step
+
+
+class TestStacks:
+    # A stack's values do not depend on the windows it holds: the whole
+    # call's windows in one stack equal every window alone, bit for bit.
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    @pytest.mark.parametrize("corpus, stride", [(regime_switch, 35), (iid, 7), (comoving, 7)],
+                             ids=["regime_switch", "iid", "comoving"])
+    def test_one_stack_equals_stacks_of_one(self, monkeypatch, corpus, stride, mode):
+        panel = corpus()
+        starts = range(0, panel.n_dates - WindowConfig().T + 1, stride)
+        for xi in (0.75, 0.85, 0.9):
+            for weighting in WEIGHTINGS:
+                config = WindowConfig(xi=xi, weighting=weighting, averaging_mode=mode)
+                runs = []
+                for budget in (1 << 40, 0):
+                    sizes = []
+                    monkeypatch.setattr(indicator, "_STACK_PAIRS", budget)
+                    runs.append(_point_bits(_points_for_starts(panel, config, _recording(sizes),
+                                                               starts)))
+                    assert sizes == ([len(starts)] if budget else [1] * len(starts))
+                assert runs[0] == runs[1], (xi, weighting)
+
+    # The series, serial and across two workers, under the default stack
+    # budget and with every window alone.
+    @pytest.mark.parametrize("corpus, rows", [(regime_switch, (150, 300)), (iid, (0, 200)),
+                                              (comoving, (0, 300))],
+                             ids=["regime_switch", "iid", "comoving"])
+    def test_series_equal_series_of_windows_alone(self, monkeypatch, corpus, rows):
+        panel = corpus().window(*rows)
+        for mode in AVERAGING_MODES:
+            for xi in (0.75, 0.85, 0.9):
+                for weighting in WEIGHTINGS:
+                    config = WindowConfig(xi=xi, weighting=weighting, averaging_mode=mode)
+                    runs = []
+                    for budget, jobs in ((indicator._STACK_PAIRS, 1), (indicator._STACK_PAIRS, 2),
+                                         (0, 1)):
+                        monkeypatch.setattr(indicator, "_STACK_PAIRS", budget)
+                        series = indicator_series(panel, config, jobs=jobs)
+                        runs.append((series.dates, np.array(series.values).view(np.uint64).tolist(),
+                                     series.notes))
+                        monkeypatch.undo()
+                    assert runs[0] == runs[1] == runs[2], (mode, xi, weighting)
+
+    # The rule stacks calm windows; 10 calm windows (a `rolling-calm`
+    # benchmark panel) form one stack, and a crisis window (~1,000 edges)
+    # forms a stack of one.
+    def test_stack_rule(self):
+        sizes = _stack_sizes(regime_switch(), WindowConfig(), range(0, 469))
+        assert sum(sizes) == 469
+        assert min(sizes[:10]) >= 10 and max(sizes) <= indicator._STACK_PAIRS // 49
+        assert sizes[-69:] == [1] * 69
+
+    # The largest stack the rule forms on calm windows and on crisis
+    # windows holds the window memory budget of `test_transport.py`.
+    @pytest.mark.parametrize("xi", [0.85, 0.9])
+    @pytest.mark.parametrize("first, last", [(0, 268), (400, 468)])
+    def test_stack_memory_stays_flat(self, first, last, xi):
+        panel, config = regime_switch(), WindowConfig(xi=xi)
+        stacks = _stack_sizes(panel, config, range(first, last + 1))
+        start = first + sum(stacks[:int(np.argmax(stacks))])
+        largest = range(start, start + max(stacks))
+        _points_for_starts(panel, config, _stack_curvature, largest)
+        tracemalloc.start()
+        try:
+            _points_for_starts(panel, config, _stack_curvature, largest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(stacks) >= (10 if first == 0 else 1)
+        assert peak < 4e6
+
+    # Overlap failures never enter a stack; the LP failures of two windows
+    # of the one stack re-run it window by window, so only they gap. Values
+    # and notes as the per-window driver gave them, bit for bit.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_windows_of_a_stack_gap_alone(self, failing_lp, monkeypatch, jobs):
+        base = iid(n_assets=6, n_dates=30, seed=4)
+        values = np.array(base.values)
+        values[0:19, 2] = np.nan  # A002 lists late: the first two windows overlap too little
+        panel = PriceMatrix(dates=base.dates, tickers=base.tickers, values=values)
+        sizes = []
+        if jobs == 1:  # a local function does not pickle
+            monkeypatch.setattr(indicator, "_stack_curvature", _recording(sizes))
+        series = indicator_series(panel, WindowConfig(T=20, xi=0.9, averaging_mode="pairs"),
+                                  jobs=jobs)
+        assert [v.hex() for v in series.values] == [
+            "nan", "nan", "0x1.7b164648028d0p-3", "0x1.b7235b06d4cbdp-3",
+            "0x1.681cc45645480p-3", "0x1.cf0c1694423a4p-3", "0x1.c0e1dea782d55p-3",
+            "0x1.e7def91a17f4cp-3", "0x1.dca006647495cp-3", "nan", "nan"]
+        assert series.notes == (
+            "2000-01-22: A000/A002 overlap on 1 rows; need >= 3",
+            "2000-01-23: A000/A002 overlap on 2 rows; need >= 3",
+            "2000-01-31: transport LP failed: simulated numerical difficulties",
+            "2000-02-01: transport LP failed: simulated numerical difficulties")
+        if jobs == 1:
+            assert sizes == [9] + [1] * 9
 
 
 class TestSerialisation:

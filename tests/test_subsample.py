@@ -366,12 +366,12 @@ class TestCliqueScorer:
         config = WindowConfig(weighting=weighting, averaging_mode=mode)
         window = regime_panel.window(k, k + config.T)
         sub_config = SubsampleConfig(m=6, objective=objective, seed=k, restarts=2)
-        value, subset = _window_extremum(window, config, sub_config)
         rho, _ = correlation_matrix(window, config.input_mode)
-        g = build_complete_graph(distance_from_correlation(rho, config.transform), rho,
-                                 nodes=window.tickers)
+        dist = distance_from_correlation(rho, config.transform)
+        value, subset = _window_extremum(dist, config, sub_config)
+        g = build_complete_graph(dist, rho, nodes=window.tickers)
         nodes, report = extremal_subgraph(g, sub_config, mode, weighting)
-        assert subset == nodes
+        assert tuple(window.tickers[p] for p in subset) == nodes
         assert value == pytest.approx(report.average, abs=1e-12)
 
     def test_window_path_builds_no_graph_or_node_measure(self, monkeypatch):

@@ -757,7 +757,8 @@ def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, we
     kappa = []
     for block in (64, 7, 1):
         monkeypatch.setattr(transport, "PAIR_BLOCK", block)
-        kappa.append(transport._curvatures(adj, w, hop.matrix, "edges", weighting).tolist())
+        kappa.append(transport._curvatures(adj[None], w[None], hop.matrix[None], "edges",
+                                           weighting)[0].tolist())
     assert kappa[0] == kappa[1] == kappa[2]
 
 
@@ -915,6 +916,37 @@ def test_one_sided_residual_moves_nothing(monkeypatch):
     assert transport._w1_rows(rows.reshape(-1, 5), h.matrix[None], np.arange(3),
                               3 + np.arange(3)).tolist() == [1.0, 0.0, 0.0]
     assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
+
+
+def _int64_code_planes(stack):
+    """`_code_planes` as first written: every code shifted as int64."""
+    values = np.unique(stack)
+    codes = np.searchsorted(values, stack)
+    levels = np.arange(max(1, (values.size - 1).bit_length()))
+    return transport._packed(np.concatenate((codes, codes.transpose(0, 2, 1)), axis=1)
+                             [:, :, None, :] >> levels[:, None] & 1)
+
+
+# The packed words fix the pooled atom order, so narrow codes must pack to
+# the same words: hop stacks (connected or not), past one word of nodes,
+# and more than 256 distinct fractional entries, which stay int64.
+@pytest.mark.parametrize("seed", range(12))
+def test_code_planes_equal_int64_reference(seed):
+    rng = np.random.default_rng(seed)
+    size, n = int(rng.integers(1, 6)), int(rng.integers(30, 140))
+    if seed % 3 == 0:
+        stack = rng.integers(0, 40, (size, n, n)).astype(float)
+    elif seed % 3 == 1:
+        stack = rng.integers(0, 4, (size, n, n)).astype(float)
+        stack[rng.random(stack.shape) < 0.1] = np.inf
+    else:
+        stack = rng.random((size, n, n)).round(4)
+    stack = np.minimum(stack, stack.transpose(0, 2, 1))
+    planes = transport._code_planes(stack)
+    reference = _int64_code_planes(stack)
+    assert planes.dtype == reference.dtype == np.uint64
+    assert np.array_equal(planes, reference)
+    assert (np.unique(stack).size > 256) == (seed % 3 == 2)
 
 
 def _alone(pa, pb, dist):
