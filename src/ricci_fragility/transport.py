@@ -8,8 +8,10 @@ pairs or one pair on a stack of one, or the pairs of a group of `bounds`
 instances on their zero-padded hop matrices. It builds the pooling keys
 once and hands blocks of pairs to `_w1_block`, the front end, which fixes
 shared mass in place, since it never moves under a metric cost, sums each
-pair's moved mass left to right, pools interchangeable residual atoms and
-reads their distances for the whole block. No residual costs nothing and
+pair's moved mass left to right, pools interchangeable residual atoms
+(one stable sort on their side and a hash of their masked code planes,
+then a check of every word against the sorted neighbour) and reads their
+distances for the whole block. No residual costs nothing and
 one distinct distance has a closed form. Pairs with more come back as
 lists of pooled atoms, larger side as rows, and `_w1_rows` scores all of
 the call's such pairs in chunks of `PAIR_BLOCK`, sorted by level bits and
@@ -62,6 +64,20 @@ _UNION_CAP = 256
 #: Cells (8 bytes each) per `_integer_duals` closure or scoring array:
 #: larger sets of rows are split in halves.
 _DUAL_CELLS = 1 << 17
+
+
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser of each entry of the uint64 array ``x``."""
+    x = (x ^ x >> 30) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> 27) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> 31
+
+
+#: Odd multipliers of the pooling hash in `_w1_block`: entry ``[l, j]``
+#: weights word ``j`` (modulo 64) of an atom's masked code plane ``l``, so
+#: the zero planes and words of a padded stack add nothing.
+_POOL_HASH = _mixed(np.arange(1, 4097, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+                    ).reshape(64, 64) | np.uint64(1)
 
 #: Pairs per `_w1_block` call and per `_integer_duals` chunk in
 #: `_w1_rows`; bounds their padded work arrays.
@@ -369,11 +385,16 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     for the whole block, and a pair's moved mass is its residual
     sources' sum left to right, which zero padding leaves alone.
     Residual sources (sinks) of a pair with equal distances to all its
-    residual sinks (sources) are pooled into one atom, grouped by one
-    lexsort over (side of a pair, ``planes[g[e]]`` masked to its other
-    side). One indexed read gathers the pooled distances, padded, each
-    pair's larger side as rows. Values do not depend on the block or
-    stack while the codes do not (connected hop matrices).
+    residual sinks (sources) are pooled into one atom. One stable argsort
+    on a uint64 key, the side of a pair in the top ``(2 * size -
+    1).bit_length()`` bits over a `_POOL_HASH` hash of ``planes[g[e]]``
+    masked to the other side, keeps each side's atoms together, in node
+    order among equal keys; a pooled atom starts where the side or any
+    word differs from its sorted neighbour's, so a collision can only
+    leave equal atoms unpooled, which is still exact. One indexed read
+    gathers the pooled distances, padded, each pair's larger side as rows.
+    Values do not depend on the block or stack while the codes do not
+    (connected hop matrices): zero planes and words add nothing to a hash.
 
     Returns each pair's ``vmax * moved``, its W1 when its residual sees at
     most one distance; the block's pooled atoms as offsets into the flat
@@ -392,13 +413,15 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     other = atoms.reshape(2, size, n)[::-1].reshape(2 * size, n)
     side, node = np.nonzero(atoms)
     graph = g[side % size]
-    planes = planes.reshape(-1, *planes.shape[2:])
-    words = planes[node + n * (side >= size) + 2 * n * graph] & _packed(other)[side, None]
-    keys = np.concatenate((side[:, None].astype(np.uint64),
-                           words.reshape(side.size, planes[0].size)), axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))[:side.size]
+    levels, width = planes.shape[2:]
+    words = (planes.reshape(-1, levels, width)[node + n * (side >= size) + 2 * n * graph]
+             & _packed(other)[side, None]).reshape(side.size, levels * width)
+    bits = (2 * size - 1).bit_length()
+    hashed = words @ _POOL_HASH[:levels, np.arange(width) % 64].ravel()
+    order = np.argsort(side.astype(np.uint64) << (64 - bits) | hashed >> bits, kind="stable")
+    words, ordered = words[order], side[order]
+    new = np.concatenate(([True], (ordered[1:] != ordered[:-1])
+                          | (words[1:] != words[:-1]).any(axis=1)))[:side.size]
     caps = np.bincount(np.cumsum(new) - 1, weights=residual[atoms][order])
     gside, gnode = side[order[new]], node[order[new]]
     # offset[source] + offset[sink] indexes their distance in the flat stack.

@@ -281,9 +281,14 @@ def _dense_lp_w1(mu, nu, hop):
     """W1 as one dense transportation LP on the full supports: no
     shared-mass peel, no pooling, no special cases."""
     cost = hop.matrix[np.ix_(hop.positions(mu.support), hop.positions(nu.support))]
+    return _dense_lp(mu.masses, nu.masses, cost)
+
+
+def _dense_lp(a, b, cost):
+    """Optimum of the transportation LP from masses ``a`` to ``b``."""
     m, k = cost.shape
     a_eq = np.vstack([np.kron(np.eye(m), np.ones(k)), np.kron(np.ones(m), np.eye(k))])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.masses, nu.masses]),
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
                   bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
@@ -746,8 +751,9 @@ def test_block_matches_one_pair_at_a_time(regime_panel, k, weighting):
     assert _max_gap_to_dense_lp(graph, hop, per_pair, weighting, k, 10) <= 1e-9
 
 
-# Cutting a window's pairs into blocks of 64, 7 or 1 changes no value,
-# not even in the last bit.
+# Cutting a window's pairs into blocks of 64, 7, 1 or 200 changes no
+# value, not even in the last bit. Blocks of 200 have sides past 127, so
+# the pooling key needs more side bits than at 64.
 @pytest.mark.parametrize("k", [100, 300, 420, 460])
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, weighting):
@@ -755,11 +761,54 @@ def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, we
                          WindowConfig(T=132, xi=0.85, weighting=weighting))
     (adj, w), hop = _dense(graph), hop_distances(graph)
     kappa = []
-    for block in (64, 7, 1):
+    for block in (64, 7, 1, 200):
         monkeypatch.setattr(transport, "PAIR_BLOCK", block)
         kappa.append(transport._curvatures(adj[None], w[None], hop.matrix[None], "edges",
                                            weighting)[0].tolist())
-    assert kappa[0] == kappa[1] == kappa[2]
+    assert kappa[0] == kappa[1] == kappa[2] == kappa[3]
+
+
+def _random_metric(rng, n):
+    """Shortest paths of random weights 1 and 2 on a random connected graph
+    of ``n`` nodes: a metric with ties and several distinct values."""
+    adj = np.triu(rng.random((n, n)) < 0.2, 1)
+    adj[rng.integers(np.arange(1, n)), np.arange(1, n)] = True
+    weight = np.triu(rng.integers(1, 3, (n, n)), 1)
+    dist = np.where(adj | adj.T, weight + weight.T, np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for v in range(n):
+        dist = np.minimum(dist, dist[:, v, None] + dist[v])
+    return dist
+
+
+# The pooling sort keys on a hash of each atom's masked code planes, and
+# only atoms equal in every word pool. So no value may rest on the hash
+# being unique: with every atom's hash 0, values stay within 1e-12 of the
+# hashed ones on two crisis windows and within 1e-9 of the dense LP on
+# random metrics.
+@pytest.mark.filterwarnings("error")
+def test_values_do_not_rest_on_a_unique_pooling_hash(monkeypatch, regime_panel):
+    windows = []
+    for k in (420, 460):
+        for weighting in WEIGHTINGS:
+            graph = window_graph(regime_panel.window(k, k + 132),
+                                 WindowConfig(T=132, xi=0.85, weighting=weighting))
+            (adj, w), hop = _dense(graph), hop_distances(graph).matrix
+            windows.append((adj[None], w[None], hop[None], "edges", weighting))
+    hashed = [transport._curvatures(*window)[0] for window in windows]
+    rng = np.random.default_rng(19)
+    dist = np.stack([_random_metric(rng, 24) for _ in range(3)])
+    rows = rng.random((72, 24)) * (rng.random((72, 24)) < 0.3)
+    rows[np.arange(72), rng.integers(0, 24, 72)] += 0.1
+    rows /= rows.sum(axis=1, keepdims=True)
+    g = rng.integers(0, 3, 200)
+    ia, ib = g * 24 + rng.integers(0, 24, 200), g * 24 + rng.integers(0, 24, 200)
+    monkeypatch.setattr(transport, "_POOL_HASH", np.zeros_like(transport._POOL_HASH))
+    for window, values in zip(windows, hashed):
+        assert np.abs(transport._curvatures(*window)[0] - values).max() <= 1e-12
+    w1 = transport._w1_rows(rows, dist, ia, ib)
+    for e, (a, b) in enumerate(zip(ia, ib)):
+        assert w1[e] == pytest.approx(_dense_lp(rows[a], rows[b], dist[a // 24]), abs=1e-9)
 
 
 # The integer dual sorts the multi-distance pairs of a whole call, so the
@@ -970,8 +1019,10 @@ def _stack(graphs, weighting):
 # stack of the graphs' hop matrices, equal each pair solved alone on its
 # own unpadded matrix, bit for bit; the integer dual serves some of them.
 # A pairwise sum of the moved mass would differ in the last bit here.
+# Padding the stack past 64 nodes gives its code planes a second word.
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
-def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting):
+@pytest.mark.parametrize("pad", [0, 60])
+def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting, pad):
     rng = np.random.default_rng(3)
     graphs = []
     for _ in range(40):
@@ -980,7 +1031,7 @@ def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting):
         adj[[int(rng.integers(v)) for v in range(1, n)], range(1, n)] = True
         w = np.triu(rng.uniform(0.05, 2.0, (n, n)), 1) * adj
         graphs.append((adj | adj.T, w + w.T))
-    dist, rows = _stack(graphs, weighting)
+    dist, rows = np.pad(_stack(graphs, weighting), ((0, 0), (0, 0), (0, pad), (0, pad)))
     size = dist.shape[1]
     g, a, b = (np.array(v) for v in zip(*[(k, i, j) for k, (adj, _) in enumerate(graphs)
                                           for i, j in zip(*np.triu_indices(len(adj), 1))]))
