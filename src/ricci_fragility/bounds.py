@@ -27,6 +27,7 @@ violation is a property of the inequality, not of numerics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class PerturbationInstance:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """One evaluated inequality: lhs <= rhs, slack = rhs - lhs."""
 
@@ -129,42 +130,8 @@ def check_prop1(instance: PerturbationInstance, a, b,
     """
     if a == b:
         raise ConfigError("pair must be two distinct nodes")
-    (w_before,), (w_after,), _ = _group_w1([(instance, [(a, b)])], weighting)[0]
-    return _prop1_reports(instance, a, b, w_before, w_after, sup_distance_change(instance))
-
-
-def _measures(instance: PerturbationInstance, weighting: str) -> np.ndarray:
-    """Neighbour-measure rows of the graph and of the perturbed graph, as
-    one ``(2, n, n)`` array from one dense build."""
-    if weighting not in WEIGHTINGS:
-        raise ConfigError(f"unknown weighting {weighting!r}")
-    adj, w = (np.stack((a, a)) for a in _dense(instance.graph))
-    i, j = instance.hop.positions((instance.x, instance.y))
-    adj[1, i, j] = adj[1, j, i] = True
-    w[1, i, j] = w[1, j, i] = instance.graph_star.weight(instance.x, instance.y)
-    return _measure_rows(adj, w, weighting)
-
-
-def _report(instance: PerturbationInstance, name: str, lhs: float, rhs: float,
-            pair: tuple) -> BoundReport:
-    """The report of ``lhs <= rhs``, satisfied within ``SLACK_TOL``."""
-    return BoundReport(bound_name=name, lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                       satisfied=rhs - lhs >= -SLACK_TOL, pair=pair,
-                       instance_label=instance.label)
-
-
-def _prop1_reports(instance: PerturbationInstance, a, b, w_before: float, w_after: float,
-                   sup: float):
-    """prop1 reports at (a, b) from W^d(mu_a, mu_b), W^{d*}(mu*_a, mu*_b)
-    and the instance's `sup_distance_change` ``sup``."""
-    ds_ab = instance.hop_star.dist(a, b)
-    kappa_before = 1.0 - w_before / instance.hop.dist(a, b)
-    kappa_after = 1.0 - w_after / ds_ab
-    lhs = kappa_after - kappa_before
-    first = _report(instance, "prop1_first", lhs, (w_before - w_after) / ds_ab, (a, b))
-    if a in (instance.x, instance.y) or b in (instance.x, instance.y):
-        return first, None
-    return first, _report(instance, "prop1_sup", lhs, sup / ds_ab, (a, b))
+    first, sup = _checks(instance, weighting, [tuple(instance.hop.positions((a, b)).tolist())])[:2]
+    return first, sup if sup.bound_name == "prop1_sup" else None
 
 
 def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
@@ -177,32 +144,22 @@ def check_lemma_affected(instance: PerturbationInstance, which: str = "x",
     """
     if which not in ("x", "y"):
         raise ConfigError(f"which must be 'x' or 'y', got {which!r}")
-    _, _, shifts = _group_w1([(instance, [(instance.x, instance.y)])], weighting)[0]
-    node = instance.x if which == "x" else instance.y
-    return _lemma_report(instance, node, shifts["xy".index(which)])
-
-
-def _lemma_report(instance: PerturbationInstance, node, lhs: float) -> BoundReport:
-    """lemma report at ``node`` for the measure shift ``lhs``."""
-    return _report(instance, "lemma_node", lhs, 1.0 / (instance.graph.degree(node) + 1.0),
-                   (node,))
+    return _checks(instance, weighting)[1 + "xy".index(which)]
 
 
 def check_prop2(instance: PerturbationInstance, weighting: str = "edge_weight"):
     """Bounds on the curvature jump of the new pair (x, y) itself."""
-    first, _ = check_prop1(instance, instance.x, instance.y, weighting)
-    return _prop2_reports(instance, first.lhs, sup_distance_change(instance))
+    return tuple(_checks(instance, weighting)[-2:])
 
 
-def _prop2_reports(instance: PerturbationInstance, lhs: float, sup: float):
-    """prop2 reports for the curvature jump ``lhs`` of (x, y), which is
-    the left side of prop1 at (x, y), and `sup_distance_change` ``sup``."""
-    x, y = instance.x, instance.y
-    inv_deg = (1.0 / (instance.graph.degree(x) + 1.0)
-               + 1.0 / (instance.graph.degree(y) + 1.0))
-    ds_xy = instance.hop_star.dist(x, y)
-    return (_report(instance, "prop2_first", lhs, (sup + inv_deg) / ds_xy, (x, y)),
-            _report(instance, "prop2_sup", lhs, sup + inv_deg + 1.0, (x, y)))
+def _checks(instance: PerturbationInstance, weighting: str, pairs=()) -> list:
+    """`_group_reports` of ``instance`` alone, on its arrays, at the node
+    position pairs ``pairs`` and then (x, y) if it is not among them."""
+    adj, w = _dense(instance.graph)
+    x, y = instance.hop.positions((instance.x, instance.y)).tolist()
+    arrays = adj, w, instance.hop.matrix, x, y, instance.graph_star.weight(instance.x, instance.y)
+    return _group_reports([(arrays, list(dict.fromkeys([*pairs, (x, y)])), instance.graph.nodes,
+                            instance.label)], weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -230,87 +187,125 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
                           f"got {weight_low!r}, {weight_high!r}")
     if weight_high <= 0.0:
         raise ConfigError(f"need weight_high > 0 for a positive new edge, got {weight_high!r}")
+    adj, w, hop, x, y, w_new = _draw(seed, n_low, n_high, weight_low, weight_high)
+    i, j = np.nonzero(np.triu(adj, 1))
+    edges = tuple(zip(i.tolist(), j.tolist()))
+    graph = MarketGraph(nodes=tuple(range(len(adj))), edges=edges,
+                        weights=dict(zip(edges, w[i, j].tolist())))
+    return _instance(graph, hop, x, y, w_new, f"seed={seed}")
+
+
+def _draw(seed: int, n_low: int = 4, n_high: int = 12, weight_low: float = 0.05,
+          weight_high: float = 2.0) -> tuple:
+    """`random_instance`'s draw as arrays, from the same stream: ``(adj, w,
+    hop, x, y, w_new)``, the boolean adjacency, the weights (0 off the
+    edges), the hop matrix, the absent edge ``x < y`` and its weight."""
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         n = int(rng.integers(n_low, n_high + 1))
         p = float(rng.uniform(0.25, 0.75))
-        i, j = np.triu_indices(n, 1)
-        drawn = rng.random(i.size) < p
+        iu, ju = _upper(n)
+        drawn = rng.random(iu.size) < p
         if drawn.all():
             continue  # no absent edge to add
-        i, j = i[drawn], j[drawn]
+        i, j = iu[drawn], ju[drawn]
         adj = np.zeros((n, n), dtype=bool)
         adj[i, j] = adj[j, i] = True
-        edges = tuple(zip(i.tolist(), j.tolist()))
-        weights = dict(zip(edges, rng.uniform(weight_low, weight_high, len(edges)).tolist()))
+        w = np.zeros((n, n))
+        w[i, j] = w[j, i] = rng.uniform(weight_low, weight_high, i.size)
         hop = _hops(adj)
         if not np.isfinite(hop).all():
             continue
-        absent = np.argwhere(np.triu(~adj, 1))
-        x, y = absent[int(rng.integers(len(absent)))].tolist()
-        w_new = float(rng.uniform(weight_low, weight_high))
-        graph = MarketGraph(nodes=tuple(range(n)), edges=edges, weights=weights)
-        return _instance(graph, hop, x, y, w_new, f"seed={seed}")
+        absent = np.flatnonzero(~drawn)
+        k = absent[int(rng.integers(absent.size))]
+        return adj, w, hop, int(iu[k]), int(ju[k]), float(rng.uniform(weight_low, weight_high))
     raise DataError(f"could not generate a connected instance for seed {seed}")
 
 
-def _sample_pairs(instance: PerturbationInstance, rng: np.random.Generator) -> list:
-    """(x, y) plus up to ``_PAIR_SAMPLES`` distinct node pairs drawn from
-    ``rng``, as edge keys in node order."""
-    g = instance.graph
-    nodes = list(g.nodes)
-    pairs = {(instance.x, instance.y)}
-    while len(pairs) < _PAIR_SAMPLES + 1 and len(pairs) < len(nodes) * (len(nodes) - 1) // 2:
-        a, b = rng.choice(len(nodes), size=2, replace=False)
-        pairs.add(g.edge_key(nodes[int(a)], nodes[int(b)]))
-    return sorted(pairs, key=lambda e: (g.index[e[0]], g.index[e[1]]))
+@cache
+def _upper(n: int) -> tuple:
+    """``np.triu_indices(n, 1)``, read-only, built once per ``n``."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
-def _group_w1(group, weighting: str) -> list:
-    """Each ``(instance, pairs)`` of ``group``'s W1 values, in order, as
+def _sample_pairs(n: int, x: int, y: int, rng: np.random.Generator) -> list:
+    """(x, y) plus up to ``_PAIR_SAMPLES`` distinct position pairs ``a < b``
+    of ``n`` nodes drawn from ``rng``, sorted."""
+    pairs = {(x, y)}
+    while len(pairs) < min(_PAIR_SAMPLES + 1, n * (n - 1) // 2):
+        pairs.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+    return sorted(pairs)
+
+
+def _group_w1(group, stars: list, weighting: str) -> list:
+    """Each ``(arrays, pairs, ...)`` of ``group``'s W1 values, in order, as
     (W^d(mu_a, mu_b) of the pairs, W^{d*}(mu*_a, mu*_b) of the pairs, the
-    shifts W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)).
+    shifts W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)); ``stars`` holds each
+    item's d*.
 
     They come from one `_w1_rows` call over the stack of the group's hop
-    matrices, each instance's d then d*, zero-padded to the largest; a
-    shift pair's first row is a row of d. A pair's value is the one it has
-    alone (see `_w1_rows`).
+    matrices, each item's d then d*, zero-padded to the largest, with
+    measure rows from its adjacency and weights without and with the new
+    edge; a shift pair's first row is a row of d. A pair's value is the
+    one it has alone (see `_w1_rows`).
     """
-    size = max(instance.graph.n for instance, _ in group)
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"unknown weighting {weighting!r}")
+    size = max(len(star) for star in stars)
     dist = np.zeros((2 * len(group), size, size))
     rows = np.zeros((2 * len(group), size, size))
     ia, ib = [], []
-    for k, (instance, pairs) in enumerate(group):
-        n = instance.graph.n
-        dist[2 * k:2 * k + 2, :n, :n] = instance.hop.matrix, instance.hop_star.matrix
-        rows[2 * k:2 * k + 2, :n, :n] = _measures(instance, weighting)
-        a, b = (instance.hop.positions(side) for side in zip(*pairs))
-        ends = instance.hop.positions((instance.x, instance.y))
+    for k, (((adj, w, hop, x, y, w_new), pairs, *_), star) in enumerate(zip(group, stars)):
+        n = len(adj)
+        adj, w = np.stack((adj, adj)), np.stack((w, w))
+        adj[1, x, y] = adj[1, y, x] = True
+        w[1, x, y] = w[1, y, x] = w_new
+        dist[2 * k:2 * k + 2, :n, :n] = hop, star
+        rows[2 * k:2 * k + 2, :n, :n] = _measure_rows(adj, w, weighting)
         before, after = 2 * k * size, (2 * k + 1) * size
-        ia += [before + a, after + a, before + ends]
-        ib += [before + b, after + b, after + ends]
-    w1 = iter(_w1_rows(rows.reshape(-1, size), dist, np.concatenate(ia),
-                       np.concatenate(ib)).tolist())
+        a, b = zip(*pairs)
+        ia += [before + v for v in a] + [after + v for v in a] + [before + x, before + y]
+        ib += [before + v for v in b] + [after + v for v in (*b, x, y)]
+    w1 = iter(_w1_rows(rows.reshape(-1, size), dist, np.array(ia), np.array(ib)).tolist())
     return [tuple([next(w1) for _ in range(count)] for count in (len(pairs), len(pairs), 2))
-            for _, pairs in group]
+            for _, pairs, *_ in group]
 
 
 def _group_reports(group, weighting: str) -> list:
-    """All five checks on each ``(instance, pairs)`` of ``group``, in order,
-    from the group's `_group_w1` values."""
+    """All five checks on each ``(arrays, pairs, nodes, label)`` of
+    ``group``, in order, from the group's `_group_w1` values: ``arrays``
+    as `_draw` gives them, ``pairs`` position pairs with (x, y) among them
+    and ``nodes`` the node id at each position. Per item: prop1 at each
+    pair (first, then sup unless the pair touches x or y), lemma at x and
+    y, then prop2."""
+    stars = [_hops_with_edge(hop, x, y) for (_, _, hop, x, y, _), *_ in group]
     reports = []
-    for (instance, pairs), (w_before, w_after, shifts) in zip(group, _group_w1(group, weighting)):
-        x, y, sup = instance.x, instance.y, sup_distance_change(instance)
+    for ((adj, _, hop, x, y, _), pairs, nodes, label), star, (w_before, w_after, shifts) in zip(
+            group, stars, _group_w1(group, stars, weighting)):
+        d, ds, deg = hop.tolist(), star.tolist(), adj.sum(axis=1).tolist()
+        sup = float(np.max(hop - star))
         for (a, b), before, after in zip(pairs, w_before, w_after):
-            first, second = _prop1_reports(instance, a, b, before, after, sup)
-            reports.append(first)
-            if second is not None:
-                reports.append(second)
+            pair = (nodes[a], nodes[b])
+            lhs = (1.0 - after / ds[a][b]) - (1.0 - before / d[a][b])
+            reports.append(_report("prop1_first", lhs, (before - after) / ds[a][b], pair, label))
+            if x not in (a, b) and y not in (a, b):
+                reports.append(_report("prop1_sup", lhs, sup / ds[a][b], pair, label))
             if (a, b) == (x, y):
-                jump = first.lhs
-        reports += [_lemma_report(instance, node, lhs) for node, lhs in zip((x, y), shifts)]
-        reports.extend(_prop2_reports(instance, jump, sup))
+                jump = lhs
+        inv = [1.0 / (deg[v] + 1.0) for v in (x, y)]
+        reports += [_report("lemma_node", shift, rhs, (nodes[v],), label)
+                    for v, shift, rhs in zip((x, y), shifts, inv)]
+        rhs, pair = sup + (inv[0] + inv[1]), (nodes[x], nodes[y])
+        reports += [_report("prop2_first", jump, rhs / ds[x][y], pair, label),
+                    _report("prop2_sup", jump, rhs + 1.0, pair, label)]
     return reports
+
+
+def _report(name: str, lhs: float, rhs: float, pair: tuple, label: str) -> BoundReport:
+    """The report of ``lhs <= rhs``, satisfied within ``SLACK_TOL``."""
+    return BoundReport(name, lhs, rhs, rhs - lhs, rhs - lhs >= -SLACK_TOL, pair, label)
 
 
 def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator,
@@ -321,7 +316,8 @@ def run_instance_checks(instance: PerturbationInstance, rng: np.random.Generator
     `check_prop2`, and those `run_bounds_suite` gives the same instance:
     this is its group routine on a group of one.
     """
-    return _group_reports([(instance, _sample_pairs(instance, rng))], weighting)
+    x, y = instance.hop.positions((instance.x, instance.y)).tolist()
+    return _checks(instance, weighting, _sample_pairs(instance.graph.n, x, y, rng))
 
 
 @dataclass(frozen=True)
@@ -356,9 +352,10 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
 
     Every instance is reproducible from ``seed`` and its trial index;
     violated reports carry the instance label so a failure can be
-    replayed exactly. Instances are checked in groups that share W1
-    blocks (`_group_reports`), with the reports `run_instance_checks`
-    gives each instance alone.
+    replayed exactly. Instances are drawn as arrays (`_draw`, nodes
+    ``0..n-1``) and checked in groups that share W1 blocks
+    (`_group_reports`), with the reports `run_instance_checks` gives each
+    `random_instance` alone.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -369,15 +366,16 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
     reports, group, pending = [], [], 0
     for t in range(trials):
         instance_seed = seed * 1_000_003 + t
-        instance = random_instance(instance_seed)
-        pairs = _sample_pairs(instance, np.random.default_rng(instance_seed + 500_009))
+        arrays = _draw(instance_seed)
+        n, x, y = len(arrays[0]), arrays[3], arrays[4]
+        pairs = _sample_pairs(n, x, y, np.random.default_rng(instance_seed + 500_009))
         # An instance needs its pairs under d and d* plus two shifts; a
         # group is solved before it would pass PAIR_BLOCK pairs.
         count = 2 * len(pairs) + 2
         if pending + count > PAIR_BLOCK:
             reports += _group_reports(group, weighting)
             group, pending = [], 0
-        group.append((instance, pairs))
+        group.append((arrays, pairs, range(n), f"seed={instance_seed}"))
         pending += count
     reports += _group_reports(group, weighting)
     return BoundsSuiteResult(reports=tuple(reports), trials=trials, seed=seed,
@@ -407,9 +405,6 @@ def kn_minus_edge_instance(n: int) -> PerturbationInstance:
 
 def sharpness_reports(n: int, weighting: str = "uniform") -> list:
     """prop1_first reports for every pair of the K_n sharpness instance."""
-    inst = kn_minus_edge_instance(n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    w_before, w_after, _ = _group_w1([(inst, pairs)], weighting)[0]
-    sup = sup_distance_change(inst)
-    return [_prop1_reports(inst, a, b, before, after, sup)[0]
-            for (a, b), before, after in zip(pairs, w_before, w_after)]
+    return [r for r in _checks(kn_minus_edge_instance(n), weighting, pairs)
+            if r.bound_name == "prop1_first"]

@@ -1,6 +1,10 @@
 """Tests for the single-edge perturbation bounds lab."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from ricci_fragility.bounds import (
     sup_distance_change,
 )
 from ricci_fragility.errors import ConfigError, DataError, DisconnectedGraphError, GraphError
-from ricci_fragility.graphs import MarketGraph, hop_distances
+from ricci_fragility.graphs import MarketGraph, _dense, _hops_with_edge, hop_distances
 from ricci_fragility.transport import WEIGHTINGS, edge_curvature
 
 
@@ -271,6 +275,25 @@ class TestProp2:
 
 
 class TestSuite:
+    # sha256 over (bound, pair, label, satisfied) and the raw bytes of
+    # lhs, rhs and slack of every report of perfbench's eight `bounds`
+    # suites (suite seeds 0..7, weightings alternating, 100 trials) and of
+    # sharpness_reports(4..10), recorded before the suite ran on arrays.
+    GOLDEN = "f46346263660d4679340c589d9ee5c107ccd7ecfba0191ddad229f98091c51ce"
+
+    def test_reports_match_golden_digest(self):
+        reports = []
+        for s in range(8):
+            reports += run_bounds_suite(100, s, WEIGHTINGS[s % 2]).reports
+        for n in range(4, 11):
+            reports += sharpness_reports(n)
+        digest = hashlib.sha256()
+        for r in reports:
+            digest.update(repr((r.bound_name, r.pair, r.instance_label, r.satisfied)).encode())
+            digest.update(struct.pack("<3d", r.lhs, r.rhs, r.slack))
+        assert len(reports) == 7843
+        assert digest.hexdigest() == self.GOLDEN
+
     def test_structure_and_determinism(self):
         res1 = run_bounds_suite(trials=10, seed=3)
         res2 = run_bounds_suite(trials=10, seed=3)
@@ -363,7 +386,7 @@ class TestSuite:
     def test_rejects_negative_seed_before_drawing(self, monkeypatch):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             random_instance(-1)
-        monkeypatch.setattr(bounds, "random_instance", lambda seed: pytest.fail("drew an instance"))
+        monkeypatch.setattr(bounds, "_draw", lambda *args: pytest.fail("drew an instance"))
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             run_bounds_suite(trials=3, seed=-1)
 
@@ -418,6 +441,20 @@ class TestRandomInstance:
             assert np.array_equal(inst.hop.matrix, hop_distances(graph).matrix)
             assert np.array_equal(inst.hop_star.matrix, hop_distances(star).matrix)
 
+    # The suite draws arrays and never builds the instance; they must be
+    # the instance's own, the new edge's weight included.
+    def test_array_draw_equals_random_instance(self):
+        for seed in range(200):
+            adj, w, hop, x, y, w_new = bounds._draw(seed)
+            inst = random_instance(seed)
+            assert (x, y, f"seed={seed}") == (inst.x, inst.y, inst.label)
+            assert type(x) is int and type(y) is int
+            want_adj, want_w = _dense(inst.graph)
+            assert np.array_equal(adj, want_adj) and np.array_equal(w, want_w)
+            assert w_new == inst.graph_star.weight(x, y)
+            assert np.array_equal(hop, inst.hop.matrix)
+            assert np.array_equal(_hops_with_edge(hop, x, y), inst.hop_star.matrix)
+
 
 def _plain_draw(seed):
     """``random_instance``'s draw one value at a time: the graph, the new
@@ -468,3 +505,16 @@ class TestBoundReport:
         r = BoundReport(bound_name="prop1_first", lhs=0.1, rhs=0.2,
                         slack=0.1, satisfied=True, pair=(0, 1))
         assert r.slack == pytest.approx(r.rhs - r.lhs)
+
+    # The suite keeps thousands of reports; slots drop each one's dict.
+    def test_slotted_value_object(self):
+        r = run_bounds_suite(trials=1, seed=0).reports[0]
+        assert not hasattr(r, "__dict__")
+        again = pickle.loads(pickle.dumps(r))
+        assert again == r and hash(again) == hash(r)
+        assert BoundReport(**dataclasses.asdict(r)) == r
+        assert set(dataclasses.asdict(r)) == {"bound_name", "lhs", "rhs", "slack", "satisfied",
+                                              "pair", "instance_label"}
+        assert r != dataclasses.replace(r, slack=r.slack + 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.lhs = 0.0
