@@ -35,13 +35,16 @@ from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures
 #: Minimum overlapping observations for a pairwise correlation.
 MIN_OVERLAP = 3
 
-#: Bounded pairs (`_pair_bound`) per stack of windows in the rolling
-#: driver; a window over it is a stack of one. Calm windows (k = 0..255,
-#: xi 0.85) took 3.95 ms each alone, 2.29 ms at 512, 2.05 ms at 1,024 and
-#: 1.99 ms at 2,048. Memory grows with the stack: under `tracemalloc` the
-#: largest calm stack peaks at 2.6 MB at 1,024 (17 windows at xi 0.9) and
-#: at 5.7 MB at 2,048, past the 4 MB window budget.
-_STACK_PAIRS = 1024
+#: Memory estimate per stack of windows in the rolling driver: a window
+#: costs its bounded pairs (`_pair_bound`) plus ``n * n // 25`` for its
+#: ``(n, n)`` arrays; a window over it is a stack of one. On
+#: `regime_switch()` (n = 50, edges) 13-17 calm windows share a stack and
+#: crisis windows pair up: calm windows took 1.32 ms each against 2.57 ms
+#: alone, crisis windows 34.2 against 35.2 ms. Under `tracemalloc` the
+#: largest calm stack peaks at 2.3 MB and a crisis pair at 3.7 MB (xi
+#: 0.9). Past the 4 MB window budget: two pairs-mode windows (1,325 each)
+#: at k = 360, 361 at 4.1 MB, crisis windows in threes at 4.4 MB.
+_STACK_BUDGET = 2600
 
 TRANSFORM_KINDS = ("sqrt_ultrametric", "power", "log1p_scaled")
 
@@ -302,8 +305,9 @@ def _points_for_starts(prices: PriceMatrix, config: WindowConfig, stack_values,
     boundary: a window where some ticker has no observation at all, or a
     pair too few, is a data problem scoped to that window, so it gaps the
     point instead of aborting the series. The windows that pass are cut,
-    in order, into stacks of at most `_STACK_PAIRS` bounded pairs (a
-    larger window alone), and `_stack_points` solves each stack.
+    in order, into stacks whose memory estimate (bounded pairs plus a term
+    for the ``(n, n)`` arrays, see `_STACK_BUDGET`) fits the budget, a
+    larger window alone, and `_stack_points` solves each stack.
     """
     points, stack, load = {}, [], 0
     for k in starts:
@@ -314,12 +318,12 @@ def _points_for_starts(prices: PriceMatrix, config: WindowConfig, stack_values,
             points[k] = (label, float("nan"), (), f"{label}: {exc}")
             continue
         high = rho >= config.xi
-        pairs = _pair_bound(high, config)
-        if stack and load + pairs > _STACK_PAIRS:
+        cost = _pair_bound(high, config) + high.size // 25
+        if stack and load + cost > _STACK_BUDGET:
             points.update(_stack_points(stack, config, stack_values))
             stack, load = [], 0
         stack.append((k, label, high, dist))
-        load += pairs
+        load += cost
     if stack:
         points.update(_stack_points(stack, config, stack_values))
     return [points[k] for k in starts]

@@ -61,8 +61,8 @@ AVERAGING_MODES = ("edges", "pairs")
 #: Residuals with more integer-dual candidates than this go to the LP.
 _UNION_CAP = 256
 
-#: Cells (8 bytes each) per `_integer_duals` closure or scoring array:
-#: larger sets of rows are split in halves.
+#: Cells (4 or 8 bytes each, as the chunk's codes) per `_integer_duals`
+#: closure or scoring array: larger sets of rows are split in halves.
 _DUAL_CELLS = 1 << 17
 
 
@@ -195,7 +195,7 @@ def _solve_lp(row_caps: np.ndarray, col_caps: np.ndarray, dist: np.ndarray) -> n
 
 
 def _row_sets(a: np.ndarray):
-    """Each row of nonnegative int64 ``a``, which must hold a 0, as a set.
+    """Each row of nonnegative integer ``a``, which must hold a 0, as a set.
 
     Rows come back sorted, with repeats and padding as leading 0s (0 is
     always a member), in a copy trimmed to the widest set; also returns
@@ -219,8 +219,10 @@ def _integer_duals(gaps, rcaps, ccaps, cols) -> np.ndarray:
     max of row generators ``(w_i - t)+``. With ``k = cols[e]``, ``q`` is
     coded in level bits (bit ``sk + j`` iff ``q_j > s``), so the candidates
     are the OR-closure of the generators, and ``p_i`` counts the generators
-    of row ``i`` with a bit outside ``q``. A pair declines on non-integer
-    ``w``, ``w`` past int64, over 63 bits or over ``_UNION_CAP`` candidates.
+    of row ``i`` with a bit outside ``q``. The codes are uint32 when every
+    live pair of the chunk fits 32 bits, else int64. A pair declines on
+    non-integer ``w``, ``w`` past int64, over 63 bits or over
+    ``_UNION_CAP`` candidates.
     Inputs are padded, ``(E, M, K)``, ``(E, M)`` and ``(E, K)``: a pair's
     ``w`` (nonnegative, with a positive entry) and positive caps fill the
     top left, and zero gaps and caps the rest, so its bits and declines are
@@ -242,13 +244,16 @@ def _integer_duals(gaps, rcaps, ccaps, cols) -> np.ndarray:
     level = np.arange(levels.max())
 
     # Bit s*k + j of row i's code is set iff w_ij > s; shifting the code
-    # down by t*k gives the generator (w_i - t)+.
+    # down by t*k gives the generator (w_i - t)+. Shifts are clamped: no
+    # bit at or past the top is set, and a shift by the top clears all.
+    top = 32 if (levels * cols).max() <= 32 else 63
+    dtype = np.dtype(np.uint32 if top == 32 else np.int64)
     code = ((w[:, :, None, :] > level[:, None]).reshape(live.size, m, -1)
-            @ (1 << np.minimum(level[:, None] * cols[:, None, None] + np.arange(k), 62))
-            .reshape(live.size, -1, 1))
-    gens = code >> np.minimum(level * cols[:, None], 63)[:, None]
+            @ (dtype.type(1) << np.minimum(level[:, None] * cols[:, None, None] + np.arange(k),
+                                           top - 1).astype(dtype)).reshape(live.size, -1, 1))
+    gens = code >> np.minimum(level * cols[:, None], top).astype(dtype)[:, None]
     gen_set, gen_size = _row_sets(np.concatenate((gens.reshape(live.size, -1),
-                                                  np.zeros((live.size, 1), np.int64)), axis=1))
+                                                  np.zeros((live.size, 1), dtype)), axis=1))
 
     # OR-ing every union with every generator (0 included) keeps the old
     # unions and adds the next layer. A row declines once it passes
@@ -288,8 +293,8 @@ def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
     # column cap of each bit set in q.
     free, row_gens = ~cand, gens.transpose(1, 2, 0)
     p = sum(((row_gens[:, t, :, None] & free) != 0 for t in range(levels.max())), np.uint8(0))
-    bits = np.unpackbits(cand.astype("<i8", copy=False).view(np.uint8)
-                         .reshape(len(cand), -1, 8).transpose(2, 0, 1),
+    bits = np.unpackbits(cand.astype(cand.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+                         .reshape(len(cand), -1, cand.itemsize).transpose(2, 0, 1),
                          axis=0, count=(levels * cols).max(), bitorder="little")
     p = p * rcaps.T[:, :, None]
     q = bits * ccaps[np.arange(cols.size), np.arange(bits.shape[0])[:, None] % cols][:, :, None]
@@ -307,17 +312,21 @@ def _code_planes(stack: np.ndarray) -> np.ndarray:
     bit planes, per graph, per row then per column, shape ``(G, 2n,
     levels, words)``. A hop matrix of a connected graph holds 0..D, so
     each entry's code is its own value in any stack. Up to 256 distinct
-    entries, the codes are shifted as uint8."""
+    entries, the codes are shifted as uint8, written graph by graph and
+    packed plane by plane, which keeps the transients small."""
     values = np.unique(stack)
     size, n = stack.shape[:2]
     # Rows, then columns, zero-padded to whole words as in `_packed`.
     codes = np.zeros((size, 2 * n, -(-n // 64) * 64), np.uint8 if values.size <= 256 else np.int64)
-    codes[:, :n, :n] = np.searchsorted(values, stack)
+    for graph, matrix in zip(codes, stack):
+        graph[:n, :n] = np.searchsorted(values, matrix)
     codes[:, n:, :n] = codes[:, :n, :n].transpose(0, 2, 1)
-    bits = codes[:, :, None, :] >> np.arange(max(1, (values.size - 1).bit_length()),
-                                             dtype=codes.dtype)[:, None]
-    bits &= 1
-    return np.packbits(bits.astype(np.uint8, copy=False), axis=-1).view(np.uint64)
+    levels = max(1, (values.size - 1).bit_length())
+    planes = np.empty((size, 2 * n, levels, codes.shape[-1] // 64), np.uint64)
+    for level in range(levels):
+        planes[:, :, level] = np.packbits((codes >> level & 1).astype(np.uint8, copy=False),
+                                          axis=-1).view(np.uint64)
+    return planes
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:

@@ -470,7 +470,7 @@ class TestStacks:
                 runs = []
                 for budget in (1 << 40, 0):
                     sizes = []
-                    monkeypatch.setattr(indicator, "_STACK_PAIRS", budget)
+                    monkeypatch.setattr(indicator, "_STACK_BUDGET", budget)
                     runs.append(_point_bits(_points_for_starts(panel, config, _recording(sizes),
                                                                starts)))
                     assert sizes == ([len(starts)] if budget else [1] * len(starts))
@@ -488,9 +488,9 @@ class TestStacks:
                 for weighting in WEIGHTINGS:
                     config = WindowConfig(xi=xi, weighting=weighting, averaging_mode=mode)
                     runs = []
-                    for budget, jobs in ((indicator._STACK_PAIRS, 1), (indicator._STACK_PAIRS, 2),
-                                         (0, 1)):
-                        monkeypatch.setattr(indicator, "_STACK_PAIRS", budget)
+                    for budget, jobs in ((indicator._STACK_BUDGET, 1),
+                                         (indicator._STACK_BUDGET, 2), (0, 1)):
+                        monkeypatch.setattr(indicator, "_STACK_BUDGET", budget)
                         series = indicator_series(panel, config, jobs=jobs)
                         runs.append((series.dates, np.array(series.values).view(np.uint64).tolist(),
                                      series.notes))
@@ -498,13 +498,14 @@ class TestStacks:
                     assert runs[0] == runs[1] == runs[2], (mode, xi, weighting)
 
     # The rule stacks calm windows; 10 calm windows (a `rolling-calm`
-    # benchmark panel) form one stack, and a crisis window (~1,000 edges)
-    # forms a stack of one.
+    # benchmark panel) form one stack, and crisis windows (~1,000 edges)
+    # pair up. A window of 50 assets costs at least its 49 tree edges plus
+    # 50 * 50 // 25 for its arrays.
     def test_stack_rule(self):
         sizes = _stack_sizes(regime_switch(), WindowConfig(), range(0, 469))
         assert sum(sizes) == 469
-        assert min(sizes[:10]) >= 10 and max(sizes) <= indicator._STACK_PAIRS // 49
-        assert sizes[-69:] == [1] * 69
+        assert min(sizes[:10]) >= 10 and max(sizes) <= indicator._STACK_BUDGET // (49 + 100)
+        assert sizes[-35:] == [2] * 34 + [1]
 
     # The largest stack the rule forms on calm windows and on crisis
     # windows holds the window memory budget of `test_transport.py`.
@@ -523,6 +524,21 @@ class TestStacks:
         finally:
             tracemalloc.stop()
         assert max(stacks) >= (10 if first == 0 else 1)
+        assert peak < 4e6
+
+    # Two pairs-mode windows at the regime switch peak past the window
+    # budget together (4.1 MB), so the rule solves them apart.
+    def test_pairs_mode_stacks_stay_within_the_window_budget(self):
+        panel, config = regime_switch(), WindowConfig(averaging_mode="pairs")
+        starts = range(360, 362)
+        assert _stack_sizes(panel, config, starts) == [1, 1]
+        _points_for_starts(panel, config, _stack_curvature, starts)
+        tracemalloc.start()
+        try:
+            _points_for_starts(panel, config, _stack_curvature, starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 4e6
 
     # Overlap failures never enter a stack; the LP failures of two windows

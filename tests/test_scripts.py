@@ -12,7 +12,8 @@ import ricci_fragility
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["acf_study.py", "crisis_demo.py", "xi_elasticity.py"])
+@pytest.mark.parametrize("name", ["acf_study.py", "crisis_demo.py", "value_digest.py",
+                                  "xi_elasticity.py"])
 def test_script_help_exits_zero(name):
     src = str(Path(ricci_fragility.__file__).resolve().parent.parent)
     env = dict(os.environ,

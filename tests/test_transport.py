@@ -690,6 +690,49 @@ def test_integer_duals_split_rows_keep_their_values(monkeypatch):
     assert np.array_equal(transport._integer_duals(*_pad(pairs)), whole, equal_nan=True)
 
 
+def _staircase(rng, levels, m, k):
+    """An ``(m, k)`` integer gain pair of exactly ``levels`` levels (gcd 1)
+    with caps summing to one: rows that fall in steps along the columns,
+    except for column 0, which only the first row gains on. That row is at
+    the top level, so its code has every level bit, and has a small cap
+    against column 0's large one, so the optimum leaves column 0 at 0."""
+    cuts = np.sort(rng.integers(0, k + 1, size=(levels, m)), axis=0)
+    w = sum((np.arange(k) < cut[:, None]).astype(float) for cut in cuts)
+    w[0], w[1:, 0], w[-1, -1] = levels, 0.0, 1.0
+    return (w, np.r_[0.01, 0.99 * rng.dirichlet(np.ones(m - 1))],
+            np.r_[0.5, 0.5 * rng.dirichlet(np.ones(k - 1))])
+
+
+# Codes are uint32 while every pair of a chunk fits 32 level bits, int64
+# past that. Chunks padded to exactly 32 and to 33 bits, and a mixed chunk
+# of 32-bit pairs whose 16 levels times the other pairs' columns pass 32
+# bits (the clamped shifts): each dual equals the pair alone, the same
+# chunk forced to int64 codes by a 33-bit pair, and a dense LP.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shapes, dtype", [
+    ([(8, 5, 4), (2, 3, 2), (3, 4, 3)], np.uint32),
+    ([(11, 4, 3), (2, 3, 2), (3, 4, 3)], np.int64),
+    ([(3, 11, 11), (8, 5, 4)], np.int64),
+    ([(16, 2, 2), (8, 4, 4), (4, 8, 8), (2, 16, 16)], np.uint32),
+], ids=["32-bits", "33-bits", "33-bits-wide", "mixed"])
+def test_integer_duals_code_width(monkeypatch, shapes, dtype):
+    rng = np.random.default_rng(5)
+    pairs = [_staircase(rng, *shape) for shape in shapes]
+    assert max(levels * k for levels, _, k in shapes) == (32 if dtype is np.uint32 else 33)
+    widths, row_sets = [], transport._row_sets
+    monkeypatch.setattr(transport, "_row_sets",
+                        lambda a: widths.append(a.dtype) or row_sets(a))
+    batch = transport._integer_duals(*_pad(pairs))
+    assert widths[0] == dtype and np.isfinite(batch).all()
+    widths.clear()
+    wide = transport._integer_duals(*_pad(pairs + [_staircase(rng, 11, 4, 3)]))[:-1]
+    assert widths[0] == np.int64
+    for pair, value, int64 in zip(pairs, batch.tolist(), wide.tolist()):
+        assert value == transport._integer_duals(*_pad([pair]))[0] == int64
+        w, r, c = pair
+        assert value == pytest.approx(-_dense_lp(r, c, -w), abs=1e-9)
+
+
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
 # in int64, so it goes to the LP, which must still return the exact value
 # (1.9 on the unscaled line), not fail on the size of the costs.
