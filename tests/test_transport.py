@@ -655,6 +655,10 @@ _DUAL_CASES = [
     (np.array([[2, 0, 1, 1, 0], [0, 2, 1, 0, 1]]), np.array([0.4, 0.6]), np.full(5, 0.2), False),
     # gcd 2.
     (np.array([[4, 0], [2, 4], [0, 2]]), np.full(3, 1 / 3), np.array([0.5, 0.5]), False),
+    # gcd 1 with no unit gap, and gcd 40, which it takes to fit 63 bits
+    # (160 without it): the batch mixes all three steps.
+    (np.array([[3, 0], [2, 3], [0, 2]]), np.full(3, 1 / 3), np.array([0.5, 0.5]), False),
+    (np.array([[80, 40], [40, 0]]), np.array([0.4, 0.6]), np.array([0.5, 0.5]), False),
     (np.array([[22, 21], [0, 0]]), np.array([0.45, 0.55]), np.array([0.3, 0.7]), False),
     (np.array([[0.75, 0.0], [0.0, 2.25]]), np.full(2, 0.5), np.full(2, 0.5), True),
     (np.array([[2e19, 0.0], [0.0, 4e19]]), np.full(2, 0.5), np.full(2, 0.5), True),
@@ -828,7 +832,10 @@ def _random_metric(rng, n):
 # only atoms equal in every word pool. So no value may rest on the hash
 # being unique: with every atom's hash 0, values stay within 1e-12 of the
 # hashed ones on two crisis windows and within 1e-9 of the dense LP on
-# random metrics.
+# random metrics. Every word is compared: two sources 1 and 5 hops from
+# the one sink on a path have codes 001 and 101, equal on the low two
+# planes. (Neighbour measures never show this: their atoms lie within 2
+# hops of each other, so their codes differ by at most 2.)
 @pytest.mark.filterwarnings("error")
 def test_values_do_not_rest_on_a_unique_pooling_hash(monkeypatch, regime_panel):
     windows = []
@@ -852,6 +859,9 @@ def test_values_do_not_rest_on_a_unique_pooling_hash(monkeypatch, regime_panel):
     w1 = transport._w1_rows(rows, dist, ia, ib)
     for e, (a, b) in enumerate(zip(ia, ib)):
         assert w1[e] == pytest.approx(_dense_lp(rows[a], rows[b], dist[a // 24]), abs=1e-9)
+    path, pair = np.abs(np.subtract.outer(np.arange(8.0), np.arange(8.0))), np.zeros((2, 8))
+    pair[0, [1, 5]], pair[1, 0] = 0.5, 1.0
+    assert transport._w1_rows(pair, path[None], np.array([0]), np.array([1])).tolist() == [3.0]
 
 
 # The integer dual sorts the multi-distance pairs of a whole call, so the
@@ -1039,6 +1049,15 @@ def test_code_planes_equal_int64_reference(seed):
     assert planes.dtype == reference.dtype == np.uint64
     assert np.array_equal(planes, reference)
     assert (np.unique(stack).size > 256) == (seed % 3 == 2)
+
+
+# A stack holding exactly 0..V-1 is copied in as its own codes, which
+# stay int64 past 256 levels; a stack missing one level is searched.
+@pytest.mark.parametrize("gap", [False, True])
+def test_code_planes_of_whole_levels_past_256(gap):
+    stack = np.random.default_rng(3).permutation(np.arange(2 * 30 * 30) % 300)
+    stack = (stack + (gap & (stack >= 7))).reshape(2, 30, 30).astype(float)
+    assert np.array_equal(transport._code_planes(stack), _int64_code_planes(stack))
 
 
 def _alone(pa, pb, dist):
