@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DisconnectedGraphError, GraphError
 from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops, _hops_with_edge
-from .transport import PAIR_BLOCK, WEIGHTINGS, _measure_rows, _w1_rows
+from .transport import _STACK_BUDGET, WEIGHTINGS, _measure_rows, _w1_rows
 
 #: A bound counts as satisfied when slack = rhs - lhs >= -SLACK_TOL.
 SLACK_TOL = 1e-9
@@ -187,7 +187,7 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
                           f"got {weight_low!r}, {weight_high!r}")
     if weight_high <= 0.0:
         raise ConfigError(f"need weight_high > 0 for a positive new edge, got {weight_high!r}")
-    adj, w, hop, x, y, w_new = _draw(seed, n_low, n_high, weight_low, weight_high)
+    adj, w, hop, x, y, w_new = _draw([seed], n_low, n_high, weight_low, weight_high)[0]
     i, j = np.nonzero(np.triu(adj, 1))
     edges = tuple(zip(i.tolist(), j.tolist()))
     graph = MarketGraph(nodes=tuple(range(len(adj))), edges=edges,
@@ -195,31 +195,63 @@ def random_instance(seed: int, n_low: int = 4, n_high: int = 12,
     return _instance(graph, hop, x, y, w_new, f"seed={seed}")
 
 
-def _draw(seed: int, n_low: int = 4, n_high: int = 12, weight_low: float = 0.05,
-          weight_high: float = 2.0) -> tuple:
-    """`random_instance`'s draw as arrays, from the same stream: ``(adj, w,
-    hop, x, y, w_new)``, the boolean adjacency, the weights (0 off the
-    edges), the hop matrix, the absent edge ``x < y`` and its weight."""
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        n = int(rng.integers(n_low, n_high + 1))
-        p = float(rng.uniform(0.25, 0.75))
-        iu, ju = _upper(n)
-        drawn = rng.random(iu.size) < p
-        if drawn.all():
-            continue  # no absent edge to add
-        i, j = iu[drawn], ju[drawn]
-        adj = np.zeros((n, n), dtype=bool)
-        adj[i, j] = adj[j, i] = True
-        w = np.zeros((n, n))
-        w[i, j] = w[j, i] = rng.uniform(weight_low, weight_high, i.size)
-        hop = _hops(adj)
-        if not np.isfinite(hop).all():
-            continue
-        absent = np.flatnonzero(~drawn)
-        k = absent[int(rng.integers(absent.size))]
-        return adj, w, hop, int(iu[k]), int(ju[k]), float(rng.uniform(weight_low, weight_high))
-    raise DataError(f"could not generate a connected instance for seed {seed}")
+def _draw(seeds, n_low: int = 4, n_high: int = 12, weight_low: float = 0.05,
+          weight_high: float = 2.0) -> list:
+    """`random_instance`'s draw of each of ``seeds`` as arrays, from the same
+    stream: ``(adj, w, hop, x, y, w_new)``, the boolean adjacency, the
+    weights (0 off the edges), the hop matrix, the absent edge ``x < y`` and
+    its weight.
+
+    The draws run in rounds. In a round every pending seed draws its next
+    candidate that has an absent edge (n, p, edges, weights), one `_hops`
+    call runs on the zero-padded stack of the round's candidates, whose
+    ``[:n, :n]`` blocks are each graph's own hop counts, and each connected
+    candidate draws its new edge and weight; the rest go to the next round.
+    A seed gets 1000 candidates, complete graphs included.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    tries, draws, pending = [0] * len(rngs), [None] * len(rngs), range(len(rngs))
+    while pending:
+        round_ = []
+        for k in pending:
+            rng = rngs[k]
+            while tries[k] < 1000:
+                tries[k] += 1
+                n = int(rng.integers(n_low, n_high + 1))
+                p = float(rng.uniform(0.25, 0.75))
+                iu, ju = _upper(n)
+                drawn = rng.random(iu.size) < p
+                if not drawn.all():  # else no absent edge to add
+                    break
+            else:
+                raise DataError(f"could not generate a connected instance for seed {seeds[k]}")
+            i, j = iu[drawn], ju[drawn]
+            adj = np.zeros((n, n), dtype=bool)
+            adj[i, j] = adj[j, i] = True
+            w = np.zeros((n, n))
+            w[i, j] = w[j, i] = rng.uniform(weight_low, weight_high, i.size)
+            round_.append((k, adj, w, np.flatnonzero(~drawn)))
+        hops, pending = _hops(_padded([adj for _, adj, *_ in round_])), []
+        for (k, adj, w, absent), hop in zip(round_, hops):
+            n = len(adj)
+            if not np.isfinite(hop[:n, :n]).all():
+                pending.append(k)
+                continue
+            iu, ju = _upper(n)
+            m = absent[int(rngs[k].integers(absent.size))]
+            draws[k] = (adj, w, hop[:n, :n].copy(), int(iu[m]), int(ju[m]),
+                        float(rngs[k].uniform(weight_low, weight_high)))
+    return draws
+
+
+def _padded(blocks: list) -> np.ndarray:
+    """The square arrays ``blocks`` as one stack, zero-padded to the
+    largest."""
+    size = max(map(len, blocks))
+    stack = np.zeros((len(blocks), size, size), dtype=blocks[0].dtype)
+    for out, block in zip(stack, blocks):
+        out[:len(block), :len(block)] = block
+    return stack
 
 
 @cache
@@ -239,53 +271,59 @@ def _sample_pairs(n: int, x: int, y: int, rng: np.random.Generator) -> list:
     return sorted(pairs)
 
 
-def _group_w1(group, stars: list, weighting: str) -> list:
-    """Each ``(arrays, pairs, ...)`` of ``group``'s W1 values, in order, as
-    (W^d(mu_a, mu_b) of the pairs, W^{d*}(mu*_a, mu*_b) of the pairs, the
-    shifts W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)); ``stars`` holds each
-    item's d*.
+def _group_w1(group, weighting: str) -> tuple:
+    """``(dist, values)`` of the ``(arrays, pairs, ...)`` items of
+    ``group``: the stack ``dist`` of each item's d then d*, zero-padded to
+    the largest, and each item's W1 values, in order, as (W^d(mu_a, mu_b)
+    of the pairs, W^{d*}(mu*_a, mu*_b) of the pairs, the shifts
+    W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)).
 
-    They come from one `_w1_rows` call over the stack of the group's hop
-    matrices, each item's d then d*, zero-padded to the largest, with
-    measure rows from its adjacency and weights without and with the new
-    edge; a shift pair's first row is a row of d. A pair's value is the
-    one it has alone (see `_w1_rows`).
+    The values come from one `_w1_rows` call over ``dist`` with measure
+    rows from each item's adjacency and weights without and with the new
+    edge; a shift pair's first row is a row of d. The rows of the items of
+    one node count are computed together, unpadded, since zero padding
+    would change numpy's pairwise row sums. A pair's value is the one it
+    has alone (see `_w1_rows`).
     """
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    size = max(len(star) for star in stars)
-    dist = np.zeros((2 * len(group), size, size))
-    rows = np.zeros((2 * len(group), size, size))
-    ia, ib = [], []
-    for k, (((adj, w, hop, x, y, w_new), pairs, *_), star) in enumerate(zip(group, stars)):
-        n = len(adj)
-        adj, w = np.stack((adj, adj)), np.stack((w, w))
-        adj[1, x, y] = adj[1, y, x] = True
-        w[1, x, y] = w[1, y, x] = w_new
-        dist[2 * k:2 * k + 2, :n, :n] = hop, star
-        rows[2 * k:2 * k + 2, :n, :n] = _measure_rows(adj, w, weighting)
-        before, after = 2 * k * size, (2 * k + 1) * size
+    twice = [arrays for arrays, *_ in group for _ in range(2)]  # before and after the edge
+    adj, w, dist = (_padded([arrays[v] for arrays in twice]) for v in range(3))
+    size, ia, ib = dist.shape[1], [], []
+    for k, ((*_, x, y, _), pairs, *_) in enumerate(group):
+        first, second = 2 * k * size, (2 * k + 1) * size
         a, b = zip(*pairs)
-        ia += [before + v for v in a] + [after + v for v in a] + [before + x, before + y]
-        ib += [before + v for v in b] + [after + v for v in (*b, x, y)]
-    w1 = iter(_w1_rows(rows.reshape(-1, size), dist, np.array(ia), np.array(ib)).tolist())
-    return [tuple([next(w1) for _ in range(count)] for count in (len(pairs), len(pairs), 2))
-            for _, pairs, *_ in group]
+        ia += [first + v for v in a] + [second + v for v in a] + [first + x, first + y]
+        ib += [first + v for v in b] + [second + v for v in (*b, x, y)]
+    x, y, w_new = map(np.array, zip(*(arrays[3:] for arrays in twice[::2])))
+    after = np.arange(1, len(dist), 2)
+    adj[after, x, y] = adj[after, y, x] = True
+    w[after, x, y] = w[after, y, x] = w_new
+    dist[after] = _hops_with_edge(dist[after - 1], x, y)
+    ns = np.array([len(arrays[0]) for arrays in twice])
+    for n in np.unique(ns).tolist():  # the weights become the measure rows
+        w[ns == n, :n, :n] = _measure_rows(adj[ns == n, :n, :n], w[ns == n, :n, :n], weighting)
+    w1 = iter(_w1_rows(w.reshape(-1, size), dist, np.array(ia), np.array(ib)).tolist())
+    return dist, [tuple([next(w1) for _ in range(count)] for count in (len(pairs), len(pairs), 2))
+                  for _, pairs, *_ in group]
 
 
 def _group_reports(group, weighting: str) -> list:
     """All five checks on each ``(arrays, pairs, nodes, label)`` of
-    ``group``, in order, from the group's `_group_w1` values: ``arrays``
-    as `_draw` gives them, ``pairs`` position pairs with (x, y) among them
-    and ``nodes`` the node id at each position. Per item: prop1 at each
-    pair (first, then sup unless the pair touches x or y), lemma at x and
-    y, then prop2."""
-    stars = [_hops_with_edge(hop, x, y) for (_, _, hop, x, y, _), *_ in group]
+    ``group``, in order, from the group's `_group_w1` stack and values:
+    ``arrays`` as `_draw` gives them, ``pairs`` position pairs with (x, y)
+    among them and ``nodes`` the node id at each position. Per item: prop1
+    at each pair (first, then sup unless the pair touches x or y), lemma
+    at x and y, then prop2. The suite passes a whole stack of instances,
+    the public checks a group of one."""
+    dist, values = _group_w1(group, weighting)
+    deg = (dist[::2] == 1.0).sum(axis=2).tolist()  # neighbours are one hop away
+    sups = (dist[::2] - dist[1::2]).max(axis=(1, 2)).tolist()  # padding adds zeros
     reports = []
-    for ((adj, _, hop, x, y, _), pairs, nodes, label), star, (w_before, w_after, shifts) in zip(
-            group, stars, _group_w1(group, stars, weighting)):
-        d, ds, deg = hop.tolist(), star.tolist(), adj.sum(axis=1).tolist()
-        sup = float(np.max(hop - star))
+    for k, (((_, _, _, x, y, _), pairs, nodes, label), (w_before, w_after, shifts)) in enumerate(
+            zip(group, values)):
+        d, ds = dist[2 * k:2 * k + 2, :len(nodes), :len(nodes)].tolist()
+        sup = sups[k]
         for (a, b), before, after in zip(pairs, w_before, w_after):
             pair = (nodes[a], nodes[b])
             lhs = (1.0 - after / ds[a][b]) - (1.0 - before / d[a][b])
@@ -294,7 +332,7 @@ def _group_reports(group, weighting: str) -> list:
                 reports.append(_report("prop1_sup", lhs, sup / ds[a][b], pair, label))
             if (a, b) == (x, y):
                 jump = lhs
-        inv = [1.0 / (deg[v] + 1.0) for v in (x, y)]
+        inv = [1.0 / (deg[k][v] + 1.0) for v in (x, y)]
         reports += [_report("lemma_node", shift, rhs, (nodes[v],), label)
                     for v, shift, rhs in zip((x, y), shifts, inv)]
         rhs, pair = sup + (inv[0] + inv[1]), (nodes[x], nodes[y])
@@ -352,10 +390,12 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
 
     Every instance is reproducible from ``seed`` and its trial index;
     violated reports carry the instance label so a failure can be
-    replayed exactly. Instances are drawn as arrays (`_draw`, nodes
-    ``0..n-1``) and checked in groups that share W1 blocks
-    (`_group_reports`), with the reports `run_instance_checks` gives each
-    `random_instance` alone.
+    replayed exactly. Instances are drawn as arrays in stacked rounds
+    (`_draw`, nodes ``0..n-1``) and checked as stacks cut by the
+    `_STACK_BUDGET` rule, each with one `_w1_rows` call (`_group_reports`),
+    with the reports `run_instance_checks` gives each `random_instance`
+    alone. A stack's instances are drawn when it is solved, so memory
+    stays flat in ``trials``.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -363,21 +403,26 @@ def run_bounds_suite(trials: int = 200, seed: int = 0,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    reports, group, pending = [], [], 0
-    for t in range(trials):
-        instance_seed = seed * 1_000_003 + t
-        arrays = _draw(instance_seed)
-        n, x, y = len(arrays[0]), arrays[3], arrays[4]
-        pairs = _sample_pairs(n, x, y, np.random.default_rng(instance_seed + 500_009))
-        # An instance needs its pairs under d and d* plus two shifts; a
-        # group is solved before it would pass PAIR_BLOCK pairs.
-        count = 2 * len(pairs) + 2
-        if pending + count > PAIR_BLOCK:
-            reports += _group_reports(group, weighting)
-            group, pending = [], 0
-        group.append((arrays, pairs, range(n), f"seed={instance_seed}"))
-        pending += count
-    reports += _group_reports(group, weighting)
+    # An instance costs its W1 pairs (its pairs under d and d*, and two
+    # shifts) plus n * n // 25, and a stack is solved before it would pass
+    # `_STACK_BUDGET`. Instances are drawn in batches of as many as fit the
+    # budget at the largest cost (`_draw`'s 12 nodes, _PAIR_SAMPLES + 1
+    # pairs), so only one stack and one batch are held at a time.
+    batch = _STACK_BUDGET // (2 * _PAIR_SAMPLES + 4 + 12 * 12 // 25)
+    first = seed * 1_000_003
+    reports, stack, load = [], [], 0
+    for start in range(first, first + trials, batch):
+        seeds = range(start, min(start + batch, first + trials))
+        for instance_seed, arrays in zip(seeds, _draw(seeds)):
+            n, x, y = len(arrays[0]), arrays[3], arrays[4]
+            pairs = _sample_pairs(n, x, y, np.random.default_rng(instance_seed + 500_009))
+            cost = 2 * len(pairs) + 2 + n * n // 25
+            if stack and load + cost > _STACK_BUDGET:
+                reports += _group_reports(stack, weighting)
+                stack, load = [], 0
+            stack.append((arrays, pairs, range(n), f"seed={instance_seed}"))
+            load += cost
+    reports += _group_reports(stack, weighting)
     return BoundsSuiteResult(reports=tuple(reports), trials=trials, seed=seed,
                              weighting=weighting)
 

@@ -331,11 +331,14 @@ def _hops(adj: np.ndarray) -> np.ndarray:
     return hop
 
 
-def _hops_with_edge(hop: np.ndarray, i: int, j: int) -> np.ndarray:
+def _hops_with_edge(hop: np.ndarray, i, j) -> np.ndarray:
     """`_hops` of a graph with hop matrix ``hop`` once edge (i, j) is added:
-    a new shortest path crosses the edge once, in one direction."""
-    return np.minimum(hop, np.minimum(hop[:, i, None] + 1.0 + hop[j],
-                                      hop[:, j, None] + 1.0 + hop[i]))
+    a new shortest path crosses the edge once, in one direction. On a
+    ``(G, n, n)`` stack ``i`` and ``j`` hold one edge per graph."""
+    at = (np.arange(len(hop)),) if hop.ndim == 3 else ()
+    hi, hj = hop[(*at, i)][..., None], hop[(*at, j)][..., None]  # columns, as hop is symmetric
+    return np.minimum(hop, np.minimum(hi + 1.0 + hj.swapaxes(-1, -2),
+                                      hj + 1.0 + hi.swapaxes(-1, -2)))
 
 
 def induced_subgraph(graph: MarketGraph, node_subset) -> MarketGraph:

@@ -30,21 +30,10 @@ import numpy as np
 from .errors import ConfigError, DataError, InsufficientOverlapError
 from .graphs import MarketGraph, _from_edge_mask, _hops, _prim
 from .ingestion import PriceMatrix
-from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures
+from .transport import _STACK_BUDGET, AVERAGING_MODES, WEIGHTINGS, _curvatures
 
 #: Minimum overlapping observations for a pairwise correlation.
 MIN_OVERLAP = 3
-
-#: Memory estimate per stack of windows in the rolling driver: a window
-#: costs its bounded pairs (`_pair_bound`) plus ``n * n // 25`` for its
-#: ``(n, n)`` arrays; a window over it is a stack of one. On
-#: `regime_switch()` (n = 50, edges) 13-17 calm windows share a stack and
-#: crisis windows pair up: calm windows took 1.32 ms each against 2.57 ms
-#: alone, crisis windows 34.2 against 35.2 ms. Under `tracemalloc` the
-#: largest calm stack peaks at 2.3 MB and a crisis pair at 3.7 MB (xi
-#: 0.9). Past the 4 MB window budget: two pairs-mode windows (1,325 each)
-#: at k = 360, 361 at 4.1 MB, crisis windows in threes at 4.4 MB.
-_STACK_BUDGET = 2600
 
 TRANSFORM_KINDS = ("sqrt_ultrametric", "power", "log1p_scaled")
 

@@ -3,26 +3,27 @@ Ollivier-Ricci curvature.
 
 The W1 solver is exact, not approximate. Its one entry point
 (`_w1_rows`) takes measure rows over a stack of distance matrices and
-two rows per pair, solved on the graph of its first row: a window's
-pairs or one pair on a stack of one, or the pairs of a group of `bounds`
-instances on their zero-padded hop matrices. It builds the pooling keys
-once and hands blocks of pairs to `_w1_block`, the front end, which fixes
-shared mass in place, since it never moves under a metric cost, sums each
-pair's moved mass left to right, pools interchangeable residual atoms
-(one stable sort on their side and a hash of their masked code planes,
-then a check of every word against the sorted neighbour) and reads their
-distances for the whole block. No residual costs nothing and
-one distinct distance has a closed form. Pairs with more come back as
-lists of pooled atoms, larger side as rows, and `_w1_rows` scores all of
-the call's such pairs in chunks of `PAIR_BLOCK`, sorted by level bits and
-each padded to its largest pair, by the integral dual of the max-weight
-transport (`_integer_duals`: level-bit codes, a row-wise OR-closure and
-bit-test scoring). Each pair where it declines is solved alone as one
-pooled HiGHS LP with dense constraints (`_solve_lp`, the package's only
-SciPy call, imported there). A pair's value does not depend on the
-block, chunk, padded stack or call it is solved in. Every route returns
-the exact optimum up to float rounding of sums, which keeps closed-form
-comparisons tight at 1e-12.
+two rows per pair, solved on the graph of its first row: a stack of
+windows' pairs or one pair on a stack of one, or the pairs of a stack of
+`bounds` instances on their zero-padded hop matrices. It builds the
+pooling keys once and hands blocks of pairs to `_w1_block`, the front
+end, which fixes shared mass in place, since it never moves under a
+metric cost, sums each pair's moved mass left to right, pools
+interchangeable residual atoms (one stable sort on their side and a hash
+of their masked code planes, then a check of every word against the
+sorted neighbour) and reads their distances for the whole block. No
+residual costs nothing and one distinct distance has a closed form.
+Pairs with more come back as lists of pooled atoms, larger side as rows,
+and `_w1_rows` scores all of the call's such pairs in chunks of
+`PAIR_BLOCK`, sorted by level bits and each padded to its largest pair,
+by the integral dual of the max-weight transport (`_integer_duals`:
+level-bit codes, a row-wise OR-closure and bit-test scoring). Each pair
+where it declines is solved alone as one pooled HiGHS LP with dense
+constraints (`_solve_lp`, the package's only SciPy call, imported
+there). A pair's value does not depend on the block, chunk, padded stack
+or call it is solved in. Every route returns the exact optimum up to
+float rounding of sums, which keeps closed-form comparisons tight at
+1e-12.
 
 Curvature runs on the dense arrays of a stack of graphs (`_curvatures`),
 with every node's neighbour measure as one row of a matrix
@@ -339,6 +340,23 @@ def _packed(bits: np.ndarray) -> np.ndarray:
     padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 64,), dtype=np.uint8)
     padded[..., :bits.shape[-1]] = bits
     return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+#: Memory estimate per `_w1_rows` call of the two stacking drivers. An
+#: item costs its W1 pairs plus ``n * n // 25`` for its ``(n, n)``
+#: arrays; a stack takes items in order until the next would pass the
+#: budget, and an item over it is a stack of one. A rolling window counts
+#: its bounded pairs (`_pair_bound`). On `regime_switch()` (n = 50, edges)
+#: 13-17 calm windows share a stack and crisis windows pair up: calm
+#: windows took 1.32 ms each against 2.57 ms alone, crisis windows 34.2
+#: against 35.2 ms. Under `tracemalloc` the largest calm stack peaks at
+#: 2.3 MB and a crisis pair at 3.7 MB (xi 0.9). Past the 4 MB window
+#: budget: two pairs-mode windows (1,325 each) at k = 360, 361 at 4.1 MB,
+#: crisis windows in threes at 4.4 MB. A `bounds` instance counts its
+#: sampled pairs under d and d* and its two shifts: 176-208 instances of
+#: 4-12 nodes (about 2,050 pairs) share a stack, a 100-trial suite is one
+#: stack, and a 1,000-trial suite peaks 3.1 MB above what its reports hold.
+_STACK_BUDGET = 2600
 
 
 def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:

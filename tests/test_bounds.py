@@ -5,13 +5,14 @@ import hashlib
 import math
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricci_fragility import bounds, transport
+from ricci_fragility import bounds
 from ricci_fragility.bounds import (
     BOUND_NAMES,
     BoundReport,
@@ -364,18 +365,80 @@ class TestSuite:
                                           np.random.default_rng(seed + 500_009), weighting)
         assert list(res.reports) == single
 
-    # A group of instances shares its W1 blocks: a suite makes at most
-    # one partly filled block per group on top of the full ones.
-    def test_suite_solves_groups_in_shared_blocks(self, monkeypatch):
-        blocks, groups = [], []
-        solve, group_reports = transport._w1_block, bounds._group_reports
-        monkeypatch.setattr(transport, "_w1_block",
-                            lambda pa, *rest: blocks.append(len(pa)) or solve(pa, *rest))
-        monkeypatch.setattr(bounds, "_group_reports",
-                            lambda group, w: groups.append(len(group)) or group_reports(group, w))
+    # A suite solves its instances as stacks, one `_w1_rows` call each,
+    # with all the stack's W1 pairs: 100 trials are one stack, and longer
+    # suites are cut, in order, into the longest stacks that fit
+    # `_STACK_BUDGET` (an instance costs its W1 pairs plus n * n // 25).
+    def test_suite_solves_each_stack_in_one_call(self, monkeypatch):
+        calls, stacks = [], []
+        w1_rows, group_reports = bounds._w1_rows, bounds._group_reports
+
+        def counted_w1_rows(rows, dist, ia, ib):
+            calls.append(len(ia))
+            return w1_rows(rows, dist, ia, ib)
+
+        def costed_group_reports(group, weighting):
+            # (W1 pairs, array term) of each instance of the stack
+            stacks.append([(2 * len(pairs) + 2, len(nodes) ** 2 // 25)
+                           for _, pairs, nodes, _ in group])
+            return group_reports(group, weighting)
+
+        monkeypatch.setattr(bounds, "_w1_rows", counted_w1_rows)
+        monkeypatch.setattr(bounds, "_group_reports", costed_group_reports)
         run_bounds_suite(trials=100, seed=0)
-        assert sum(groups) == 100
-        assert len(blocks) <= math.ceil(sum(blocks) / transport.PAIR_BLOCK) + len(groups)
+        assert len(calls) == len(stacks) == 1 and len(stacks[0]) == 100
+        calls.clear(), stacks.clear()
+        run_bounds_suite(trials=1000, seed=0)
+        assert len(stacks) > 1 and sum(map(len, stacks)) == 1000
+        assert calls == [sum(pairs for pairs, _ in stack) for stack in stacks]
+        loads = [sum(map(sum, stack)) for stack in stacks]
+        assert max(loads) <= bounds._STACK_BUDGET
+        assert all(load + sum(nxt[0]) > bounds._STACK_BUDGET
+                   for load, nxt in zip(loads, stacks[1:]))
+
+    # A suite holds one stack and one draw batch at a time, whatever its
+    # length: its peak past what its reports hold stays inside the window
+    # memory budget of `test_transport.py`.
+    def test_suite_memory_stays_flat(self):
+        run_bounds_suite(trials=20, seed=0)
+        tracemalloc.start()
+        try:
+            res = run_bounds_suite(trials=1000, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.reports) > 9000
+        assert peak - held < 4e6
+
+    # W1 depends on mu - nu only, and mu*_x = (1 - t) mu_x + t delta_y, so
+    # the lemma's left side is t * sum_v mu_x(v) d(v, y) exactly, with t =
+    # 1/(n_x + 1) (uniform) or w_new / (W_x + w_new) (edge_weight). A check
+    # of the stacked W1 values that needs no LP, on the benchmark's suites.
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_lemma_lhs_is_the_closed_form_shift(self, weighting):
+        instances, checked = {}, 0
+        for s in range(8):
+            for r in run_bounds_suite(100, s, weighting).reports:
+                if r.bound_name != "lemma_node":
+                    continue
+                if r.instance_label not in instances:
+                    instances[r.instance_label] = random_instance(
+                        int(r.instance_label.split("=")[1]))
+                inst = instances[r.instance_label]
+                (v,) = r.pair
+                u = inst.y if v == inst.x else inst.x
+                nbrs = {b if a == v else a: wt for (a, b), wt in inst.graph.weights.items()
+                        if v in (a, b)}
+                w_new = inst.graph_star.weight(inst.x, inst.y)
+                if weighting == "uniform":
+                    mu, t = dict.fromkeys(nbrs, 1.0 / len(nbrs)), 1.0 / (len(nbrs) + 1)
+                else:
+                    total = sum(nbrs.values())
+                    mu, t = {z: wt / total for z, wt in nbrs.items()}, w_new / (total + w_new)
+                want = t * sum(m * inst.hop.dist(z, u) for z, m in mu.items())
+                assert r.lhs == pytest.approx(want, abs=1e-12), r
+                checked += 1
+        assert checked == 2 * 800
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
@@ -445,7 +508,7 @@ class TestRandomInstance:
     # the instance's own, the new edge's weight included.
     def test_array_draw_equals_random_instance(self):
         for seed in range(200):
-            adj, w, hop, x, y, w_new = bounds._draw(seed)
+            adj, w, hop, x, y, w_new = bounds._draw([seed])[0]
             inst = random_instance(seed)
             assert (x, y, f"seed={seed}") == (inst.x, inst.y, inst.label)
             assert type(x) is int and type(y) is int
@@ -454,6 +517,37 @@ class TestRandomInstance:
             assert w_new == inst.graph_star.weight(x, y)
             assert np.array_equal(hop, inst.hop.matrix)
             assert np.array_equal(_hops_with_edge(hop, x, y), inst.hop_star.matrix)
+
+
+    # The stacked draw runs one BFS per round on the padded stack of every
+    # pending seed's candidate; each seed's arrays are the ones it draws
+    # alone, also where its first candidate is complete or disconnected.
+    def test_stacked_draw_equals_draws_alone(self, monkeypatch):
+        rounds, hops = [], bounds._hops
+        monkeypatch.setattr(bounds, "_hops", lambda adj: rounds.append(len(adj)) or hops(adj))
+        stacked = bounds._draw(range(400))
+        assert rounds[0] == 400 and len(rounds) > 1 and sum(rounds[1:]) < 400
+        for seed, arrays in enumerate(stacked):
+            alone = bounds._draw([seed])[0]
+            assert [type(v) for v in arrays] == [type(v) for v in alone]
+            for got, want in zip(arrays, alone):
+                assert np.array_equal(got, want)
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+        first = [_first_candidate(seed) for seed in range(400)]
+        assert "complete" in first and "disconnected" in first
+
+
+def _first_candidate(seed):
+    """Whether the first candidate graph of ``seed``'s stream is complete,
+    disconnected or connected with an absent edge."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    p = float(rng.uniform(0.25, 0.75))
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p)
+    if len(edges) == n * (n - 1) // 2:
+        return "complete"
+    graph = MarketGraph(nodes=tuple(range(n)), edges=edges, weights=dict.fromkeys(edges, 1.0))
+    return "connected" if graph.is_connected() else "disconnected"
 
 
 def _plain_draw(seed):

@@ -505,7 +505,8 @@ def test_random_graph_cases_include_disconnected_ones():
 
 
 # Adding one edge to a connected graph: the one-edge rule on the old hop
-# matrix equals BFS on the new graph, for every absent pair.
+# matrix equals BFS on the new graph, for every absent pair, alone and on
+# a stack of copies of the graph with one absent pair each.
 @pytest.mark.parametrize("seed", range(30))
 def test_one_edge_rule_equals_bfs_of_the_new_graph(seed):
     rng = np.random.default_rng(seed)
@@ -515,10 +516,13 @@ def test_one_edge_rule_equals_bfs_of_the_new_graph(seed):
     adj |= adj.T
     hop = _hops(adj)
     assert np.isfinite(hop).all()
-    for i, j in zip(*np.nonzero(np.triu(~adj, 1))):
+    absent = np.nonzero(np.triu(~adj, 1))
+    stacked = _hops_with_edge(np.repeat(hop[None], absent[0].size, axis=0), *absent)
+    for i, j, star in zip(*absent, stacked):
         grown = adj.copy()
         grown[i, j] = grown[j, i] = True
         assert np.array_equal(_hops_with_edge(hop, i, j), _hops(grown))
+        assert np.array_equal(star, _hops(grown))
 
 
 @pytest.mark.parametrize("k", [0, 100, 250, 300, 360, 420, 460])
