@@ -6,6 +6,13 @@ checkouts compute bit-identical values exactly when they print the same lines:
 - ``indicator_series(regime_switch(), WindowConfig(xi=..., weighting=...))``
   at xi 0.85 and 0.9 and both weightings (all 469 windows of the default
   corpus), hashing the series' dates, the values' raw bits and the gap notes;
+- the same series on rows 200..480 of ``regime_switch()`` (150 windows,
+  calm and crisis) with a seeded 5% of cells missing, under ``log_return``
+  with each distance transform (``sqrt``, ``power:0.5``, ``power:1.5``,
+  ``log1p``) and under ``raw_price`` with ``sqrt``: the masked,
+  pairwise-complete correlation path, which the complete corpus never
+  reaches (numpy computes ``** 0.5`` as a square root, so ``power:0.5``
+  prints the ``sqrt`` digest, and ``power:1.5`` is the power branch's own);
 - ``run_bounds_suite(100, s, WEIGHTINGS[s % 2])`` for suite seeds 0..7
   (the benchmark's ``bounds`` suites at its seed 0), hashing each report's
   name, pair, label and flag and the raw bits of its lhs, rhs and slack.
@@ -21,8 +28,23 @@ import struct
 
 import numpy as np
 
-from ricci_fragility import WindowConfig, indicator_series, regime_switch, run_bounds_suite
+from ricci_fragility import (
+    DistanceTransform,
+    PriceMatrix,
+    WindowConfig,
+    indicator_series,
+    regime_switch,
+    run_bounds_suite,
+)
 from ricci_fragility.transport import WEIGHTINGS
+
+
+def masked(prices) -> PriceMatrix:
+    """Rows 200..480 of ``prices`` with 5% of their cells missing (seed 0)."""
+    part = prices.window(200, 481)
+    values = part.values.copy()
+    values[np.random.default_rng(0).random(values.shape) < 0.05] = np.nan
+    return PriceMatrix(dates=part.dates, tickers=part.tickers, values=values)
 
 
 def series_digest(series) -> str:
@@ -50,6 +72,14 @@ def main() -> None:
             series = indicator_series(prices, WindowConfig(xi=xi, weighting=weighting))
             print(f"indicator xi={xi:g} weighting={weighting} windows={len(series.values)} "
                   f"gaps={series.gap_count()} sha256={series_digest(series)}")
+    holes = masked(prices)
+    for input_mode, distance in (("log_return", "sqrt"), ("log_return", "power:0.5"),
+                                 ("log_return", "power:1.5"), ("log_return", "log1p"),
+                                 ("raw_price", "sqrt")):
+        series = indicator_series(holes, WindowConfig(
+            transform=DistanceTransform.parse(distance), input_mode=input_mode))
+        print(f"masked input={input_mode} distance={distance} windows={len(series.values)} "
+              f"gaps={series.gap_count()} sha256={series_digest(series)}")
     reports = []
     for s in range(8):
         reports += run_bounds_suite(100, s, WEIGHTINGS[s % 2]).reports

@@ -253,14 +253,14 @@ def _prim(w: np.ndarray) -> np.ndarray:
     """Prim's trees of a ``(G, n, n)`` stack of dense symmetric weight
     matrices (``inf``: no edge), each grown from node 0 with the
     `minimum_spanning_tree` tie-break: a step takes the frontier edge with
-    the smallest ``(weight, i, j)``, ``i < j``. A stable sort of each upper
-    triangle, which is in ``(i, j)`` order, ranks those triples once, so a
-    step is a few array operations on the whole stack, whatever its size.
+    the smallest ``(weight, i, j)``, ``i < j``. Each upper triangle, which
+    is in ``(i, j)`` order, is ranked once by `_stable_order`, so a step is
+    a few array operations on the whole stack, whatever its size.
     Returns the ``(G, n - 1, 2)`` pairs ``(i, j)`` in the order taken;
     ``DisconnectedGraphError`` if some ``w`` spans no tree."""
     size, n = w.shape[:2]
     iu, ju = np.triu_indices(n, 1)
-    order = np.argsort(w[:, iu, ju], axis=1, kind="stable")
+    order = _stable_order(w[:, iu, ju])
     stack = np.arange(size)
     inverse = np.empty(order.shape, dtype=np.int32)
     inverse[stack[:, None], order] = np.arange(iu.size)
@@ -281,6 +281,18 @@ def _prim(w: np.ndarray) -> np.ndarray:
     if np.isinf(w[stack[:, None], iu[pair], ju[pair]]).any():
         raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
     return np.stack((iu[pair], ju[pair]), axis=-1)
+
+
+def _stable_order(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, axis=1, kind="stable")`` up to the order of equal
+    ``inf`` entries (non-edges, which never decide a tree): numpy's SIMD
+    sort, re-sorted stably on the rows that hold equal finite values."""
+    order = np.argsort(x, axis=1)
+    s = np.take_along_axis(x, order, axis=1)
+    tied = ((s[:, 1:] == s[:, :-1]) & np.isfinite(s[:, 1:])).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(x[tied], axis=1, kind="stable")
+    return order
 
 
 def augment_high_value_edges(mst: MarketGraph, base: MarketGraph, xi: float) -> MarketGraph:
@@ -316,18 +328,27 @@ def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
 
 def _hops(adj: np.ndarray) -> np.ndarray:
     """Hop counts of the symmetric boolean adjacency ``adj``, ``(n, n)`` or a
-    ``(G, n, n)`` stack, by one frontier BFS from every node of every graph
-    at once, run to the stack's largest diameter; ``UNREACHABLE`` where no
-    path exists."""
-    step = adj.astype(np.float32)  # path counts up to n, exact
-    reach = np.eye(adj.shape[-1], dtype=bool) | np.zeros(adj.shape, dtype=bool)
-    hop = np.where(reach, 0.0, UNREACHABLE)
-    frontier, d = reach, 0
-    while frontier.any():
-        d += 1
-        frontier = ((frontier @ step) > 0) & ~reach
-        hop[frontier] = d
-        reach |= frontier
+    ``(G, n, n)`` stack, in O(log D) products by Seidel's scheme: square
+    the graph until each component is complete, then unwind, where hops
+    ``2t`` drop by one at ``(i, j)`` if the ``t`` from ``i`` to ``j``'s
+    neighbours sum to less than ``t * deg(j)``; ``UNREACHABLE`` where no
+    path exists. Bool levels are cast for each product, to float32 while
+    its entries, at most (n - 1)^2, stay exact (below 2^24)."""
+    off = ~np.eye(adj.shape[-1], dtype=bool)
+    exact = np.float32 if adj.shape[-1] <= 4096 else np.float64
+    levels = [adj & off]
+    while len(levels) < 2 or not np.array_equal(levels[-1], levels[-2]):
+        f = levels[-1].astype(exact)
+        levels.append((levels[-1] | (f @ f > 0)) & off)
+    *levels, top, _ = levels  # the last two are equal
+    t = top.astype(exact)
+    for b in reversed(levels):
+        f = b.astype(exact)
+        low = (t @ f) < t * f.sum(axis=-1)[..., None, :]
+        t *= 2
+        t -= low
+    hop = t.astype(float)
+    hop[~top & off] = UNREACHABLE
     return hop
 
 

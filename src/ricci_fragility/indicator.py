@@ -10,7 +10,7 @@ plus all edges above the correlation threshold, and the average
 Ollivier-Ricci curvature of that filtered graph is one point of the
 series, labelled by the window's last date so nothing looks ahead. The
 series reads the graphs of a stack of windows as arrays, with one Prim,
-one BFS and one W1 call per stack; `window_graph` builds one window's
+one hop count and one W1 call per stack; `window_graph` builds one window's
 graph from a stack of one.
 
 Windows that fail validation (insufficient overlap, disconnection)
@@ -165,10 +165,20 @@ def correlation_matrix(window: PriceMatrix, input_mode: str = "raw_price"):
     Returns ``(rho, flagged)`` where ``flagged`` lists ticker pairs with
     zero variance on their overlap (their rho is set to 0). Raises
     ``InsufficientOverlapError`` if any pair overlaps on fewer than
-    ``MIN_OVERLAP`` rows.
+    ``MIN_OVERLAP`` rows. ``rho`` is symmetric, within ``[-1, 1]`` and
+    has a unit diagonal.
     """
     if input_mode not in INPUT_MODES:
         raise ConfigError(f"unknown input mode {input_mode!r}")
+    rho, degenerate = _correlations(window, input_mode)
+    flagged = tuple((window.tickers[i], window.tickers[j])
+                    for i, j in np.argwhere(np.triu(degenerate, 1)))
+    return rho, flagged
+
+
+def _correlations(window: PriceMatrix, input_mode: str):
+    """``(rho, degenerate)`` of `correlation_matrix`: the correlations and
+    the mask of pairs with zero variance on their overlap."""
     x = window.values
     if input_mode == "log_return":
         logp = np.log(x)
@@ -178,23 +188,26 @@ def correlation_matrix(window: PriceMatrix, input_mode: str = "raw_price"):
         raise InsufficientOverlapError(
             f"window provides {rows} usable rows; need >= {MIN_OVERLAP}")
 
-    mask = (~np.isnan(x)).astype(float)
-    # Column-centred values stabilise the cross moments; pairwise means
-    # are restored inside the correlation identity below, which is exact
-    # under any constant shift per column.
-    centred = np.where(mask > 0.0, x - np.nanmean(x, axis=0), 0.0)
-
+    present = ~np.isnan(x)
+    mask = present.astype(float)
     overlap = mask.T @ mask                  # co-present row counts
-    s1 = centred.T @ mask                    # sum of x over co-present rows
-    s2 = (centred * centred).T @ mask        # sum of x^2 over co-present rows
-    cross = centred.T @ centred              # sum of x*y over co-present rows
-
-    off = ~np.eye(n, dtype=bool)
-    if np.any(overlap[off] < MIN_OVERLAP):
-        i, j = np.argwhere((overlap < MIN_OVERLAP) & off)[0]
+    # A diagonal count bounds its row, so the whole matrix is tested.
+    if n > 1 and (overlap < MIN_OVERLAP).any():
+        i, j = np.argwhere((overlap < MIN_OVERLAP) & ~np.eye(n, dtype=bool))[0]
         raise InsufficientOverlapError(
             f"{window.tickers[i]}/{window.tickers[j]} overlap on "
             f"{int(overlap[i, j])} rows; need >= {MIN_OVERLAP}")
+
+    # Column-centred values stabilise the cross moments; pairwise means
+    # are restored inside the correlation identity below, which is exact
+    # under any constant shift per column. The means are `np.nanmean`'s
+    # arithmetic (zero-filled sums over counts).
+    mean = np.where(present, x, 0.0).sum(axis=0) / mask.sum(axis=0)
+    centred = np.where(present, x - mean, 0.0)
+
+    s1 = centred.T @ mask                    # sum of x over co-present rows
+    s2 = (centred * centred).T @ mask        # sum of x^2 over co-present rows
+    cross = centred.T @ centred              # sum of x*y over co-present rows
 
     cov = overlap * cross - s1 * s1.T
     var_x = overlap * s2 - s1 * s1
@@ -217,10 +230,7 @@ def correlation_matrix(window: PriceMatrix, input_mode: str = "raw_price"):
     rho = np.clip(rho, -1.0, 1.0)
     rho = (rho + rho.T) / 2.0
     np.fill_diagonal(rho, 1.0)
-
-    flagged = tuple((window.tickers[i], window.tickers[j])
-                    for i, j in np.argwhere(np.triu(degenerate, 1)))
-    return rho, flagged
+    return rho, degenerate
 
 
 def distance_from_correlation(rho: np.ndarray, transform: DistanceTransform) -> np.ndarray:
@@ -245,9 +255,10 @@ def window_graph(window: PriceMatrix, config: WindowConfig) -> MarketGraph:
 
 
 def _window_arrays(window: PriceMatrix, config: WindowConfig):
-    """``(rho, dist)`` of one window: its correlations and distances."""
-    rho, _ = correlation_matrix(window, config.input_mode)
-    return rho, distance_from_correlation(rho, config.transform)
+    """``(rho, dist)`` of one window: `correlation_matrix`'s core, whose
+    ``rho`` needs none of `distance_from_correlation`'s checks."""
+    rho, _ = _correlations(window, config.input_mode)
+    return rho, config.transform.apply(rho)
 
 
 def _stack_adjacency(high: np.ndarray, dist: np.ndarray) -> np.ndarray:

@@ -322,16 +322,18 @@ def _code_planes(stack: np.ndarray) -> np.ndarray:
     plane, which keeps the transients small."""
     values = np.unique(stack)
     size, n = stack.shape[:2]
-    # Rows, then columns, zero-padded to whole words as in `_packed`.
-    codes = np.zeros((size, 2 * n, -(-n // 64) * 64), np.uint8 if values.size <= 256 else np.int64)
+    codes = np.empty((size, 2 * n, n), np.uint8 if values.size <= 256 else np.int64)
     whole = np.array_equal(values, np.arange(values.size))
-    codes[:, :n, :n] = stack if whole else np.searchsorted(values, stack)
-    codes[:, n:, :n] = codes[:, :n, :n].transpose(0, 2, 1)
+    codes[:, :n] = stack if whole else np.searchsorted(values, stack)
+    codes[:, n:] = codes[:, :n].transpose(0, 2, 1)  # rows, then columns
     levels = max(1, (values.size - 1).bit_length())
-    planes = np.empty((size, 2 * n, levels, codes.shape[-1] // 64), np.uint64)
+    # Each level's bits fill the front of one buffer zero-padded to whole
+    # words, as in `_packed`, so each row packs straight into its words.
+    bits = np.zeros((size, 2 * n, -(-n // 64) * 64), np.uint8)
+    planes = np.empty((size, 2 * n, levels, bits.shape[-1] // 64), np.uint64)
     for level in range(levels):
-        planes[:, :, level] = np.packbits((codes >> level & 1).astype(np.uint8, copy=False),
-                                          axis=-1).view(np.uint64)
+        np.bitwise_and(codes >> level, 1, out=bits[..., :n], casting="unsafe")
+        planes[:, :, level] = np.packbits(bits, axis=-1).view(np.uint64)
     return planes
 
 

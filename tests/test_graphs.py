@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from ricci_fragility.bounds import _padded
 from ricci_fragility.errors import ConfigError, DisconnectedGraphError, GraphError
 from ricci_fragility.graphs import (
     UNREACHABLE,
@@ -18,6 +19,7 @@ from ricci_fragility.graphs import (
     _hops,
     _hops_with_edge,
     _prim,
+    _stable_order,
     augment_high_value_edges,
     build_complete_graph,
     hop_distances,
@@ -333,6 +335,78 @@ def test_stacked_prim_equals_full_frontier_scan(seed):
             _prim(w)
 
 
+def _kruskal(w):
+    """Kruskal on the ``(weight, i, j)`` order: the unique tree under that
+    total order, which Prim's tie-break also takes."""
+    n = len(w)
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    tree = set()
+    for _, i, j in sorted((w[i, j], i, j) for i in range(n) for j in range(i + 1, n)
+                          if np.isfinite(w[i, j])):
+        if root(i) != root(j):
+            parent[root(i)] = root(j)
+            tree.add((i, j))
+    return tree
+
+
+# Graphs with distinct float weights (the SIMD sort's order) and graphs
+# with exact ties, 0.0 against -0.0 and inf non-edges (the stable
+# re-sort) share stacks; each tree is the scan's and Kruskal's.
+@pytest.mark.parametrize("seed", range(6))
+def test_prim_tie_rule_in_mixed_stacks(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 14))
+    stack = []
+    for g in range(12):
+        w = rng.uniform(0.0, 2.0, (n, n))
+        if g % 3 == 1:
+            w = np.round(w * 2.0) / 2.0  # few distinct values: ties
+        if g % 4 == 2:
+            w[rng.random((n, n)) < 0.3] = 0.0
+            w[rng.random((n, n)) < 0.3] = -0.0
+        w = np.where(np.tri(n, dtype=bool), w.T, w)  # upper triangle mirrored, signs kept
+        if g % 2:
+            gone = np.triu(rng.random((n, n)) < 0.3, 1)
+            gone[np.arange(n - 1), np.arange(1, n)] = False  # keep a path
+            w[gone | gone.T] = np.inf
+        np.fill_diagonal(w, np.inf)
+        stack.append(w)
+    w = np.stack(stack)
+    assert np.signbit(w[w == 0.0]).any() and (w == np.round(w * 2.0) / 2.0).all(axis=(1, 2)).any()
+    trees = _prim(w)
+    for wg, tree in zip(w, trees):
+        edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(np.isfinite(wg), 1)))]
+        g = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges),
+                        weights={(i, j): abs(float(wg[i, j])) for i, j in edges})
+        assert list(map(tuple, tree.tolist())) == _scan_prim(g)
+        assert set(map(tuple, tree.tolist())) == _kruskal(wg)
+
+
+# The rank order `_prim` reads equals a stable argsort on rows with
+# injected ties, and on rows with inf entries it does up to the order
+# of the infs among themselves.
+def test_stable_order_equals_stable_argsort():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((200, 300))
+    for row in x[::2]:
+        k = int(rng.integers(1, 50))
+        row[rng.integers(0, 300, k)] = row[rng.integers(0, 300, k)]
+    for row in x[1:80:2]:  # one 0.0 and one -0.0, which compare equal
+        row[rng.choice(300, 2, replace=False)] = 0.0, -0.0
+    assert np.array_equal(_stable_order(x), np.argsort(x, axis=1, kind="stable"))
+    x[rng.random(x.shape) < 0.2] = np.inf
+    order, stable = _stable_order(x), np.argsort(x, axis=1, kind="stable")
+    finite = np.isfinite(np.take_along_axis(x, stable, axis=1))
+    assert np.array_equal(order[finite], stable[finite])
+    assert np.array_equal(np.sort(order, axis=1), np.sort(stable, axis=1))
+
+
 # One BFS over a stack: paths (long diameters), stars, tied and sparse
 # random graphs, disconnected ones among them, each as scipy finds it.
 @pytest.mark.parametrize("seed", range(10))
@@ -349,6 +423,90 @@ def test_stacked_hops_equal_scipy(seed):
         assert np.array_equal(h, _scipy_hops(g))
     assert not np.isfinite(hop[-1]).all()
     assert len({np.max(h[np.isfinite(h)]) for h in hop}) > 1
+
+
+def _scipy_hops_of(adj):
+    """Reference hop matrix of a boolean adjacency of any order."""
+    return shortest_path(csr_matrix(adj.astype(float)), directed=False, unweighted=True)
+
+
+def _path_adj(n, size=None):
+    adj = np.zeros((n, n) if size is None else (size, n), dtype=bool)
+    adj[np.arange(n - 1), np.arange(1, n)] = adj[np.arange(1, n), np.arange(n - 1)] = True
+    return adj
+
+
+def _assert_hops(adj):
+    """`_hops` of ``adj`` and of each of its graphs alone equal scipy's."""
+    hop = _hops(adj)
+    assert hop.shape == adj.shape and hop.dtype == float
+    for a, h in zip(adj.reshape(-1, *adj.shape[-2:]), hop.reshape(-1, *adj.shape[-2:])):
+        expected = _scipy_hops_of(a)
+        assert np.array_equal(h, expected)
+        assert np.array_equal(_hops(a), expected)
+
+
+# Squaring halves a path's length per level, so a path of n nodes needs
+# every level back on the way down; odd and even lengths, both forms.
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 65, 129])
+def test_hops_of_paths_reach_diameter_n_minus_one(n):
+    adj = _path_adj(n)
+    _assert_hops(adj)
+    _assert_hops(adj[None])
+    assert _hops(adj)[0, -1] == n - 1
+
+
+# One stack of paths of every length 1..n - 1, padded with isolated
+# nodes, in a shuffled order: each graph unwinds through levels that
+# others needed.
+@pytest.mark.parametrize("n", [6, 17, 40])
+def test_hops_of_stacks_mixing_diameters(n):
+    stack = np.zeros((n - 1, n, n), dtype=bool)
+    for d in range(1, n):
+        stack[d - 1, :d + 1, :d + 1] = _path_adj(d + 1)
+    stack = stack[np.random.default_rng(n).permutation(n - 1)]
+    _assert_hops(stack)
+    assert sorted(np.max(h[np.isfinite(h)]) for h in _hops(stack)) == list(range(1, n))
+
+
+def test_hops_of_edgeless_complete_and_single_node_graphs():
+    for n in (1, 2, 3, 8):
+        empty = np.zeros((n, n), dtype=bool)
+        complete = ~np.eye(n, dtype=bool)
+        _assert_hops(empty)
+        _assert_hops(complete)
+        _assert_hops(np.stack([empty, complete, empty]))
+        assert np.array_equal(_hops(empty), np.where(np.eye(n, dtype=bool), 0.0, UNREACHABLE))
+
+
+# Isolated nodes and the zero padding of the stacks `bounds._draw` BFSes:
+# padding nodes are unreachable from everything but themselves.
+def test_hops_of_isolated_nodes_and_zero_padded_stacks():
+    rng = np.random.default_rng(5)
+    blocks = []
+    for _ in range(30):
+        n = int(rng.integers(2, 13))
+        iu, ju = np.triu_indices(n, 1)
+        drawn = rng.random(iu.size) < rng.uniform(0.1, 0.75)
+        adj = np.zeros((n, n), dtype=bool)
+        adj[iu[drawn], ju[drawn]] = adj[ju[drawn], iu[drawn]] = True
+        blocks.append(adj)
+    stack = _padded(blocks)
+    _assert_hops(stack)
+    hop = _hops(stack)
+    for adj, h in zip(blocks, hop):
+        n = len(adj)
+        assert np.array_equal(h[:n, :n], _scipy_hops_of(adj))
+        assert np.isinf(h[:n, n:]).all() and np.isinf(h[n:, :n]).all()
+        assert np.array_equal(h[n:, n:], np.where(np.eye(len(h) - n, dtype=bool), 0.0,
+                                                  UNREACHABLE))
+    # A star with an isolated node, and a self-loop the adjacency ignores.
+    star = np.zeros((6, 6), dtype=bool)
+    star[0, 1:5] = star[1:5, 0] = True
+    _assert_hops(star)
+    looped = star.copy()
+    looped[2, 2] = True
+    assert np.array_equal(_hops(looped), _scipy_hops_of(star))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ricci_fragility.graphs import (
     minimum_spanning_tree,
 )
 from ricci_fragility.indicator import (
+    INPUT_MODES,
     DistanceTransform,
     IndicatorSeries,
     WindowConfig,
@@ -203,6 +204,66 @@ class TestCorrelationMatrix:
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
             correlation_matrix(make_panel([[1.0, 2.0]] * 4), "levels")
+
+
+def _punched(panel, rate, seed):
+    """``panel`` with a seeded share ``rate`` of its cells missing."""
+    values = panel.values.copy()
+    values[np.random.default_rng(seed).random(values.shape) < rate] = np.nan
+    return PriceMatrix(dates=panel.dates, tickers=panel.tickers, values=values)
+
+
+class TestCorrelationCore:
+    """The rolling path's `_window_arrays` runs the unvalidated core; it
+    must equal the public, validated composition bit for bit."""
+
+    @staticmethod
+    def assert_same(window, config):
+        rho, dist = _window_arrays(window, config)
+        public, _ = correlation_matrix(window, config.input_mode)
+        assert np.array_equal(rho, public)
+        assert np.array_equal(dist, distance_from_correlation(public, config.transform))
+
+    @pytest.mark.parametrize("transform", ["sqrt", "power:0.5", "log1p"])
+    @pytest.mark.parametrize("input_mode", INPUT_MODES)
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.3])
+    def test_window_arrays_equal_public_composition(self, transform, input_mode, rate):
+        panel = _punched(regime_switch(), rate, 7)
+        config = WindowConfig(transform=DistanceTransform.parse(transform),
+                              input_mode=input_mode)
+        for k in (0, 150, 300, 430):
+            self.assert_same(panel.window(k, k + config.T), config)
+
+    # Too much missing data fails both routes with the same message, which
+    # names the first short off-diagonal pair.
+    @pytest.mark.parametrize("input_mode", INPUT_MODES)
+    def test_short_overlap_fails_both_routes_alike(self, input_mode):
+        values = np.random.default_rng(2).uniform(50, 150, size=(8, 4))
+        values[:6, 2] = np.nan
+        panel = make_panel(values)
+        with pytest.raises(InsufficientOverlapError, match="S0/S2") as public:
+            correlation_matrix(panel, input_mode)
+        with pytest.raises(InsufficientOverlapError) as core:
+            _window_arrays(panel, WindowConfig(T=8, input_mode=input_mode))
+        assert str(core.value) == str(public.value)
+
+    # A constant column is degenerate against every other column (rho 0,
+    # flagged), and two affinely related series snap to rho 1.
+    @pytest.mark.parametrize("input_mode", INPUT_MODES)
+    def test_degenerate_and_affine_columns(self, input_mode):
+        source = _punched(regime_switch(), 0.05, 3)
+        values = source.values[:132, :6].copy()
+        values[:, 0] = 42.0
+        values[:, 2] = values[:, 1] * 2.0 + (5.0 if input_mode == "raw_price" else 0.0)
+        panel = PriceMatrix(dates=source.dates[:132], tickers=source.tickers[:6], values=values)
+        for transform in ("sqrt", "power:0.5", "log1p"):
+            self.assert_same(panel, WindowConfig(transform=DistanceTransform.parse(transform),
+                                                 input_mode=input_mode))
+        rho, flagged = correlation_matrix(panel, input_mode)
+        assert flagged == tuple((panel.tickers[0], t) for t in panel.tickers[1:])
+        assert (rho[0, 1:] == 0.0).all() and (rho[1:, 0] == 0.0).all()
+        assert rho[1, 2] == rho[2, 1] == 1.0
+        assert np.array_equal(np.diag(rho), np.ones(6))
 
 
 class TestDistanceFromCorrelation:

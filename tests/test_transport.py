@@ -1060,6 +1060,21 @@ def test_code_planes_of_whole_levels_past_256(gap):
     assert np.array_equal(transport._code_planes(stack), _int64_code_planes(stack))
 
 
+# Codes are packed at the graph's own width into zeroed words: the last
+# byte's spare bits and the spare bytes of the last word stay zero, on
+# either side of a word edge, for uint8 and for int64 codes.
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 129])
+@pytest.mark.parametrize("distinct", [40, 300])
+def test_code_planes_at_word_edges(n, distinct):
+    rng = np.random.default_rng(n)
+    stack = rng.integers(0, distinct, (3, n, n)).astype(float) / 7.0
+    stack = np.minimum(stack, stack.transpose(0, 2, 1))
+    assert (np.unique(stack).size > 256) == (distinct == 300 and n > 9)
+    planes = transport._code_planes(stack)
+    assert planes.shape[-1] == -(-n // 64)
+    assert np.array_equal(planes, _int64_code_planes(stack))
+
+
 def _alone(pa, pb, dist):
     """W1 of each pair of rows on the one matrix ``dist``, one block each."""
     return [transport._w1_rows(np.stack((pa[e], pb[e])), dist[None], np.array([0]),
