@@ -13,6 +13,9 @@ checkouts compute bit-identical values exactly when they print the same lines:
   pairwise-complete correlation path, which the complete corpus never
   reaches (numpy computes ``** 0.5`` as a square root, so ``power:0.5``
   prints the ``sqrt`` digest, and ``power:1.5`` is the power branch's own);
+- pairs mode on rows 300..480 of ``regime_switch()`` (50 windows across the
+  regime switch) at xi 0.85 under both weightings: every node pair of a
+  window, whose pooled residuals vary most in shape;
 - ``run_bounds_suite(100, s, WEIGHTINGS[s % 2])`` for suite seeds 0..7
   (the benchmark's ``bounds`` suites at its seed 0), hashing each report's
   name, pair, label and flag and the raw bits of its lhs, rhs and slack.
@@ -72,6 +75,11 @@ def main() -> None:
             series = indicator_series(prices, WindowConfig(xi=xi, weighting=weighting))
             print(f"indicator xi={xi:g} weighting={weighting} windows={len(series.values)} "
                   f"gaps={series.gap_count()} sha256={series_digest(series)}")
+    for weighting in WEIGHTINGS:
+        series = indicator_series(prices.window(300, 481), WindowConfig(
+            weighting=weighting, averaging_mode="pairs"))
+        print(f"pairs xi=0.85 weighting={weighting} windows={len(series.values)} "
+              f"gaps={series.gap_count()} sha256={series_digest(series)}")
     holes = masked(prices)
     for input_mode, distance in (("log_return", "sqrt"), ("log_return", "power:0.5"),
                                  ("log_return", "power:1.5"), ("log_return", "log1p"),

@@ -6,24 +6,24 @@ The W1 solver is exact, not approximate. Its one entry point
 two rows per pair, solved on the graph of its first row: a stack of
 windows' pairs or one pair on a stack of one, or the pairs of a stack of
 `bounds` instances on their zero-padded hop matrices. It builds the
-pooling keys once and hands blocks of pairs to `_w1_block`, the front
-end, which fixes shared mass in place, since it never moves under a
-metric cost, sums each pair's moved mass left to right, pools
-interchangeable residual atoms (one stable sort on their side and a hash
-of their masked code planes, then a check of every word against the
-sorted neighbour) and reads their distances for the whole block. No
-residual costs nothing and one distinct distance has a closed form.
-Pairs with more come back as lists of pooled atoms, larger side as rows,
-and `_w1_rows` scores all of the call's such pairs in chunks of
-`PAIR_BLOCK`, sorted by level bits and each padded to its largest pair,
-by the integral dual of the max-weight transport (`_integer_duals`:
-level-bit codes, a row-wise OR-closure and bit-test scoring). Each pair
-where it declines is solved alone as one pooled HiGHS LP with dense
-constraints (`_solve_lp`, the package's only SciPy call, imported
-there). A pair's value does not depend on the block, chunk, padded stack
-or call it is solved in. Every route returns the exact optimum up to
-float rounding of sums, which keeps closed-form comparisons tight at
-1e-12.
+pooling keys once and hands blocks of pairs, sized by their measure-row
+cells, to `_w1_block`, the front end, which fixes shared mass in place,
+since it never moves under a metric cost, sums each pair's moved mass
+left to right, pools interchangeable residual atoms (one stable sort on
+their side and a hash of their masked code planes, then a check of every
+word against the sorted neighbour) and reads their distances for the
+whole block. No residual costs nothing and one distinct distance has a
+closed form. Pairs with more come back as lists of pooled atoms, larger
+side as rows, and `_w1_rows` scores all of the call's such pairs in
+chunks, sorted by level bits, each padded to its largest pair and cut by
+its padded cells, by the integral dual of the max-weight transport
+(`_integer_duals`: level-bit codes, a row-wise OR-closure and bit-test
+scoring). Each pair where it declines is solved alone as one pooled
+HiGHS LP with dense constraints (`_solve_lp`, the package's only SciPy
+call, imported there). A pair's value does not depend on the block,
+chunk, padded stack or call it is solved in. Every route returns the
+exact optimum up to float rounding of sums, which keeps closed-form
+comparisons tight at 1e-12.
 
 Curvature runs on the dense arrays of a stack of graphs (`_curvatures`),
 with every node's neighbour measure as one row of a matrix
@@ -64,7 +64,7 @@ _UNION_CAP = 256
 
 #: Cells (4 or 8 bytes each, as the chunk's codes) per `_integer_duals`
 #: closure or scoring array: larger sets of rows are split in halves.
-_DUAL_CELLS = 1 << 17
+_DUAL_CELLS = 1 << 16
 
 
 def _mixed(x: np.ndarray) -> np.ndarray:
@@ -80,9 +80,10 @@ def _mixed(x: np.ndarray) -> np.ndarray:
 _POOL_HASH = _mixed(np.arange(1, 4097, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
                     ).reshape(64, 64) | np.uint64(1)
 
-#: Pairs per `_w1_block` call and per `_integer_duals` chunk in
-#: `_w1_rows`; bounds their padded work arrays.
-PAIR_BLOCK = 64
+#: Work caps of one `_w1_rows` batch: pairs, measure-row cells (pairs times
+#: nodes) per `_w1_block` call, and padded gap cells (pairs times rows times
+#: columns) per `_integer_duals` chunk. A pair over a cell cap goes alone.
+_BATCH_PAIRS, _BLOCK_CELLS, _CHUNK_CELLS = 256, 6400, 21504
 
 
 @dataclass(frozen=True)
@@ -350,14 +351,15 @@ def _packed(bits: np.ndarray) -> np.ndarray:
 #: budget, and an item over it is a stack of one. A rolling window counts
 #: its bounded pairs (`_pair_bound`). On `regime_switch()` (n = 50, edges)
 #: 13-17 calm windows share a stack and crisis windows pair up: calm
-#: windows took 1.32 ms each against 2.57 ms alone, crisis windows 34.2
-#: against 35.2 ms. Under `tracemalloc` the largest calm stack peaks at
-#: 2.3 MB and a crisis pair at 3.7 MB (xi 0.9). Past the 4 MB window
-#: budget: two pairs-mode windows (1,325 each) at k = 360, 361 at 4.1 MB,
-#: crisis windows in threes at 4.4 MB. A `bounds` instance counts its
-#: sampled pairs under d and d* and its two shifts: 176-208 instances of
-#: 4-12 nodes (about 2,050 pairs) share a stack, a 100-trial suite is one
-#: stack, and a 1,000-trial suite peaks 3.1 MB above what its reports hold.
+#: windows took 0.8-1.2 ms each against 2.6-3.1 ms alone, crisis windows
+#: 22.9-25.0 against 24.6-26.0 ms (best of 7, two runs). Under
+#: `tracemalloc` the largest calm stack peaks at 2.4 MB and a crisis pair
+#: at 2.7 MB (xi 0.9). Over the budget, two pairs-mode windows (1,325
+#: each) at k = 360, 361 would peak at 3.5 MB and crisis windows in threes
+#: at 2.9-3.5 MB. A `bounds` instance counts its sampled pairs under d and
+#: d* and its two shifts: 176-208 instances of 4-12 nodes (about 2,050
+#: pairs) share a stack, a 100-trial suite is one stack, and a 1,000-trial
+#: suite peaks 2.2 MB above what its reports hold.
 _STACK_BUDGET = 2600
 
 
@@ -367,13 +369,14 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
     ``(G, n, n)`` stack ``dist``, in stack order, zero past each graph's
     nodes; raises `InfiniteDistanceError` where a pair's supports span two
     components of its graph. Builds the stack's `_code_planes` once and
-    runs `_w1_block` on ``PAIR_BLOCK`` pairs at a time. The pairs it hands
-    back, with two or more residual distances, are scored in one pass over
-    the call: stably sorted by (largest gap times columns, which is their
-    level bits before the gcd, rows), cut into chunks of ``PAIR_BLOCK``,
-    each padded to its largest pair, and charged ``vmax * moved -
-    _integer_duals(vmax - dist)``. Each pair the dual declines is solved
-    alone as one LP.
+    runs `_w1_block` on blocks of at most ``_BATCH_PAIRS`` pairs and
+    ``_BLOCK_CELLS`` measure-row cells. The pairs it hands back, with two
+    or more residual distances, are scored in one pass over the call:
+    stably sorted by (largest gap times columns, which is their level bits
+    before the gcd, rows), cut into chunks of at most ``_BATCH_PAIRS``
+    pairs and ``_CHUNK_CELLS`` cells once padded to their largest rows and
+    columns, and charged ``vmax * moved - _integer_duals(vmax - dist)``.
+    Each pair the dual declines is solved alone as one LP.
     """
     if not len(ia):
         return np.zeros(0)
@@ -383,9 +386,9 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
         if ((rows[ia[on]] > 0) @ ~np.isfinite(dist[k]) & (rows[ib[on]] > 0)).any():
             raise InfiniteDistanceError("supports span disconnected components")
     planes = _code_planes(dist)
-    parts, base = [], 0
-    for s in range(0, len(ia), PAIR_BLOCK):
-        block = slice(s, s + PAIR_BLOCK)
+    parts, base, step = [], 0, max(1, min(_BATCH_PAIRS, _BLOCK_CELLS // rows.shape[1]))
+    for s in range(0, len(ia), step):
+        block = slice(s, s + step)
         cost, pair, offset, caps, rfirst, cfirst, *rest = _w1_block(
             rows[ia[block]], rows[ib[block]], dist, planes, g[block])
         parts.append((cost, pair + s, offset, caps, rfirst + base, cfirst + base, *rest))
@@ -394,17 +397,21 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
         parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
     del parts  # the blocks' pieces, copied above
     order = np.lexsort((m, key))
-    for s in range(0, order.size, PAIR_BLOCK):
-        c = order[s:s + PAIR_BLOCK]
+    while order.size:
+        c = order[:_BATCH_PAIRS]
+        cells = np.arange(1, c.size + 1) * np.maximum.accumulate(m[c]) * np.maximum.accumulate(k[c])
+        c, order = np.split(order, [max(1, np.searchsorted(cells, _CHUNK_CELLS, "right"))])
         (ri, rmask), (ci, cmask) = _runs(rfirst[c], m[c]), _runs(cfirst[c], k[c])
-        w = dist.ravel()[offset[ri][:, :, None] + offset[ci][:, None, :]]
-        gaps = np.where(rmask[:, :, None] & cmask[:, None, :], v[c, None, None] - w, 0.0)
+        # Padded cells read the pair's first atoms: finite gaps, zeroed by the mask.
+        gaps = v[c, None, None] - dist.ravel()[offset[ri][:, :, None] + offset[ci][:, None, :]]
+        gaps *= rmask[:, :, None] & cmask[:, None, :]
         rcaps, ccaps = caps[ri] * rmask, caps[ci] * cmask
         dual = _integer_duals(gaps, rcaps, ccaps, k[c])
         cost[pair[c]] -= dual
         for i in np.flatnonzero(np.isnan(dual)).tolist():
             e = c[i]
-            r, q, d = rcaps[i, :m[e]], ccaps[i, :k[e]], w[i, :m[e], :k[e]]
+            r, q = rcaps[i, :m[e]], ccaps[i, :k[e]]
+            d = dist.ravel()[offset[ri[i, :m[e]], None] + offset[ci[i, :k[e]]]]
             r, q, d = (q, r, d.T) if flip[e] else (r, q, d)
             cost[pair[e]] = np.dot(d.ravel(), _solve_lp(r, q, d).ravel())
     return cost

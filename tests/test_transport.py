@@ -798,21 +798,69 @@ def test_block_matches_one_pair_at_a_time(regime_panel, k, weighting):
     assert _max_gap_to_dense_lp(graph, hop, per_pair, weighting, k, 10) <= 1e-9
 
 
-# Cutting a window's pairs into blocks of 64, 7, 1 or 200 changes no
-# value, not even in the last bit. Blocks of 200 have sides past 127, so
-# the pooling key needs more side bits than at 64.
+#: Batch caps (`_BATCH_PAIRS`, `_BLOCK_CELLS`, `_CHUNK_CELLS`) of
+#: `_w1_rows`: the defaults, one pair per block and chunk, tiny blocks and
+#: chunks (7 pairs of 50 nodes; chunks of 100 padded cells, a pair over
+#: them alone), and the whole call as one block and one chunk.
+_BATCHES = [(256, 6400, 21504), (1, 6400, 21504), (256, 350, 100), (1 << 20, 1 << 40, 1 << 40)]
+
+
+def _under_batches(monkeypatch, solve):
+    """``solve()`` under each of `_BATCHES`: its result and the pair counts
+    of its `_w1_block` calls and of its `_integer_duals` chunks."""
+    block, duals = transport._w1_block, transport._integer_duals
+    runs = []
+    for caps in _BATCHES:
+        blocks, chunks = [], []
+        monkeypatch.setattr(transport, "_w1_block",
+                            lambda pa, *rest: blocks.append(len(pa)) or block(pa, *rest))
+        monkeypatch.setattr(transport, "_integer_duals",
+                            lambda *padded: chunks.append(len(padded[0])) or duals(*padded))
+        for name, cap in zip(("_BATCH_PAIRS", "_BLOCK_CELLS", "_CHUNK_CELLS"), caps):
+            monkeypatch.setattr(transport, name, cap)
+        runs.append((solve(), blocks, chunks))
+    return runs
+
+
+def _assert_batches_vary(runs, pairs, n):
+    """The `_under_batches` runs of one `_w1_rows` call on ``pairs`` pairs
+    of ``n`` nodes cut it as their caps say: blocks of ``min(pairs cap,
+    cells cap // n)`` pairs, and the same pairs to the dual in chunks of
+    one or in one chunk."""
+    for (_, blocks, _), (most, cells, _) in zip(runs, _BATCHES):
+        step = min(most, max(1, cells // n))
+        assert blocks == [step] * (pairs // step) + [pairs % step] * (pairs % step > 0)
+    chunks = [run[2] for run in runs]
+    assert all(sum(c) == sum(chunks[0]) for c in chunks)
+    assert set(chunks[1]) <= {1} and len(chunks[3]) == (sum(chunks[0]) > 0)
+
+
+def _assert_chunks_follow_the_rule(shapes):
+    """The padded ``(pairs, rows, columns)`` shapes of one call's
+    `_integer_duals` chunks: each within `_BATCH_PAIRS` pairs and
+    `_CHUNK_CELLS` cells or a single pair, and each but the last cut no
+    sooner than the call's largest rows and columns force."""
+    for e, m, k in shapes:
+        assert e <= transport._BATCH_PAIRS and (e * m * k <= transport._CHUNK_CELLS or e == 1)
+    cells = max(m for _, m, _ in shapes) * max(k for _, _, k in shapes)
+    least = min(transport._BATCH_PAIRS, max(1, transport._CHUNK_CELLS // cells))
+    assert all(e >= least for e, _, _ in shapes[:-1])
+
+
+# Cutting a window's pairs into the default batches, batches of one, tiny
+# batches or one batch changes no value, not even in the last bit. One
+# block of a crisis window's ~1,000 pairs has sides past 1,023, so the
+# pooling key needs more side bits than at the default 128.
 @pytest.mark.parametrize("k", [100, 300, 420, 460])
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 def test_curvatures_do_not_depend_on_block_size(monkeypatch, regime_panel, k, weighting):
     graph = window_graph(regime_panel.window(k, k + 132),
                          WindowConfig(T=132, xi=0.85, weighting=weighting))
     (adj, w), hop = _dense(graph), hop_distances(graph)
-    kappa = []
-    for block in (64, 7, 1, 200):
-        monkeypatch.setattr(transport, "PAIR_BLOCK", block)
-        kappa.append(transport._curvatures(adj[None], w[None], hop.matrix[None], "edges",
-                                           weighting)[0].tolist())
-    assert kappa[0] == kappa[1] == kappa[2] == kappa[3]
+    runs = _under_batches(monkeypatch, lambda: transport._curvatures(
+        adj[None], w[None], hop.matrix[None], "edges", weighting)[0].tolist())
+    _assert_batches_vary(runs, graph.edge_count, graph.n)
+    assert runs[0][0] == runs[1][0] == runs[2][0] == runs[3][0]
 
 
 def _random_metric(rng, n):
@@ -882,10 +930,11 @@ def test_pair_values_do_not_depend_on_their_call(monkeypatch, regime_panel, k, w
     duals = []
     closed_form = transport._integer_duals
     monkeypatch.setattr(transport, "_integer_duals",
-                        lambda *padded: duals.append(len(padded[0])) or closed_form(*padded))
+                        lambda *padded: duals.append(padded[0].shape) or closed_form(*padded))
     canonical = transport._w1_rows(rows, hop, ia, ib)
-    # One dual pass: full chunks of PAIR_BLOCK pairs, then the rest.
-    assert len(duals) == -(-sum(duals) // transport.PAIR_BLOCK) > 1
+    # One dual pass, in chunks cut by the rule.
+    assert len(duals) > 1
+    _assert_chunks_follow_the_rule(duals)
     rng = np.random.default_rng(k)
     order = rng.permutation(len(ia))
     permuted = np.empty_like(canonical)
@@ -945,7 +994,7 @@ def test_one_block_mixes_every_route(monkeypatch, lp_solves):
 
     monkeypatch.setattr(transport, "_integer_duals", integer_duals)
     per_pair = average_curvature(graph, mode="pairs", hop=hop).per_pair
-    assert len(per_pair) == 21 <= transport.PAIR_BLOCK
+    assert len(per_pair) == 21 <= min(transport._BATCH_PAIRS, transport._BLOCK_CELLS // 7)
     assert len(lp_solves) == 1
     assert any(np.isfinite(carried).any() for carried in duals)
     assert per_pair[(4, 6)] == 1.0
@@ -959,10 +1008,11 @@ def test_one_block_mixes_every_route(monkeypatch, lp_solves):
         assert w1 == pytest.approx(wasserstein1_cost(mu, nu, hop), abs=1e-12)
         assert w1 == pytest.approx(_dense_lp_w1(mu, nu, hop), abs=1e-9)
     # Pooled groups must never cross pair boundaries, however the pairs
-    # are cut into blocks.
-    for block in (1, 7):
-        monkeypatch.setattr(transport, "PAIR_BLOCK", block)
-        assert average_curvature(graph, mode="pairs", hop=hop).per_pair == per_pair
+    # are cut into blocks and chunks.
+    runs = _under_batches(monkeypatch,
+                          lambda: average_curvature(graph, mode="pairs", hop=hop).per_pair)
+    _assert_batches_vary(runs, 21, 7)
+    assert all(run[0] == per_pair for run in runs)
 
 
 # One block on the path 0-...-9 whose multi-distance pairs have fewer,
@@ -1092,14 +1142,11 @@ def _stack(graphs, weighting):
     return dist, rows
 
 
-# Pairs of 4-12 node graphs solved together, in blocks over a zero-padded
-# stack of the graphs' hop matrices, equal each pair solved alone on its
-# own unpadded matrix, bit for bit; the integer dual serves some of them.
-# A pairwise sum of the moved mass would differ in the last bit here.
-# Padding the stack past 64 nodes gives its code planes a second word.
-@pytest.mark.parametrize("weighting", WEIGHTINGS)
-@pytest.mark.parametrize("pad", [0, 60])
-def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting, pad):
+def _bounds_stack(weighting, pad):
+    """40 random connected graphs of 4-12 nodes as a `bounds` stack: their
+    graphs, hop matrices and measure rows zero-padded to the largest plus
+    ``pad``, and every node pair of every graph (graph, row, column) in a
+    seeded order."""
     rng = np.random.default_rng(3)
     graphs = []
     for _ in range(40):
@@ -1109,23 +1156,49 @@ def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting, pad):
         w = np.triu(rng.uniform(0.05, 2.0, (n, n)), 1) * adj
         graphs.append((adj | adj.T, w + w.T))
     dist, rows = np.pad(_stack(graphs, weighting), ((0, 0), (0, 0), (0, pad), (0, pad)))
-    size = dist.shape[1]
     g, a, b = (np.array(v) for v in zip(*[(k, i, j) for k, (adj, _) in enumerate(graphs)
                                           for i, j in zip(*np.triu_indices(len(adj), 1))]))
     order = rng.permutation(len(g))
-    g, a, b = g[order], a[order], b[order]
+    return graphs, dist, rows, g[order], a[order], b[order]
+
+
+# Pairs of 4-12 node graphs solved together, in blocks over a zero-padded
+# stack of the graphs' hop matrices, equal each pair solved alone on its
+# own unpadded matrix, bit for bit; the integer dual serves some of them.
+# A pairwise sum of the moved mass would differ in the last bit here.
+# Padding the stack past 64 nodes gives its code planes a second word, and
+# its measure rows cut the front end's blocks at 88 pairs, not 256.
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("pad", [0, 60])
+def test_stacked_pairs_equal_pairs_alone(monkeypatch, weighting, pad):
+    graphs, dist, rows, g, a, b = _bounds_stack(weighting, pad)
+    size = dist.shape[1]
     duals = []
     closed_form = transport._integer_duals
     monkeypatch.setattr(transport, "_integer_duals",
-                        lambda *padded: duals.append(len(padded[0])) or closed_form(*padded))
+                        lambda *padded: duals.append(padded[0].shape) or closed_form(*padded))
     flat = rows.reshape(-1, size)
     stacked = transport._w1_rows(flat, dist, g * size + a, g * size + b)
-    assert len(g) > 3 * transport.PAIR_BLOCK and sum(duals) > 0
-    assert len(duals) <= -(-len(g) // transport.PAIR_BLOCK)
+    assert len(g) > 3 * min(transport._BATCH_PAIRS, transport._BLOCK_CELLS // size)
+    assert len(duals) > 1
+    _assert_chunks_follow_the_rule(duals)
     for k, (adj, _) in enumerate(graphs):
         n, on = len(adj), g == k
         alone = _alone(rows[k, a[on], :n], rows[k, b[on], :n], dist[k, :n, :n])
         assert stacked[on].tolist() == alone
+
+
+# A padded `bounds` stack cut into the default batches, batches of one,
+# tiny batches or one batch keeps every value, bit for bit.
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("pad", [0, 60])
+def test_stacked_pairs_do_not_depend_on_batch_size(monkeypatch, weighting, pad):
+    _, dist, rows, g, a, b = _bounds_stack(weighting, pad)
+    size = dist.shape[1]
+    runs = _under_batches(monkeypatch, lambda: transport._w1_rows(
+        rows.reshape(-1, size), dist, g * size + a, g * size + b).tolist())
+    _assert_batches_vary(runs, len(g), size)
+    assert runs[0][0] == runs[1][0] == runs[2][0] == runs[3][0]
 
 
 # Graph 0 of the stack is the path 0-1-2 beside the edge 3-4, graph 1 the
@@ -1192,7 +1265,8 @@ def test_block_path_raises_on_isolated_node():
 
 
 # A crisis window of ~1,000 edges: one pairs x nodes x nodes float array
-# alone would be 20 MB; blocks of pairs keep the peak under 1 MB.
+# alone would be 20 MB; blocks of pairs keep the peak within a 4 MB window
+# budget (about 1.9 MB measured).
 def test_window_curvature_memory_stays_flat(regime_panel):
     graph = window_graph(regime_panel.window(460, 592), WindowConfig(T=132, xi=0.85))
     hop = hop_distances(graph)
@@ -1222,31 +1296,36 @@ def test_curvature_memory_stays_flat_in_both_modes(regime_panel, k, mode):
     assert peak < 4e6
 
 
-# A full block of the largest pooled shape seen in crisis windows, 21
-# sources against 16 sinks, as staircases of 2 levels (44-92 candidates,
-# more than the 51 seen there, none declines) or 3 (up to and past the
-# union cap: 48 bits, and 64-generator rows). Every stage runs on padded
-# arrays; they stay within the window budget above, and each pair keeps
-# its value alone.
+# The largest chunk the rule forms of the largest pooled shape seen in
+# crisis windows, 21 sources against 16 sinks (64 pairs), and of 256 small
+# pairs, 12 against 7, as staircases of 2 levels (none declines; 44-92
+# candidates at 21 x 16, more than the 51 seen there) or 3 (up to and past
+# the union cap: 48 bits, and 64-generator rows). Every stage runs on
+# padded arrays; they stay within the window budget above, and each pair
+# keeps its value alone.
 @pytest.mark.parametrize("levels", [2, 3])
 def test_integer_duals_memory_stays_flat(levels):
     rng = np.random.default_rng(0)
-    pairs = []
-    for _ in range(transport.PAIR_BLOCK):
-        cuts = np.sort(rng.integers(0, 17, size=(levels, 21)), axis=0)
-        w = sum((np.arange(16) < cut[:, None]).astype(float) for cut in cuts)
-        w[0, 0] = levels
-        pairs.append((w, rng.dirichlet(np.ones(21)), rng.dirichlet(np.ones(16))))
-    tracemalloc.start()
-    try:
-        duals = transport._integer_duals(*_pad(pairs))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
-    assert np.isfinite(duals).all() if levels == 2 else np.isfinite(duals).any()
-    alone = [transport._integer_duals(*_pad([pair]))[0] for pair in pairs]
-    assert np.array_equal(duals, alone, equal_nan=True)
+    sizes = []
+    for m, k in ((21, 16), (12, 7)):
+        sizes.append(min(transport._BATCH_PAIRS, transport._CHUNK_CELLS // (m * k)))
+        pairs = []
+        for _ in range(sizes[-1]):
+            cuts = np.sort(rng.integers(0, k + 1, size=(levels, m)), axis=0)
+            w = sum((np.arange(k) < cut[:, None]).astype(float) for cut in cuts)
+            w[0, 0] = levels
+            pairs.append((w, rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(k))))
+        tracemalloc.start()
+        try:
+            duals = transport._integer_duals(*_pad(pairs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert np.isfinite(duals).all() if levels == 2 else np.isfinite(duals).any()
+        alone = [transport._integer_duals(*_pad([pair]))[0] for pair in pairs]
+        assert np.array_equal(duals, alone, equal_nan=True)
+    assert sizes == [64, 256]
 
 
 # ---------------------------------------------------------------------------
