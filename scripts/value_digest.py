@@ -18,7 +18,15 @@ checkouts compute bit-identical values exactly when they print the same lines:
   window, whose pooled residuals vary most in shape;
 - ``run_bounds_suite(100, s, WEIGHTINGS[s % 2])`` for suite seeds 0..7
   (the benchmark's ``bounds`` suites at its seed 0), hashing each report's
-  name, pair, label and flag and the raw bits of its lhs, rhs and slack.
+  name, pair, label and flag and the raw bits of its lhs, rhs and slack;
+- ``subsample_indicator_series`` on the same rows 300..480 with
+  ``SubsampleConfig(m=5, restarts=2, max_iters=3)`` under both weightings
+  (complete window graphs: closed-form scans, engine-scored subsets),
+  hashing the series as above and the chosen subsets;
+- ``extremal_subgraph(window_graph(...), SubsampleConfig(m=5, restarts=5))``
+  on the windows starting at rows 100, 300 and 420 (filtered graphs: every
+  swap scan goes through the engine), hashing the nodes and the raw bits of
+  the average.
 
 Run from the repository root on each checkout and compare the output:
 
@@ -34,10 +42,14 @@ import numpy as np
 from ricci_fragility import (
     DistanceTransform,
     PriceMatrix,
+    SubsampleConfig,
     WindowConfig,
+    extremal_subgraph,
     indicator_series,
     regime_switch,
     run_bounds_suite,
+    subsample_indicator_series,
+    window_graph,
 )
 from ricci_fragility.transport import WEIGHTINGS
 
@@ -92,6 +104,19 @@ def main() -> None:
     for s in range(8):
         reports += run_bounds_suite(100, s, WEIGHTINGS[s % 2]).reports
     print(f"bounds suites=8 reports={len(reports)} sha256={reports_digest(reports)}")
+    for weighting in WEIGHTINGS:
+        series, subsets = subsample_indicator_series(
+            prices.window(300, 481), WindowConfig(weighting=weighting),
+            SubsampleConfig(m=5, restarts=2, max_iters=3))
+        print(f"subsample m=5 weighting={weighting} windows={len(series.values)} "
+              f"gaps={series.gap_count()} sha256={series_digest(series)} "
+              f"subsets={hashlib.sha256(repr(subsets).encode()).hexdigest()}")
+    for k in (100, 300, 420):
+        config = WindowConfig()
+        nodes, report = extremal_subgraph(window_graph(prices.window(k, k + config.T), config),
+                                          SubsampleConfig(m=5, restarts=5))
+        digest = hashlib.sha256(repr(nodes).encode() + struct.pack("<d", report.average))
+        print(f"extremal window={k} m=5 nodes={','.join(nodes)} sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ the sub-sampled indicator of `subsample`, with its own stack step.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,6 +370,7 @@ def _rolling_series(prices: PriceMatrix, config: WindowConfig, stack_values,
     if jobs == 1 or count < 4:
         points = _points_for_starts(prices, config, stack_values, range(count))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs skip its import
         # Strided starts: cost varies by regime along the panel, so each
         # worker gets a share of every stretch instead of one block.
         jobs = min(jobs, count)

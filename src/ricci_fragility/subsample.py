@@ -23,19 +23,20 @@ sum_v min(mu_a(v), mu_b(v)), and edges and node pairs coincide. On such
 a host (``edge_count == n (n - 1) / 2``) the search scores each swap
 scan's m (n - m) candidates in closed form with a few array operations;
 under ``uniform`` weighting every K_m scores (m - 2) / (m - 1), the
-equality case of the Jost-Liu triangle bound. On any other host each
-candidate goes through the exact W1 engine. Either way the returned
-value comes from the engine, and `exhaustive_extremum` always uses the
-public `induced_subgraph` + `average_curvature` route, so it stays an
-independent oracle. The search runs on the host's dense arrays; the
-rolling pipeline hands it each window's distance matrix.
+equality case of the Jost-Liu triangle bound. On any other host a swap
+scan's candidates go through the exact W1 engine as one stack. Either
+way the returned value comes from the engine, and `exhaustive_extremum`
+always uses the public `induced_subgraph` + `average_curvature` route, so
+it stays an independent oracle. The search runs on the host's dense
+arrays; the rolling pipeline hands it each window's distance matrix and
+scores a stack of windows' chosen subsets in one engine call.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -56,8 +57,8 @@ IMPROVE_TOL = 1e-12
 #: restarts never collide for distinct base seeds in a suite).
 RESTART_STRIDE = 7919
 
-#: Upper bound on the (candidates, m, m) measure array the closed-form
-#: scorer builds at once, so memory stays flat for large m and n.
+#: Upper bound on the cells of the (candidates, m, m) arrays the scorers
+#: build at once, so memory stays flat for large m and n.
 CLIQUE_BATCH = 1 << 20
 
 
@@ -86,13 +87,7 @@ class SubsampleConfig:
             raise ConfigError(f"restarts must be a nonnegative integer, got {self.restarts!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "objective": self.objective,
-            "seed": self.seed,
-            "max_iters": self.max_iters,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 def _is_better(candidate: float, incumbent: float, objective: str) -> bool:
@@ -110,25 +105,32 @@ def _evaluate(graph: MarketGraph, subset: tuple, mode: str, weighting: str):
     return average_curvature(sub, mode=mode, weighting=weighting)
 
 
-def _subset_average(adj: np.ndarray, w: np.ndarray, subset, mode: str, weighting: str) -> float:
-    """Average curvature of the subgraph induced on the node positions
-    ``subset`` (ascending) of the dense host ``(adj, w)``, by the exact W1
-    engine; NaN if that subgraph is disconnected."""
-    block = np.ix_(subset, subset)
-    sub = adj[block]
-    hop = _hops(sub)
-    if not np.isfinite(hop).all():
-        return float("nan")
-    return float(np.mean(_curvatures(sub[None], w[block][None], hop[None], mode, weighting)[0]))
+def _subset_averages(adj: np.ndarray, w: np.ndarray, subsets: np.ndarray, mode: str,
+                     weighting: str) -> np.ndarray:
+    """Average curvature of the subgraph induced on each row c of node
+    positions ``subsets`` (``(C, m)``, each ascending) of the dense host
+    ``(adj, w)``, or of its graph c if ``(adj, w)`` is a ``(C, n, n)``
+    stack, by the exact W1 engine: one `_hops` and one `_curvatures` call
+    per `CLIQUE_BATCH` cells; NaN where that subgraph is disconnected."""
+    count, m = subsets.shape
+    adj, w = (np.broadcast_to(x, (count,) + x.shape[-2:]) for x in (adj, w))
+    out = np.full(count, np.nan)
+    step = max(1, CLIQUE_BATCH // (m * m))
+    for s in range(0, count, step):
+        rows = subsets[s:s + step]
+        block = (np.arange(s, s + len(rows))[:, None, None], rows[:, :, None], rows[:, None, :])
+        sub = adj[block]
+        hop = _hops(sub)
+        ok = np.isfinite(hop).all(axis=(1, 2))
+        kappa = _curvatures(sub[ok], w[block][ok], hop[ok], mode, weighting)
+        out[s:s + step][ok] = [np.mean(k) for k in kappa]
+    return out
 
 
 def _generic_scorer(adj: np.ndarray, w: np.ndarray, mode: str, weighting: str):
-    """Score candidates one by one through the exact W1 engine; NaN marks
-    a candidate whose induced subgraph is disconnected."""
-    def score(candidates: np.ndarray) -> np.ndarray:
-        return np.array([_subset_average(adj, w, np.sort(row), mode, weighting)
-                         for row in candidates])
-    return score
+    """Score a scan's candidates together through the exact W1 engine; NaN
+    marks a candidate whose induced subgraph is disconnected."""
+    return lambda rows: _subset_averages(adj, w, np.sort(rows, axis=1), mode, weighting)
 
 
 def _clique_scorer(adj: np.ndarray, w: np.ndarray, weighting: str):
@@ -225,7 +227,7 @@ def _search(adj: np.ndarray, w: np.ndarray, config: SubsampleConfig, mode: str,
             weighting: str) -> tuple:
     """Node positions of the best m-subset of the dense host ``(adj, w)``
     found over all restarts: closed-form scores on a complete host, the
-    engine per candidate otherwise."""
+    engine per swap scan otherwise."""
     n = len(adj)
     if config.m == n:
         return tuple(range(n))
@@ -252,8 +254,8 @@ def extremal_subgraph(graph: MarketGraph, config: SubsampleConfig,
     the host graph's node order and ``report`` is the curvature report
     of its induced subgraph, computed by the exact W1 engine. On a
     complete host the search scores candidates in closed form (see
-    `_clique_scorer`); on any other host it runs the engine per
-    candidate.
+    `_clique_scorer`); on any other host it scores each swap scan with
+    one engine call.
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"mode must be one of {AVERAGING_MODES}, got {mode!r}")
@@ -292,17 +294,15 @@ def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
     return best_subset, best_value
 
 
-def _window_extremum(dist: np.ndarray, config: WindowConfig, sub_config) -> tuple:
-    """`extremal_subgraph` on a window's complete graph, from its distances:
-    the value and the chosen node positions."""
-    adj = ~np.eye(len(dist), dtype=bool)
-    subset = _search(adj, dist, sub_config, config.averaging_mode, config.weighting)
-    return _subset_average(adj, dist, subset, config.averaging_mode, config.weighting), subset
-
-
 def _stack_extrema(high: np.ndarray, dist: np.ndarray, config: WindowConfig, sub_config) -> list:
-    """`_window_extremum` of each window of a stack, one at a time."""
-    return [_window_extremum(d, config, sub_config) for d in dist]
+    """The value and the chosen node positions of `extremal_subgraph` on the
+    complete graph of each window of a ``(G, n, n)`` stack of distances:
+    one `_search` per window, one `_subset_averages` call for the stack."""
+    adj = ~np.eye(dist.shape[1], dtype=bool)
+    mode, weighting = config.averaging_mode, config.weighting
+    subsets = [_search(adj, d, sub_config, mode, weighting) for d in dist]
+    return list(zip(_subset_averages(adj, dist, np.array(subsets), mode, weighting).tolist(),
+                    subsets))
 
 
 def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,

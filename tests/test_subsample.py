@@ -2,12 +2,14 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ricci_fragility import indicator, subsample
 from ricci_fragility.bounds import random_instance
 from ricci_fragility.errors import ConfigError, GraphError
 from ricci_fragility.graphs import MarketGraph, _dense, build_complete_graph, induced_subgraph
@@ -23,11 +25,14 @@ from ricci_fragility.subsample import (
     SubsampleConfig,
     _best_swap,
     _clique_scorer,
+    _evaluate,
     _generic_scorer,
     _grow_connected_subset,
     _is_better,
     _local_search,
-    _window_extremum,
+    _stack_extrema,
+    _subset_averages,
+    _swap_candidates,
     exhaustive_extremum,
     extremal_subgraph,
     subsample_indicator_series,
@@ -368,7 +373,7 @@ class TestCliqueScorer:
         sub_config = SubsampleConfig(m=6, objective=objective, seed=k, restarts=2)
         rho, _ = correlation_matrix(window, config.input_mode)
         dist = distance_from_correlation(rho, config.transform)
-        value, subset = _window_extremum(dist, config, sub_config)
+        ((value, subset),) = _stack_extrema(None, dist[None], config, sub_config)
         g = build_complete_graph(dist, rho, nodes=window.tickers)
         nodes, report = extremal_subgraph(g, sub_config, mode, weighting)
         assert tuple(window.tickers[p] for p in subset) == nodes
@@ -399,3 +404,114 @@ class TestCliqueScorer:
                 weighting=weighting)
             _, best = exhaustive_extremum(g, m, objective, weighting=weighting)
             assert sign * report.average >= sign * best - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Engine scoring in stacks
+# ---------------------------------------------------------------------------
+
+
+def sparse_scan(seed, m):
+    """A connected random host of 9-11 nodes (nodes are their positions) and
+    one swap scan of it from a connected m-subset."""
+    g = random_instance(seed, n_low=9, n_high=11).graph
+    adj, w = _dense(g)
+    start = _grow_connected_subset(adj, m, random.Random(seed))
+    return g, adj, w, _swap_candidates(start, np.delete(np.arange(g.n), start))
+
+
+class TestStackedScoring:
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    def test_scan_scores_equal_public_route(self, mode, weighting):
+        gaps = scored = 0
+        for seed in range(6):
+            g, adj, w, candidates = sparse_scan(seed, 4)
+            scores = _generic_scorer(adj, w, mode, weighting)(candidates)
+            assert scores.shape == (len(candidates),)
+            for row, score in zip(candidates, scores):
+                report = _evaluate(g, tuple(sorted(row.tolist())), mode, weighting)
+                if report is None:
+                    assert math.isnan(score)
+                    gaps += 1
+                else:
+                    assert score == report.average
+                    scored += 1
+        assert gaps > 0 and scored > 0
+
+    # The candidates are cut into blocks of CLIQUE_BATCH // (m * m): one
+    # candidate per block (a budget under one candidate's cells, or exactly
+    # one), two, and three with a remainder.
+    @pytest.mark.parametrize("batch", [1, 16, 32, 53])
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    def test_scan_scores_do_not_depend_on_batches(self, monkeypatch, mode, batch):
+        scans = [sparse_scan(seed, 4)[1:] for seed in range(4)]
+        whole = [_generic_scorer(adj, w, mode, "edge_weight")(c) for adj, w, c in scans]
+        monkeypatch.setattr(subsample, "CLIQUE_BATCH", batch)
+        for (adj, w, candidates), expected in zip(scans, whole):
+            cut = _generic_scorer(adj, w, mode, "edge_weight")(candidates)
+            assert np.array_equal(cut, expected, equal_nan=True)
+        assert np.isnan(np.concatenate(whole)).any()
+
+    @pytest.mark.parametrize("batch", [1, 72, 108])
+    def test_stacked_windows_do_not_depend_on_batches(self, monkeypatch, batch):
+        config = WindowConfig(averaging_mode="pairs")
+        prices = regime_switch()
+        dist = np.stack([distance_from_correlation(
+            correlation_matrix(prices.window(k, k + config.T))[0], config.transform)
+            for k in (100, 300, 360, 440, 460)])
+        adj = ~np.eye(dist.shape[1], dtype=bool)
+        subsets = np.sort(np.random.default_rng(5).random((5, dist.shape[1])).argsort(axis=1)
+                          [:, :6], axis=1)
+        alone = [_subset_averages(adj, d, row[None], "pairs", "edge_weight")[0]
+                 for d, row in zip(dist, subsets)]
+        monkeypatch.setattr(subsample, "CLIQUE_BATCH", batch)
+        assert _subset_averages(adj, dist, subsets, "pairs", "edge_weight").tolist() == alone
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_series_does_not_depend_on_stacks(self, monkeypatch, weighting):
+        # Rows 300..480 cross the regime switch; by default their 50 windows
+        # run as stacks of 10 down to 1 as the windows' graphs grow.
+        prices = regime_switch().window(300, 481)
+        config = WindowConfig(weighting=weighting)
+        sub_config = SubsampleConfig(m=5, restarts=1, max_iters=2)
+        stack_extrema, sizes, runs = subsample._stack_extrema, [], []
+
+        def spy(high, dist, *args, **kwargs):
+            sizes.append(len(dist))
+            return stack_extrema(high, dist, *args, **kwargs)
+
+        monkeypatch.setattr(subsample, "_stack_extrema", spy)
+        for budget in (indicator._STACK_BUDGET, 0):
+            monkeypatch.setattr(indicator, "_STACK_BUDGET", budget)
+            sizes.clear()
+            series, subsets = subsample_indicator_series(prices, config, sub_config)
+            runs.append((np.array(series.values).tobytes(), subsets, max(sizes)))
+        assert runs[0][2] > 1 and runs[1][2] == 1
+        assert runs[0][:2] == runs[1][:2]
+
+
+# One scan of m (n - m) = 200 candidates of 10 nodes in pairs mode is one
+# engine call of about 7,000 node pairs; it stays within the 4 MB window
+# budget of the transport memory tests (2.9 MB measured). The first call
+# is left untraced: it imports modules that numpy loads lazily.
+def test_generic_scan_memory_stays_flat():
+    rng = np.random.default_rng(0)
+    n, m = 30, 10
+    adj = np.triu(rng.random((n, n)) < 0.15, 1)
+    adj[np.arange(n - 1), np.arange(1, n)] = True  # a path keeps the host connected
+    adj |= adj.T
+    w = np.where(adj, rng.uniform(0.05, 2.0, (n, n)), 0.0)
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    start = _grow_connected_subset(adj, m, random.Random(0))
+    candidates = _swap_candidates(start, np.delete(np.arange(n), start))
+    score = _generic_scorer(adj, w, "pairs", "edge_weight")
+    score(candidates)
+    tracemalloc.start()
+    try:
+        scores = score(candidates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(candidates) == 200 and np.isfinite(scores).sum() > 50
+    assert peak < 4e6
