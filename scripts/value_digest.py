@@ -4,8 +4,10 @@ Prints one sha256 per run, over the raw float bits of its output, so that two
 checkouts compute bit-identical values exactly when they print the same lines:
 
 - ``indicator_series(regime_switch(), WindowConfig(xi=..., weighting=...))``
-  at xi 0.85 and 0.9 and both weightings (all 469 windows of the default
-  corpus), hashing the series' dates, the values' raw bits and the gap notes;
+  at xi 0.85, 0.9 and 1.0 and both weightings (all 469 windows of the
+  default corpus), hashing the series' dates, the values' raw bits and the
+  gap notes; xi 1.0 keeps the MST alone, whose windows have the largest
+  diameters, where hop counts clipped at 3 differ most from true ones;
 - the same series on rows 200..480 of ``regime_switch()`` (150 windows,
   calm and crisis) with a seeded 5% of cells missing, under ``log_return``
   with each distance transform (``sqrt``, ``power:0.5``, ``power:1.5``,
@@ -82,7 +84,7 @@ def main() -> None:
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
 
     prices = regime_switch()
-    for xi in (0.85, 0.9):
+    for xi in (0.85, 0.9, 1.0):
         for weighting in WEIGHTINGS:
             series = indicator_series(prices, WindowConfig(xi=xi, weighting=weighting))
             print(f"indicator xi={xi:g} weighting={weighting} windows={len(series.values)} "

@@ -301,7 +301,7 @@ def _group_w1(group, weighting: str) -> tuple:
     w[after, x, y] = w[after, y, x] = w_new
     dist[after] = _hops_with_edge(dist[after - 1], x, y)
     ns = np.array([len(arrays[0]) for arrays in twice])
-    for n in np.unique(ns).tolist():  # the weights become the measure rows
+    for n in sorted(set(ns.tolist())):  # the weights become the measure rows
         w[ns == n, :n, :n] = _measure_rows(adj[ns == n, :n, :n], w[ns == n, :n, :n], weighting)
     w1 = iter(_w1_rows(w.reshape(-1, size), dist, np.array(ia), np.array(ib)).tolist())
     return dist, [tuple([next(w1) for _ in range(count)] for count in (len(pairs), len(pairs), 2))

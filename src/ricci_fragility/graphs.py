@@ -2,7 +2,8 @@
 
 Construction from distance/correlation matrices, Prim minimum spanning
 trees with deterministic tie-breaking, correlation-threshold edge
-augmentation, unweighted hop-distance matrices, and induced subgraphs.
+augmentation, unweighted hop-distance matrices (also clipped at 3, all
+that edges-mode curvature reads), and induced subgraphs.
 Curvature code reads a graph as dense arrays (`_dense`).
 
 Edge weights are *distances* (larger = weaker relationship); raw
@@ -164,7 +165,9 @@ class HopDistanceMatrix:
 
     ``matrix[i, j]`` is the hop count between ``nodes[i]`` and
     ``nodes[j]``; unreachable pairs hold ``UNREACHABLE`` (``inf``).
-    The array is frozen read-only so instances can be shared freely.
+    Entries need not form a hop metric, but a NaN or negative one is a
+    ``GraphError``. The array is frozen read-only so instances can be
+    shared freely.
     """
 
     nodes: tuple
@@ -174,6 +177,8 @@ class HopDistanceMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.nodes):
             raise GraphError("hop matrix shape does not match node count")
+        if not (m >= 0.0).all():
+            raise GraphError("hop matrix entries must be nonnegative, not NaN")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -349,6 +354,19 @@ def _hops(adj: np.ndarray) -> np.ndarray:
         t -= low
     hop = t.astype(float)
     hop[~top & off] = UNREACHABLE
+    return hop
+
+
+def _clipped_hops(adj: np.ndarray) -> np.ndarray:
+    """``np.minimum(_hops(adj), 3)`` in one boolean product: 0 on the
+    diagonal, 1 on ``adj``, 2 at a common neighbour, 3 elsewhere, unreachable
+    pairs included. All an edge's curvature reads, as its measures' supports
+    lie within 3 hops (`_curvatures`). float32 sums of ones stay positive."""
+    f = adj.astype(np.float32)
+    hop = 3.0 - (f @ f > 0)
+    hop[adj] = 1.0
+    diag = np.arange(adj.shape[-1])
+    hop[..., diag, diag] = 0.0
     return hop
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientOverlapError
-from .graphs import MarketGraph, _from_edge_mask, _hops, _prim
+from .graphs import MarketGraph, _clipped_hops, _from_edge_mask, _hops, _prim
 from .ingestion import PriceMatrix
 from .transport import _STACK_BUDGET, AVERAGING_MODES, WEIGHTINGS, _curvatures
 
@@ -275,10 +275,14 @@ def _stack_adjacency(high: np.ndarray, dist: np.ndarray) -> np.ndarray:
 def _stack_kappa(high: np.ndarray, dist: np.ndarray, config: WindowConfig) -> list:
     """Curvature of each edge (or node pair) of each window's filtered
     graph in a ``(G, n, n)`` stack (see `_stack_adjacency`), in canonical
-    order, one array per window: one `_prim`, one `_hops` and one
-    `_curvatures` call."""
+    order, one array per window: one `_prim`, one hop count and one
+    `_curvatures` call. Edges mode reads hop counts only up to 3, all that
+    an edge's measures can see, so it takes `_clipped_hops`, one boolean
+    product, in place of `_hops`'s squarings to the stack's diameter;
+    pairs mode needs the true distances."""
     adj = _stack_adjacency(high, dist)
-    return _curvatures(adj, np.where(adj, dist, 0.0), _hops(adj), config.averaging_mode,
+    hops = _clipped_hops if config.averaging_mode == "edges" else _hops
+    return _curvatures(adj, np.where(adj, dist, 0.0), hops(adj), config.averaging_mode,
                        config.weighting)
 
 

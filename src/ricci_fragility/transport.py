@@ -28,6 +28,10 @@ comparisons tight at 1e-12.
 Curvature runs on the dense arrays of a stack of graphs (`_curvatures`),
 with every node's neighbour measure as one row of a matrix
 (`_measure_rows`), in one `_w1_rows` call; one graph is a stack of one.
+An edge (a, b) reads only distances between N(a) and N(b), each at most
+d(u, a) + d(a, b) + d(b, v) = 3, so edges mode reads hop counts only up
+to 3, and where the package counts hops for it, it clips them at 3
+(`_clipped_hops`).
 
 A deliberately naive exhaustive oracle (`wasserstein1_oracle`) solves
 small rational instances by integer dynamic programming and shares no
@@ -50,7 +54,7 @@ from .errors import (
     OracleBudgetError,
     SolverError,
 )
-from .graphs import HopDistanceMatrix, MarketGraph, _dense, _hops
+from .graphs import HopDistanceMatrix, MarketGraph, _clipped_hops, _dense, _hops
 
 #: Probability masses must sum to one within this tolerance.
 MASS_TOL = 1e-12
@@ -316,12 +320,14 @@ def _code_planes(stack: np.ndarray) -> np.ndarray:
     """The pooling keys of a ``(G, n, n)`` stack of distance matrices: each
     entry's index among the stack's sorted distinct entries as `_packed`
     bit planes, per graph, per row then per column, shape ``(G, 2n,
-    levels, words)``. A hop matrix of a connected graph holds 0..D, so
-    each entry's code is its own value in any stack, and such a stack is
-    copied in as its codes; any other stack is searched. Up to 256
-    distinct entries, the codes are shifted as uint8 and packed plane by
-    plane, which keeps the transients small."""
-    values = np.unique(stack)
+    levels, words)``. A hop matrix of a connected graph holds 0..D (0..3
+    when clipped), so each entry's code is its own value in any stack, and
+    such a stack is copied in as its codes; any other stack is searched.
+    Up to 256 distinct entries, the codes are shifted as uint8 and packed
+    plane by plane, which keeps the transients small. The distinct entries
+    are found by a sort, as the stack is NaN-free (`HopDistanceMatrix`)."""
+    values = np.sort(stack, axis=None)
+    values = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
     size, n = stack.shape[:2]
     codes = np.empty((size, 2 * n, n), np.uint8 if values.size <= 256 else np.int64)
     whole = np.array_equal(values, np.arange(values.size))
@@ -614,7 +620,10 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
     ``edges`` averages kappa over the edge set (requires at least one
     edge); ``pairs`` averages over all unordered node pairs and demands
     a connected graph. Pass a precomputed ``hop`` matrix to amortise BFS
-    across calls on the same graph. Every node needs a neighbour.
+    across calls on the same graph. Without one, edges mode computes hop
+    counts clipped at 3 (`_clipped_hops`): the measures of an edge (a, b)
+    sit on N(a) and N(b), so no distance it reads exceeds d(u, a) +
+    d(a, b) + d(b, v) = 3. Every node needs a neighbour.
     """
     if mode not in AVERAGING_MODES:
         raise ConfigError(f"unknown averaging mode {mode!r}")
@@ -622,7 +631,8 @@ def average_curvature(graph: MarketGraph, mode: str = "edges",
         raise ConfigError(f"unknown weighting {weighting!r}")
     adj, w = _dense(graph)
     if hop is None:
-        hop = HopDistanceMatrix(nodes=graph.nodes, matrix=_hops(adj))
+        hop = HopDistanceMatrix(nodes=graph.nodes,
+                                matrix=(_clipped_hops if mode == "edges" else _hops)(adj))
     elif hop.nodes != graph.nodes:
         raise GraphError("hop matrix does not match the graph's node set")
 
@@ -644,9 +654,10 @@ def _curvatures(adj: np.ndarray, w: np.ndarray, hop: np.ndarray, mode: str,
                 weighting: str) -> list:
     """kappa = 1 - W1 / d of each edge (``pairs`` mode: node pair) of each
     graph of a stack, given as ``(G, n, n)`` boolean adjacencies ``adj``,
-    weights ``w`` (0 off the edges) and hop matrices ``hop``: one
-    `_w1_rows` call for the whole stack, and one array per graph, in
-    canonical order. Every node needs a neighbour."""
+    weights ``w`` (0 off the edges) and hop matrices ``hop``, which edges
+    mode reads only up to 3, so they may be clipped there: one `_w1_rows`
+    call for the whole stack, and one array per graph, in canonical order.
+    Every node needs a neighbour."""
     size, n = adj.shape[:2]
     if mode == "edges":
         g, ia, ib = np.nonzero(np.triu(adj, 1))

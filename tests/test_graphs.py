@@ -15,6 +15,7 @@ from ricci_fragility.graphs import (
     UNREACHABLE,
     HopDistanceMatrix,
     MarketGraph,
+    _clipped_hops,
     _dense,
     _hops,
     _hops_with_edge,
@@ -507,6 +508,41 @@ def test_hops_of_isolated_nodes_and_zero_padded_stacks():
     looped = star.copy()
     looped[2, 2] = True
     assert np.array_equal(_hops(looped), _scipy_hops_of(star))
+
+
+def _assert_clipped(adj):
+    """`_clipped_hops` of ``adj`` and of each of its graphs alone equal
+    `_hops` clipped at 3."""
+    hop = _clipped_hops(adj)
+    assert hop.shape == adj.shape and hop.dtype == float
+    assert np.array_equal(hop, np.minimum(_hops(adj), 3))
+    for a, h in zip(adj.reshape(-1, *adj.shape[-2:]), hop.reshape(-1, *adj.shape[-2:])):
+        assert np.array_equal(_clipped_hops(a), h)
+
+
+# Seeded random graphs of every density, alone and as a stack, with an
+# isolated node (so disconnected) and a self-loop the adjacency ignores;
+# a path, whose hop counts pass 3 most; and the zero-padded stacks of
+# `bounds._draw`.
+@pytest.mark.parametrize("seed", range(10))
+def test_clipped_hops_equal_hops_clipped_at_three(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    adj = np.triu(rng.random((8, n, n)) < rng.uniform(0.0, 0.5, size=(8, 1, 1)), 1)
+    adj |= adj.transpose(0, 2, 1)
+    adj[0, 0], adj[0, :, 0], adj[1, 0, 0] = False, False, True
+    _assert_clipped(adj)
+    assert np.isinf(_hops(adj[0])).any()
+    _assert_clipped(np.eye(n + 4, k=1, dtype=bool) | np.eye(n + 4, k=-1, dtype=bool))
+    blocks = []
+    for _ in range(12):
+        m = int(rng.integers(2, 13))
+        iu, ju = np.triu_indices(m, 1)
+        drawn = rng.random(iu.size) < rng.uniform(0.1, 0.75)
+        block = np.zeros((m, m), dtype=bool)
+        block[iu[drawn], ju[drawn]] = block[ju[drawn], iu[drawn]] = True
+        blocks.append(block)
+    _assert_clipped(_padded(blocks))
 
 
 # ---------------------------------------------------------------------------

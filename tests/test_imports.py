@@ -175,11 +175,35 @@ print(json.dumps(loaded))
 """
 
 
-def test_package_runs_without_loading_scipy():
-    # A fresh interpreter: this pytest process has SciPy loaded already.
+def _fresh_run(source: str) -> str:
+    """Standard output of ``source`` run in a fresh interpreter, as this
+    pytest process has SciPy and ``numpy.ma`` loaded already."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE[0].parents[1]), os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_SCIPY], env=env,
-                         capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(run.stdout) == {"import": [], "indicator_series": [],
-                                      "run_bounds_suite": []}
+    return subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
+
+
+def test_package_runs_without_loading_scipy():
+    assert json.loads(_fresh_run(RUNS_WITHOUT_SCIPY)) == {
+        "import": [], "indicator_series": [], "run_bounds_suite": []}
+
+
+# `np.unique` imports `numpy.ma` on its first call in a process, which
+# `tracemalloc` charged (about 1.1 MB) to whichever memory test called the
+# engine first, so the library must not call it on these paths.
+RUNS_WITHOUT_NUMPY_MA = """
+import sys
+from ricci_fragility import (SubsampleConfig, WindowConfig, indicator_series, regime_switch,
+                             run_bounds_suite, subsample_indicator_series)
+
+panel = regime_switch().window(360, 500)
+indicator_series(panel, WindowConfig())
+run_bounds_suite(3)
+subsample_indicator_series(panel, WindowConfig(), SubsampleConfig(m=5, restarts=0, max_iters=1))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_package_runs_without_loading_numpy_ma():
+    assert _fresh_run(RUNS_WITHOUT_NUMPY_MA).split() == ["False"]

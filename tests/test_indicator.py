@@ -18,6 +18,7 @@ from ricci_fragility.errors import (
 )
 from ricci_fragility.graphs import (
     MarketGraph,
+    _hops,
     _prim,
     augment_high_value_edges,
     build_complete_graph,
@@ -508,6 +509,12 @@ def _stack_sizes(panel, config, starts):
     return sizes
 
 
+def _kappa_bits(high, dist, config):
+    """`_stack_kappa` as `_points_for_starts` values: the raw bits of every kappa."""
+    return [(0.0, tuple(kappa.view(np.uint64).tolist()))
+            for kappa in _stack_kappa(high, dist, config)]
+
+
 def _recording(sizes):
     """`_stack_curvature` that records the size of each stack it solves."""
     def step(high, dist, config):
@@ -557,6 +564,48 @@ class TestStacks:
                                      series.notes))
                         monkeypatch.undo()
                     assert runs[0] == runs[1] == runs[2], (mode, xi, weighting)
+
+    # Edges mode reads hop counts clipped at 3. Seidel's true counts in
+    # their place give every edge's kappa the same bits, on every 7th
+    # window, up to the MST-only windows of xi 1.0 (diameters up to 27).
+    # The 8 co-moving assets never sit more than 3 hops apart.
+    @pytest.mark.parametrize("corpus, longer", [(regime_switch, True), (iid, True),
+                                                (comoving, False)],
+                             ids=["regime_switch", "iid", "comoving"])
+    def test_clipped_hops_give_the_bits_of_true_hops(self, monkeypatch, corpus, longer):
+        panel = corpus()
+        starts = range(0, panel.n_dates - WindowConfig().T + 1, 7)
+        clipped = []
+
+        def true_hops(adj):
+            hop = _hops(adj)
+            clipped.append(int((hop > 3).sum()))
+            return hop
+
+        for xi in (0.75, 0.85, 0.9, 1.0):
+            for weighting in WEIGHTINGS:
+                config = WindowConfig(xi=xi, weighting=weighting)
+                runs = []
+                for hops in (indicator._clipped_hops, true_hops):
+                    monkeypatch.setattr(indicator, "_clipped_hops", hops)
+                    runs.append(_points_for_starts(panel, config, _kappa_bits, starts))
+                assert runs[0] == runs[1], (xi, weighting)
+                assert all(extra for _, _, extra, _ in runs[0])
+        assert (sum(clipped) > 0) == longer
+
+    # The rolling edges path makes no Seidel `_hops` call, only one
+    # `_clipped_hops` call per stack; pairs mode makes one `_hops` call
+    # per stack.
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    def test_only_pairs_mode_counts_hops_past_three(self, monkeypatch, mode):
+        calls = []
+        for name in ("_hops", "_clipped_hops"):
+            monkeypatch.setattr(indicator, name, lambda adj, f=getattr(indicator, name), name=name:
+                                calls.append(name) or f(adj))
+        panel, config = regime_switch().window(0, 150), WindowConfig(averaging_mode=mode)
+        indicator_series(panel, config)
+        stacks = len(_stack_sizes(panel, config, range(19)))
+        assert calls == ["_clipped_hops" if mode == "edges" else "_hops"] * stacks
 
     # The rule stacks calm windows; 10 calm windows (a `rolling-calm`
     # benchmark panel) form one stack, and crisis windows (~1,000 edges)

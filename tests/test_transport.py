@@ -1257,6 +1257,36 @@ def test_block_path_raises_on_infinite_support_distance():
         average_curvature(g, mode="edges", hop=hop)
 
 
+# A hop matrix need not be a metric, but on the path 0-1-2-3 a negative
+# d(0, 3) gave kappa(1, 2) = 3.0, past kappa <= 1, and a NaN one raised
+# `InfiniteDistanceError`, which names the wrong cause.
+@pytest.mark.parametrize("bad", [-5.0, np.nan])
+def test_average_curvature_rejects_nan_and_negative_hop_entries(bad):
+    g = _path_graph(4)
+    matrix = hop_distances(g).matrix.copy()
+    matrix[0, 3] = matrix[3, 0] = bad
+    with pytest.raises(GraphError, match="nonnegative"):
+        average_curvature(g, mode="edges", hop=HopDistanceMatrix(nodes=g.nodes, matrix=matrix))
+
+
+# Without a hop matrix, edges mode counts hops only up to 3, with no
+# Seidel `_hops` call, and gives the bits of the true hop matrix, on a long
+# path and on a disconnected graph; pairs mode still counts them all.
+def test_average_curvature_edges_mode_reads_clipped_hops(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transport, "_hops", lambda adj: calls.append(len(adj)) or _hops(adj))
+    edges = [(i, i + 1) for i in range(8)] + [(9, 10), (10, 11), (9, 11)]
+    g = _graph(12, edges, {e: 0.3 + 0.7 * (k % 3) for k, e in enumerate(edges)})
+    for graph in (g, _path_graph(9)):
+        for weighting in WEIGHTINGS:
+            got = average_curvature(graph, weighting=weighting).per_pair.values()
+            want = average_curvature(graph, weighting=weighting, hop=hop_distances(graph))
+            assert [k.hex() for k in got] == [k.hex() for k in want.per_pair.values()]
+    assert calls == []
+    average_curvature(_path_graph(9), mode="pairs")
+    assert calls == [9]
+
+
 def test_block_path_raises_on_isolated_node():
     g = MarketGraph(nodes=(0, 1, 2, 3), edges=((0, 1), (1, 2)),
                     weights={(0, 1): 1.0, (1, 2): 1.0})
