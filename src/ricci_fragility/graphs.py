@@ -266,22 +266,23 @@ def _prim(w: np.ndarray) -> np.ndarray:
     size, n = w.shape[:2]
     iu, ju = np.triu_indices(n, 1)
     order = _stable_order(w[:, iu, ju])
-    stack = np.arange(size)
+    stack, flat = np.arange(size), np.arange(0, size * n, n)
     inverse = np.empty(order.shape, dtype=np.int32)
-    inverse[stack[:, None], order] = np.arange(iu.size)
+    np.put_along_axis(inverse, order, np.arange(iu.size, dtype=np.int32), axis=1)
     rank = np.full((size, n, n), iu.size, dtype=np.int32)
     rank[:, iu, ju] = rank[:, ju, iu] = inverse
     # Each outside node keeps the rank of its best tree edge; tree nodes
-    # hold iu.size, which is past every rank.
-    best = rank[:, 0].copy()
-    outside = best < iu.size
+    # hold iu.size, which is past every rank, as `tree` does there. Steps
+    # index the stack's nodes flat: graph g's node k is g * n + k.
+    best, rank = rank[:, 0].copy(), rank.reshape(size * n, n)
+    tree = np.where(best < iu.size, 0, best)
     taken = np.empty((size, n - 1), dtype=np.intp)
     for s in range(n - 1):
-        k = best.argmin(axis=1)
-        taken[:, s] = best[stack, k]
-        best[stack, k] = iu.size
-        outside[stack, k] = False
-        np.minimum(best, rank[stack, k], out=best, where=outside)
+        k = best.argmin(axis=1) + flat
+        taken[:, s] = best.take(k)
+        tree.put(k, iu.size)
+        np.minimum(best, rank.take(k, axis=0), out=best)
+        np.maximum(best, tree, out=best)
     pair = order[stack[:, None], taken]
     if np.isinf(w[stack[:, None], iu[pair], ju[pair]]).any():
         raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")

@@ -208,11 +208,14 @@ def _correlations(window: PriceMatrix, input_mode: str):
     s2 = (centred * centred).T @ mask        # sum of x^2 over co-present rows
     cross = centred.T @ centred              # sum of x*y over co-present rows
 
-    cov = overlap * cross - s1 * s1.T
-    var_x = overlap * s2 - s1 * s1
+    cov = np.multiply(overlap, cross, out=cross)
+    cov -= s1 * s1.T
+    scale = overlap * s2
+    var_x = scale - s1 * s1
     var_y = var_x.T
-    scale = np.maximum(overlap * s2, 1.0)
-    degenerate = (var_x <= 1e-14 * scale) | (var_y <= 1e-14 * scale.T)
+    np.maximum(scale, 1.0, out=scale)
+    scale *= 1e-14
+    degenerate = (var_x <= scale) | (var_y <= scale.T)
 
     denom2 = np.maximum(var_x, 0.0) * np.maximum(var_y, 0.0)
     denom = np.sqrt(denom2)

@@ -18,12 +18,13 @@ side as rows, and `_w1_rows` scores all of the call's such pairs in
 chunks, sorted by level bits, each padded to its largest pair and cut by
 its padded cells, by the integral dual of the max-weight transport
 (`_integer_duals`: level-bit codes, a row-wise OR-closure and bit-test
-scoring). Each pair where it declines is solved alone as one pooled
-HiGHS LP with dense constraints (`_solve_lp`, the package's only SciPy
-call, imported there). A pair's value does not depend on the block,
-chunk, padded stack or call it is solved in. Every route returns the
-exact optimum up to float rounding of sums, which keeps closed-form
-comparisons tight at 1e-12.
+scoring whose sums are left folds, each one numpy reduction over the
+leading axis of a C-ordered product, as every scored row has two or
+more candidates). Each pair where it declines is solved alone as one
+pooled HiGHS LP with dense constraints (`_solve_lp`, the package's only
+SciPy call, imported there). No pair's value depends on its block,
+chunk, padded stack or call. Every route is exact up to the float
+rounding of sums, which keeps closed-form comparisons tight at 1e-12.
 
 Curvature runs on the dense arrays of a stack of graphs (`_curvatures`),
 with every node's neighbour measure as one row of a matrix
@@ -308,12 +309,14 @@ def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
     bits = np.unpackbits(cand.astype(cand.dtype.newbyteorder("<"), copy=False).view(np.uint8)
                          .reshape(len(cand), -1, cand.itemsize).transpose(2, 0, 1),
                          axis=0, count=(levels * cols).max(), bitorder="little")
-    p = p * rcaps.T[:, :, None]
-    q = bits * ccaps[np.arange(cols.size), np.arange(bits.shape[0])[:, None] % cols][:, :, None]
-    # Left folds over the leading axis (the last running sums, bit for bit)
-    # add a pair's terms in its own order, then the padding's zeros, so a
-    # pair's value does not depend on its batch.
-    return (sum(p[1:], p[0]) + sum(q[1:], q[0])).min(axis=1)
+    p = np.multiply(p, rcaps.T[:, :, None], out=np.empty(p.shape))
+    q = np.multiply(bits, ccaps[np.arange(cols.size), np.arange(bits.shape[0])[:, None] % cols]
+                    [:, :, None], out=np.empty(bits.shape))
+    # numpy sums pairwise only along the fast axis in memory, so reducing the
+    # leading axis of these C-ordered products adds a pair's terms left to
+    # right, then the padding's zeros, in any batch. Each row has 2+ candidates
+    # (0 and a generator); one trailing cell would go 1-D and sum pairwise.
+    return (np.add.reduce(p, axis=0) + np.add.reduce(q, axis=0)).min(axis=1)
 
 
 def _code_planes(stack: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ricci_fragility import transport
+from ricci_fragility.bounds import run_bounds_suite
 from ricci_fragility.errors import (
     ConfigError,
     DataError,
@@ -735,6 +736,79 @@ def test_integer_duals_code_width(monkeypatch, shapes, dtype):
         assert value == transport._integer_duals(*_pad([pair]))[0] == int64
         w, r, c = pair
         assert value == pytest.approx(-_dense_lp(r, c, -w), abs=1e-9)
+
+
+def _folded_dual_scores(cand, gens, rcaps, ccaps, cols, levels):
+    """`_dual_scores` as running left folds, one add per row and per level
+    bit: the reference for its one-call reductions."""
+    free, row_gens = ~cand, gens.transpose(1, 2, 0)
+    p = sum(((row_gens[:, t, :, None] & free) != 0 for t in range(levels.max())), np.uint8(0))
+    bits = np.unpackbits(cand.astype(cand.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+                         .reshape(len(cand), -1, cand.itemsize).transpose(2, 0, 1),
+                         axis=0, count=(levels * cols).max(), bitorder="little")
+    p = p * rcaps.T[:, :, None]
+    q = bits * ccaps[np.arange(cols.size), np.arange(bits.shape[0])[:, None] % cols][:, :, None]
+    return sum(p[1:], p[0]) + sum(q[1:], q[0])
+
+
+def _random_dual_scores_inputs(rng, size, m, k, top, dtype):
+    """Padded `_dual_scores` inputs for ``size`` pairs of up to ``m`` rows
+    and ``k`` columns, each within ``top`` level bits: random codes (0 and a
+    nonzero one among each row's candidates) and caps of mixed scales, so a
+    pairwise sum would round differently from the left fold."""
+    rows, cols = rng.integers(1, m + 1, size), rng.integers(1, k + 1, size)
+    levels = np.array([rng.integers(1, top // c + 1) for c in cols])
+    width = int(rng.integers(2, 12))
+    cand, gens = np.zeros((size, width), dtype), np.zeros((size, m, levels.max()), dtype)
+    rcaps, ccaps = np.zeros((size, m)), np.zeros((size, k))
+    for e in range(size):
+        bits = int(levels[e] * cols[e])
+        cand[e, 1:] = rng.integers(1, 2 ** bits, width - 1, dtype=np.uint64)
+        cand[e, rng.integers(2, width + 1):] = 0  # padding
+        gens[e, :rows[e], :levels[e]] = rng.integers(0, 2 ** bits, (rows[e], levels[e]),
+                                                      dtype=np.uint64)
+        rcaps[e, :rows[e]] = rng.dirichlet(np.ones(rows[e])) * 10.0 ** rng.integers(-6, 3, rows[e])
+        ccaps[e, :cols[e]] = rng.dirichlet(np.ones(cols[e])) * 10.0 ** rng.integers(-6, 3, cols[e])
+    return cand, gens, rcaps, ccaps, cols, levels
+
+
+# `_dual_scores` reduces each product in one numpy call. On C-ordered
+# products with two or more candidates per row, that adds the terms in the
+# left fold's order, so every score equals the running folds' bit for bit,
+# in batches and alone, with uint32 and int64 codes.
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dtype, top", [(np.uint32, 32), (np.int64, 63)])
+def test_dual_scores_equal_the_left_folds(seed, dtype, top):
+    rng = np.random.default_rng(seed)
+    for size, m, k in [(1, 12, 3), (1, 3, 2), (5, 20, 4), (40, 16, 10), (9, 40, 1)]:
+        args = _random_dual_scores_inputs(rng, size, m, k, top, dtype)
+        folds = _folded_dual_scores(*args)
+        scores = transport._dual_scores(*args)
+        assert scores.view(np.int64).tolist() == folds.min(axis=1).view(np.int64).tolist()
+
+
+# The one-call reductions add left to right only while the reduced axis is
+# not the fast one, which holds since every scored row has at least two
+# candidates: 0 and a nonzero generator. Every `_dual_scores` call of
+# crisis windows in both modes and weightings, and of a `bounds` suite,
+# has them.
+def test_dual_scores_rows_hold_two_candidates(monkeypatch, regime_panel):
+    widths, scores = [], transport._dual_scores
+
+    def spy(cand, *args):
+        widths.append(cand.shape[1])
+        assert (cand != 0).any(axis=1).all()
+        return scores(cand, *args)
+
+    monkeypatch.setattr(transport, "_dual_scores", spy)
+    for k in (420, 460):
+        for weighting in WEIGHTINGS:
+            graph = window_graph(regime_panel.window(k, k + 132),
+                                 WindowConfig(T=132, xi=0.85, weighting=weighting))
+            for mode in ("edges", "pairs"):
+                average_curvature(graph, mode=mode, weighting=weighting)
+    run_bounds_suite(100)
+    assert len(widths) > 100 and min(widths) >= 2
 
 
 # The whole-gap line instance above scaled by 2e19: its gaps no longer fit
