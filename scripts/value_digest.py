@@ -28,7 +28,13 @@ checkouts compute bit-identical values exactly when they print the same lines:
 - ``extremal_subgraph(window_graph(...), SubsampleConfig(m=5, restarts=5))``
   on the windows starting at rows 100, 300 and 420 (filtered graphs: every
   swap scan goes through the engine), hashing the nodes and the raw bits of
-  the average.
+  the average;
+- ``average_curvature(build_complete_graph(...))`` of the windows starting
+  at rows 100 and 420 in both averaging modes under both weightings, and
+  ``exhaustive_extremum`` with m = 4 under both objectives on the complete
+  graph of the first 8 assets of the window at row 300: stacks whose
+  off-diagonal hop counts are all 1, which the engine prices in closed
+  form, hashing the per-pair values' raw bits (or the nodes and the value).
 
 Run from the repository root on each checkout and compare the output:
 
@@ -46,6 +52,11 @@ from ricci_fragility import (
     PriceMatrix,
     SubsampleConfig,
     WindowConfig,
+    average_curvature,
+    build_complete_graph,
+    correlation_matrix,
+    distance_from_correlation,
+    exhaustive_extremum,
     extremal_subgraph,
     indicator_series,
     regime_switch,
@@ -62,6 +73,13 @@ def masked(prices) -> PriceMatrix:
     values = part.values.copy()
     values[np.random.default_rng(0).random(values.shape) < 0.05] = np.nan
     return PriceMatrix(dates=part.dates, tickers=part.tickers, values=values)
+
+
+def complete_graph(window):
+    """The complete correlation-distance graph of ``window``."""
+    rho, _ = correlation_matrix(window)
+    return build_complete_graph(distance_from_correlation(rho, DistanceTransform()), rho,
+                                nodes=window.tickers)
 
 
 def series_digest(series) -> str:
@@ -119,6 +137,22 @@ def main() -> None:
                                           SubsampleConfig(m=5, restarts=5))
         digest = hashlib.sha256(repr(nodes).encode() + struct.pack("<d", report.average))
         print(f"extremal window={k} m=5 nodes={','.join(nodes)} sha256={digest.hexdigest()}")
+    for k in (100, 420):
+        graph = complete_graph(prices.window(k, k + WindowConfig().T))
+        for mode in ("edges", "pairs"):
+            for weighting in WEIGHTINGS:
+                kappa = average_curvature(graph, mode=mode, weighting=weighting).per_pair
+                digest = hashlib.sha256(np.array(list(kappa.values()), dtype="<f8").tobytes())
+                print(f"complete window={k} mode={mode} weighting={weighting} "
+                      f"pairs={len(kappa)} sha256={digest.hexdigest()}")
+    window = prices.window(300, 300 + WindowConfig().T)
+    graph = complete_graph(PriceMatrix(dates=window.dates, tickers=window.tickers[:8],
+                                       values=window.values[:, :8]))
+    for objective in ("minimize", "maximize"):
+        nodes, value = exhaustive_extremum(graph, 4, objective)
+        digest = hashlib.sha256(repr(nodes).encode() + struct.pack("<d", value))
+        print(f"exhaustive window=300 assets=8 m=4 objective={objective} "
+              f"nodes={','.join(nodes)} sha256={digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -165,9 +165,11 @@ class HopDistanceMatrix:
 
     ``matrix[i, j]`` is the hop count between ``nodes[i]`` and
     ``nodes[j]``; unreachable pairs hold ``UNREACHABLE`` (``inf``).
-    Entries need not form a hop metric, but a NaN or negative one is a
-    ``GraphError``. The array is frozen read-only so instances can be
-    shared freely.
+    Off-diagonal entries need not form a hop metric, but a NaN or negative
+    entry, or a diagonal entry other than 0 (``inf`` included), is a
+    ``GraphError``: W1 moves shared mass for free, which charges d(v, v)
+    nothing. The array is frozen read-only so instances can be shared
+    freely.
     """
 
     nodes: tuple
@@ -179,6 +181,8 @@ class HopDistanceMatrix:
             raise GraphError("hop matrix shape does not match node count")
         if not (m >= 0.0).all():
             raise GraphError("hop matrix entries must be nonnegative, not NaN")
+        if np.diagonal(m).any():
+            raise GraphError("hop matrix diagonal must be zero")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "nodes", tuple(self.nodes))

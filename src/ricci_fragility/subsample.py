@@ -25,11 +25,14 @@ scan's m (n - m) candidates in closed form with a few array operations;
 under ``uniform`` weighting every K_m scores (m - 2) / (m - 1), the
 equality case of the Jost-Liu triangle bound. On any other host a swap
 scan's candidates go through the exact W1 engine as one stack. Either
-way the returned value comes from the engine, and `exhaustive_extremum`
+way a scan is one scorer call, the first one scoring the start subset
+too. The returned value comes from the engine, and `exhaustive_extremum`
 always uses the public `induced_subgraph` + `average_curvature` route, so
 it stays an independent oracle. The search runs on the host's dense
 arrays; the rolling pipeline hands it each window's distance matrix and
-scores a stack of windows' chosen subsets in one engine call.
+scores a stack of windows' chosen subsets in one engine call. That stack
+holds K_m graphs only, so the engine prices it as v times each pair's
+moved mass, with v = 1, and never builds pooling keys for it.
 """
 
 from __future__ import annotations
@@ -145,13 +148,15 @@ def _clique_scorer(adj: np.ndarray, w: np.ndarray, weighting: str):
         m = candidates.shape[1]
         # sum_{a<b} min(x_a, x_b) over a column: its k-th smallest entry
         # (from 0) is the minimum of its pairs with the m - 1 - k above it.
+        # Each row is summed on its own, not by a BLAS product, so its score
+        # does not depend on its position in the call.
         above = np.arange(m - 1, -1, -1, dtype=float)
         out = []
         step = max(1, CLIQUE_BATCH // (m * m))
         for s in range(0, candidates.shape[0], step):
             block = (candidates[s:s + step, :, None], candidates[s:s + step, None, :])
             mu = _measure_rows(adj[block], w[block], weighting)
-            out.append(np.sort(mu, axis=1).sum(axis=2) @ above)
+            out.append((np.sort(mu, axis=1).sum(axis=2) * above).sum(axis=1))
         return np.concatenate(out) / (m * (m - 1) / 2)
     return score
 
@@ -205,16 +210,22 @@ def _best_swap(scores: np.ndarray, value: float, objective: str):
 
 def _local_search(n: int, subset: tuple, config: SubsampleConfig, score):
     """Steepest single-swap descent from ``subset`` (ascending node
-    positions) to a local optimum; returns the subset and its score."""
-    value = float(score(np.array([subset], dtype=np.intp))[0])
-    if np.isnan(value):
-        raise GraphError("initial subset does not induce a connected subgraph")
-
+    positions) to a local optimum; returns the subset and its score. Each
+    swap scan is one ``score`` call, and the first one scores the start
+    too, as its row 0."""
+    value = None
     for _ in range(config.max_iters):
         outside = np.delete(np.arange(n), subset)
         # Deterministic scan order: (inside position, outside position).
-        best, best_value = _best_swap(score(_swap_candidates(subset, outside)),
-                                      value, config.objective)
+        candidates = _swap_candidates(subset, outside)
+        if value is None:
+            scores = score(np.concatenate(([subset], candidates)))
+            value, scores = float(scores[0]), scores[1:]
+            if np.isnan(value):
+                raise GraphError("initial subset does not induce a connected subgraph")
+        else:
+            scores = score(candidates)
+        best, best_value = _best_swap(scores, value, config.objective)
         if best is None:
             break
         i, j = divmod(best, outside.size)

@@ -5,11 +5,15 @@ The W1 solver is exact, not approximate. Its one entry point
 (`_w1_rows`) takes measure rows over a stack of distance matrices and
 two rows per pair, solved on the graph of its first row: a stack of
 windows' pairs or one pair on a stack of one, or the pairs of a stack of
-`bounds` instances on their zero-padded hop matrices. It builds the
-pooling keys once and hands blocks of pairs, sized by their measure-row
-cells, to `_w1_block`, the front end, which fixes shared mass in place,
-since it never moves under a metric cost, sums each pair's moved mass
-left to right, pools interchangeable residual atoms (one stable sort on
+`bounds` instances on their zero-padded hop matrices. A stack whose
+off-diagonal entries are all one finite distance v, such as the K_m
+subgraphs of the sub-sampled indicator, needs no more: every unit of a
+pair's moved mass travels v, so its W1 is v times that mass (total
+variation, on K_m). Any other stack has its pooling keys built once,
+and its pairs go in blocks, sized by their measure-row cells, to
+`_w1_block`, the front end, which fixes shared mass in place, since it
+never moves under a metric cost, sums each pair's moved mass left to
+right, pools interchangeable residual atoms (one stable sort on
 their side and a hash of their masked code planes, then a check of every
 word against the sorted neighbour) and reads their distances for the
 whole block. No residual costs nothing and one distinct distance has a
@@ -319,18 +323,15 @@ def _dual_scores(cand, gens, rcaps, ccaps, cols, levels) -> np.ndarray:
     return (np.add.reduce(p, axis=0) + np.add.reduce(q, axis=0)).min(axis=1)
 
 
-def _code_planes(stack: np.ndarray) -> np.ndarray:
-    """The pooling keys of a ``(G, n, n)`` stack of distance matrices: each
-    entry's index among the stack's sorted distinct entries as `_packed`
-    bit planes, per graph, per row then per column, shape ``(G, 2n,
-    levels, words)``. A hop matrix of a connected graph holds 0..D (0..3
-    when clipped), so each entry's code is its own value in any stack, and
-    such a stack is copied in as its codes; any other stack is searched.
-    Up to 256 distinct entries, the codes are shifted as uint8 and packed
-    plane by plane, which keeps the transients small. The distinct entries
-    are found by a sort, as the stack is NaN-free (`HopDistanceMatrix`)."""
-    values = np.sort(stack, axis=None)
-    values = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+def _code_planes(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The pooling keys of a ``(G, n, n)`` stack of distance matrices, given
+    its sorted distinct entries ``values``: each entry's index among them as
+    `_packed` bit planes, per graph, per row then per column, shape ``(G,
+    2n, levels, words)``. A hop matrix of a connected graph holds 0..D
+    (0..3 when clipped), so each entry's code is its own value in any
+    stack, and such a stack is copied in as its codes; any other stack is
+    searched. Up to 256 distinct entries, the codes are shifted as uint8
+    and packed plane by plane, which keeps the transients small."""
     size, n = stack.shape[:2]
     codes = np.empty((size, 2 * n, n), np.uint8 if values.size <= 256 else np.int64)
     whole = np.array_equal(values, np.arange(values.size))
@@ -377,9 +378,15 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
     for each pair ``e``; ``rows`` holds ``n`` measure rows per graph of the
     ``(G, n, n)`` stack ``dist``, in stack order, zero past each graph's
     nodes; raises `InfiniteDistanceError` where a pair's supports span two
-    components of its graph. Builds the stack's `_code_planes` once and
-    runs `_w1_block` on blocks of at most ``_BATCH_PAIRS`` pairs and
-    ``_BLOCK_CELLS`` measure-row cells. The pairs it hands back, with two
+    components of its graph. Sorts the stack's distinct entries once. Where
+    every off-diagonal entry is one finite value v (a stack of complete
+    graphs), each pair's W1 is ``v * moved`` (`_peel`): its residual sources
+    and sinks are distinct nodes, so every unit moves at distance v. Only a
+    stack of at most two distinct entries is tested for this. Any other
+    stack builds its `_code_planes` from those entries and runs `_w1_block`
+    on blocks of at most ``_BATCH_PAIRS`` pairs and ``_BLOCK_CELLS``
+    measure-row cells, the blocks the closed form is cut by too, so its
+    memory stays flat. The pairs `_w1_block` hands back, with two
     or more residual distances, are scored in one pass over the call:
     stably sorted by (largest gap times columns, which is their level bits
     before the gcd, rows), cut into chunks of at most ``_BATCH_PAIRS``
@@ -394,13 +401,23 @@ def _w1_rows(rows: np.ndarray, dist: np.ndarray, ia: np.ndarray, ib: np.ndarray)
         on = g == k
         if ((rows[ia[on]] > 0) @ ~np.isfinite(dist[k]) & (rows[ib[on]] > 0)).any():
             raise InfiniteDistanceError("supports span disconnected components")
-    planes = _code_planes(dist)
-    parts, base, step = [], 0, max(1, min(_BATCH_PAIRS, _BLOCK_CELLS // rows.shape[1]))
-    for s in range(0, len(ia), step):
-        block = slice(s, s + step)
+    # The stack is NaN-free (`HopDistanceMatrix`), so a sort finds its entries.
+    values = np.sort(dist, axis=None)
+    values = np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
+    step = max(1, min(_BATCH_PAIRS, _BLOCK_CELLS // rows.shape[1]))
+    blocks = [slice(s, s + step) for s in range(0, len(ia), step)]
+    if values.size <= 2:
+        off = dist[:, ~np.eye(dist.shape[1], dtype=bool)]
+        if off.size and off.min() == off.max() < np.inf:
+            return np.concatenate([off.flat[0] * _peel(rows[ia[b]], rows[ib[b]])[1]
+                                   for b in blocks])
+    planes = _code_planes(dist, values)
+    parts, base = [], 0
+    for block in blocks:
         cost, pair, offset, caps, rfirst, cfirst, *rest = _w1_block(
             rows[ia[block]], rows[ib[block]], dist, planes, g[block])
-        parts.append((cost, pair + s, offset, caps, rfirst + base, cfirst + base, *rest))
+        parts.append((cost, pair + block.start, offset, caps, rfirst + base, cfirst + base,
+                      *rest))
         base += offset.size
     cost, pair, offset, caps, rfirst, cfirst, v, m, k, flip, key = (
         parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
@@ -432,8 +449,7 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     each pair on ``dist[g[e]]``.
 
     ``planes`` are the stack's `_code_planes`. Shared mass is peeled off
-    for the whole block, and a pair's moved mass is its residual
-    sources' sum left to right, which zero padding leaves alone.
+    and each pair's moved mass summed for the whole block by `_peel`.
     Residual sources (sinks) of a pair with equal distances to all its
     residual sinks (sources) are pooled into one atom. One stable argsort
     on a uint64 key, the side of a pair in the top ``(2 * size -
@@ -455,10 +471,7 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     count.
     """
     size, n = pa.shape
-    shared = np.minimum(pa, pb)
-    # Residual sources of pair e in row e, its residual sinks in row size + e.
-    residual = np.concatenate((pa - shared, pb - shared))
-    moved = np.cumsum(residual, axis=1)[:, -1].reshape(2, size).min(axis=0)
+    residual, moved = _peel(pa, pb)
     atoms = residual > 0.0
     other = atoms.reshape(2, size, n)[::-1].reshape(2 * size, n)
     flat = np.flatnonzero(atoms)
@@ -504,6 +517,16 @@ def _w1_block(pa: np.ndarray, pb: np.ndarray, dist: np.ndarray, planes: np.ndarr
     multi = np.flatnonzero(gap > 0.0)
     return (cost, pair[multi], offset, caps, rfirst[multi], cfirst[multi], v[multi], m[multi],
             k[multi], flip[multi], gap[multi] * k[multi])
+
+
+def _peel(pa: np.ndarray, pb: np.ndarray) -> tuple:
+    """The residuals of the pairs of rows ``pa[e]``, ``pb[e]`` once shared
+    mass is peeled off, sources of pair e in row e and its sinks in row
+    ``size + e``, and each pair's moved mass, the smaller side's sum left
+    to right, which zero padding leaves alone."""
+    shared = np.minimum(pa, pb)
+    residual = np.concatenate((pa - shared, pb - shared))
+    return residual, np.cumsum(residual, axis=1)[:, -1].reshape(2, len(pa)).min(axis=0)
 
 
 def _runs(first: np.ndarray, count: np.ndarray) -> tuple:

@@ -831,3 +831,15 @@ def test_induced_subgraph_rejects_small_or_bad_subsets():
 def test_hop_distance_matrix_shape_validation():
     with pytest.raises(GraphError):
         HopDistanceMatrix(nodes=(0, 1), matrix=np.zeros((3, 3)))
+
+
+# A nonzero diagonal made the solver and the oracle disagree: on
+# [[1, 1, 2], [1, 1, 1], [2, 1, 1]], W1 between (d0 + d1) / 2 and
+# (d0 + d2) / 2 moved the shared half at 0 for free (0.5), while the
+# oracle charged d(0, 0) = 1 for it (1.0).
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, 0.0, np.inf)])
+def test_hop_distance_matrix_rejects_nonzero_diagonal(diagonal):
+    matrix = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    np.fill_diagonal(matrix, diagonal)
+    with pytest.raises(GraphError, match="diagonal"):
+        HopDistanceMatrix(nodes=(0, 1, 2), matrix=matrix)

@@ -290,6 +290,81 @@ class TestSearchQuality:
         assert hits >= int(0.9 * trials)
 
 
+def two_call_search(n, subset, config, score):
+    """`_local_search` as first written: the start scored alone, then one
+    call per swap scan."""
+    value = float(score(np.array([subset], dtype=np.intp))[0])
+    if math.isnan(value):
+        raise GraphError("initial subset does not induce a connected subgraph")
+    for _ in range(config.max_iters):
+        outside = np.delete(np.arange(n), subset)
+        best, best_value = _best_swap(score(_swap_candidates(subset, outside)), value,
+                                      config.objective)
+        if best is None:
+            break
+        i, j = divmod(best, outside.size)
+        subset = tuple(sorted(subset[:i] + (int(outside[j]),) + subset[i + 1:]))
+        value = best_value
+    return subset, value
+
+
+def scorer_spy(score):
+    """``score``, recording each call's candidates and scores."""
+    calls = []
+
+    def spy(rows):
+        calls.append((rows.copy(), score(rows)))
+        return calls[-1][1]
+    return spy, calls
+
+
+class TestLocalSearch:
+    # Each swap scan is one scorer call; the first used to be two, as the
+    # start was scored alone. The first call's row 0 is the start, and the
+    # search takes that row's score, which equals the start's score alone:
+    # a search that never moves (uniform on K_n, where every subset ties)
+    # returns it, and every search ends where the two-call search does,
+    # with the same bits. Hosts: a weighted K_12 (closed-form scorer) and
+    # random connected hosts of 9-11 nodes (engine scorer).
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("host", ["complete", "sparse"])
+    def test_one_scorer_call_per_scan(self, host, weighting, objective):
+        rng = np.random.default_rng(len(objective) + 10 * len(weighting))
+        for seed in range(4):
+            if host == "complete":
+                adj, w = _dense(random_complete_graph(rng, 12)[0])
+                score = _clique_scorer(adj, w, weighting)
+            else:
+                adj, w = _dense(random_instance(seed, n_low=9, n_high=11).graph)
+                score = _generic_scorer(adj, w, "edges", weighting)
+            n, m = len(adj), 3 + seed % 3
+            config = SubsampleConfig(m=m, objective=objective, max_iters=6)
+            start = _grow_connected_subset(adj, m, random.Random(seed))
+            spy, calls = scorer_spy(score)
+            old_spy, old_calls = scorer_spy(score)
+            found = _local_search(n, start, config, spy)
+            assert found == two_call_search(n, start, config, old_spy)
+            assert len(calls) == len(old_calls) - 1
+            (first, scores), lone = calls[0], old_calls[0][1]
+            assert first[0].tolist() == list(start) and len(first) == m * (n - m) + 1
+            assert np.array_equal(first[1:], _swap_candidates(start, np.delete(np.arange(n),
+                                                                               start)))
+            assert scores[0] == lone[0] == score(np.array([start]))[0]
+            assert all(len(rows) == m * (n - m) for rows, _ in calls[1:])
+            if host == "complete" and weighting == "uniform":
+                assert found == (start, lone[0])
+
+    # A start whose induced subgraph is disconnected (three leaves of a
+    # star) still raises, after the one call that scores it.
+    def test_disconnected_start_raises(self):
+        adj, w = _dense(star_graph(6))
+        spy, calls = scorer_spy(_generic_scorer(adj, w, "edges", "edge_weight"))
+        with pytest.raises(GraphError, match="initial subset"):
+            _local_search(6, (1, 2, 3), SubsampleConfig(m=3), spy)
+        assert len(calls) == 1 and math.isnan(calls[0][1][0])
+
+
 # ---------------------------------------------------------------------------
 # Closed-form scoring on complete hosts
 # ---------------------------------------------------------------------------

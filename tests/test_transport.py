@@ -1144,6 +1144,98 @@ def test_one_sided_residual_moves_nothing(monkeypatch):
     assert [wasserstein1_cost(mu, nu, h) for mu, nu in pairs] == [1.0, 0.0, 0.0]
 
 
+def _block_calls(monkeypatch):
+    """One entry per `_w1_block` call."""
+    calls = []
+    block = transport._w1_block
+    monkeypatch.setattr(transport, "_w1_block", lambda *args: calls.append(1) or block(*args))
+    return calls
+
+
+def _clique(m, seed):
+    """K_m as ``(adj, w)`` with seeded weights: edge (0, 1) weighs 0, and
+    from m = 3 every edge at node m - 1 too, whose measure falls back to
+    uniform (at m <= 3 every node's does)."""
+    w = np.triu(np.random.default_rng(seed).uniform(0.05, 2.0, (m, m)), 1)
+    w[0, 1] = 0.0
+    if m > 2:
+        w[:, m - 1] = 0.0
+    return ~np.eye(m, dtype=bool), w + w.T
+
+
+# A stack of K_m graphs, whose off-diagonal hop counts are all 1, is priced
+# in closed form with no front-end call. Each pair's W1 equals, bit for bit,
+# the same pair's in a call whose stack also holds a path (zero-padded to
+# one node more), which takes the pooled route, in both averaging modes.
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("mode", ["edges", "pairs"])
+def test_one_distance_stack_equals_pooled_route(monkeypatch, m, weighting, mode):
+    calls = _block_calls(monkeypatch)
+    adj, w = _clique(m, 10 * m + len(weighting))
+    kappa = transport._curvatures(adj[None], w[None], 1.0 - np.eye(m)[None], mode, weighting)[0]
+    assert calls == []
+    path = _path_graph(m + 1)
+    dist, rows = _stack([(adj, w), _dense(path)], weighting)
+    ia, ib = np.triu_indices(m, 1)
+    pa, pb = np.array(path.edges).T + m + 1
+    pooled = transport._w1_rows(rows.reshape(-1, m + 1), dist, np.concatenate((ia, pa)),
+                                np.concatenate((ib, pb)))
+    assert len(calls) == 1
+    assert kappa.tolist() == (1.0 - pooled[:ia.size]).tolist()
+
+
+# Hand-built one- and two-entry stacks on 5 nodes: the closed form needs
+# every off-diagonal entry to be one finite value. With one off-diagonal 0
+# among 2.5s the pair goes through the front end; with all 2.5s it does
+# not. The oracle reads integer distances, so it solves the matrix over
+# 2.5 (W1 scales with the metric).
+@pytest.mark.parametrize("zero, route", [(True, 1), (False, 0)], ids=["one-zero", "all-equal"])
+def test_hand_built_one_distance_stacks(monkeypatch, zero, route):
+    calls = _block_calls(monkeypatch)
+    matrix = 2.5 * (1.0 - np.eye(5))
+    if zero:
+        matrix[0, 3] = matrix[3, 0] = 0.0
+    h = HopDistanceMatrix(nodes=tuple(range(5)), matrix=matrix)
+    unit = HopDistanceMatrix(nodes=h.nodes, matrix=matrix / 2.5)
+    mu = NodeMeasure(support=(0, 1, 2), masses=np.array([1 / 2, 1 / 3, 1 / 6]))
+    nu = NodeMeasure(support=(1, 3, 4), masses=np.array([1 / 4, 1 / 4, 1 / 2]))
+    cost = wasserstein1_cost(mu, nu, h)
+    assert len(calls) == route
+    assert cost == pytest.approx(_dense_lp_w1(mu, nu, h), abs=1e-9)
+    assert cost == pytest.approx(2.5 * wasserstein1_oracle(mu, nu, unit), abs=1e-9)
+
+
+# Every off-diagonal entry infinite: no closed form (inf times no moved
+# mass would be NaN). Identical one-atom supports cost 0.
+def test_all_infinite_off_diagonal_costs_nothing_on_one_atom(monkeypatch):
+    calls = _block_calls(monkeypatch)
+    h = HopDistanceMatrix(nodes=tuple(range(4)), matrix=np.where(np.eye(4) > 0, 0.0, np.inf))
+    mu = NodeMeasure(support=(2,), masses=np.array([1.0]))
+    assert wasserstein1_cost(mu, mu, h) == 0.0
+    assert len(calls) == 1
+    assert wasserstein1_oracle(mu, mu, h) == _dense_lp_w1(mu, mu, h) == 0.0
+    with pytest.raises(InfiniteDistanceError):
+        wasserstein1_cost(mu, NodeMeasure(support=(3,), masses=np.array([1.0])), h)
+
+
+# K_120 in pairs mode, 7,140 pairs, stays within the 4 MB window budget of
+# the memory tests below: the closed form runs in the front end's blocks
+# (1.4 MB measured, against 2.2 MB through the front end).
+def test_one_distance_stack_memory_stays_flat():
+    edges = tuple(itertools.combinations(range(120), 2))
+    weights = np.random.default_rng(0).uniform(0.05, 2.0, len(edges))
+    graph = _graph(120, edges, dict(zip(edges, weights.tolist())))
+    tracemalloc.start()
+    try:
+        report = average_curvature(graph, mode="pairs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_pair) == 7140
+    assert peak < 4e6
+
+
 def _int64_code_planes(stack):
     """`_code_planes` as first written: every code shifted as int64."""
     values = np.unique(stack)
@@ -1168,7 +1260,7 @@ def test_code_planes_equal_int64_reference(seed):
     else:
         stack = rng.random((size, n, n)).round(4)
     stack = np.minimum(stack, stack.transpose(0, 2, 1))
-    planes = transport._code_planes(stack)
+    planes = transport._code_planes(stack, np.unique(stack))
     reference = _int64_code_planes(stack)
     assert planes.dtype == reference.dtype == np.uint64
     assert np.array_equal(planes, reference)
@@ -1181,7 +1273,8 @@ def test_code_planes_equal_int64_reference(seed):
 def test_code_planes_of_whole_levels_past_256(gap):
     stack = np.random.default_rng(3).permutation(np.arange(2 * 30 * 30) % 300)
     stack = (stack + (gap & (stack >= 7))).reshape(2, 30, 30).astype(float)
-    assert np.array_equal(transport._code_planes(stack), _int64_code_planes(stack))
+    assert np.array_equal(transport._code_planes(stack, np.unique(stack)),
+                          _int64_code_planes(stack))
 
 
 # Codes are packed at the graph's own width into zeroed words: the last
@@ -1194,7 +1287,7 @@ def test_code_planes_at_word_edges(n, distinct):
     stack = rng.integers(0, distinct, (3, n, n)).astype(float) / 7.0
     stack = np.minimum(stack, stack.transpose(0, 2, 1))
     assert (np.unique(stack).size > 256) == (distinct == 300 and n > 9)
-    planes = transport._code_planes(stack)
+    planes = transport._code_planes(stack, np.unique(stack))
     assert planes.shape[-1] == -(-n // 64)
     assert np.array_equal(planes, _int64_code_planes(stack))
 
