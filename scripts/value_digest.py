@@ -17,7 +17,9 @@ checkouts compute bit-identical values exactly when they print the same lines:
   prints the ``sqrt`` digest, and ``power:1.5`` is the power branch's own);
 - pairs mode on rows 300..480 of ``regime_switch()`` (50 windows across the
   regime switch) at xi 0.85 under both weightings: every node pair of a
-  window, whose pooled residuals vary most in shape;
+  window, whose pooled residuals vary most in shape; and the same on rows
+  0..150 (20 calm windows, diameters 18 to 24), the deepest graphs whose
+  full hop counts the indicator takes;
 - ``run_bounds_suite(100, s, WEIGHTINGS[s % 2])`` for suite seeds 0..7
   (the benchmark's ``bounds`` suites at its seed 0), hashing each report's
   name, pair, label and flag and the raw bits of its lhs, rhs and slack;
@@ -107,11 +109,12 @@ def main() -> None:
             series = indicator_series(prices, WindowConfig(xi=xi, weighting=weighting))
             print(f"indicator xi={xi:g} weighting={weighting} windows={len(series.values)} "
                   f"gaps={series.gap_count()} sha256={series_digest(series)}")
-    for weighting in WEIGHTINGS:
-        series = indicator_series(prices.window(300, 481), WindowConfig(
-            weighting=weighting, averaging_mode="pairs"))
-        print(f"pairs xi=0.85 weighting={weighting} windows={len(series.values)} "
-              f"gaps={series.gap_count()} sha256={series_digest(series)}")
+    for (start, stop), rows in (((300, 481), ""), ((0, 151), " rows=0..150")):
+        for weighting in WEIGHTINGS:
+            series = indicator_series(prices.window(start, stop), WindowConfig(
+                weighting=weighting, averaging_mode="pairs"))
+            print(f"pairs{rows} xi=0.85 weighting={weighting} windows={len(series.values)} "
+                  f"gaps={series.gap_count()} sha256={series_digest(series)}")
     holes = masked(prices)
     for input_mode, distance in (("log_return", "sqrt"), ("log_return", "power:0.5"),
                                  ("log_return", "power:1.5"), ("log_return", "log1p"),

@@ -338,27 +338,19 @@ def hop_distances(graph: MarketGraph) -> HopDistanceMatrix:
 
 def _hops(adj: np.ndarray) -> np.ndarray:
     """Hop counts of the symmetric boolean adjacency ``adj``, ``(n, n)`` or a
-    ``(G, n, n)`` stack, in O(log D) products by Seidel's scheme: square
-    the graph until each component is complete, then unwind, where hops
-    ``2t`` drop by one at ``(i, j)`` if the ``t`` from ``i`` to ``j``'s
-    neighbours sum to less than ``t * deg(j)``; ``UNREACHABLE`` where no
-    path exists. Bool levels are cast for each product, to float32 while
-    its entries, at most (n - 1)^2, stay exact (below 2^24)."""
-    off = ~np.eye(adj.shape[-1], dtype=bool)
-    exact = np.float32 if adj.shape[-1] <= 4096 else np.float64
-    levels = [adj & off]
-    while len(levels) < 2 or not np.array_equal(levels[-1], levels[-2]):
-        f = levels[-1].astype(exact)
-        levels.append((levels[-1] | (f @ f > 0)) & off)
-    *levels, top, _ = levels  # the last two are equal
-    t = top.astype(exact)
-    for b in reversed(levels):
-        f = b.astype(exact)
-        low = (t @ f) < t * f.sum(axis=-1)[..., None, :]
-        t *= 2
-        t -= low
-    hop = t.astype(float)
-    hop[~top & off] = UNREACHABLE
+    ``(G, n, n)`` stack, by a breadth-first search from every node of every
+    graph at once: hop h reaches the unseen neighbours of hop h - 1's frontier,
+    one product per hop up to the stack's largest diameter; ``UNREACHABLE``
+    where no path exists. The diagonal starts seen, so self-loops are ignored.
+    A product entry counts at most n frontier nodes, exact in float32."""
+    f = adj.astype(np.float32)
+    seen = np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape).copy()
+    hop, frontier, h = np.where(seen, 0.0, UNREACHABLE), seen, 0
+    while frontier.any():
+        h += 1
+        frontier = (frontier.astype(np.float32) @ f > 0) & ~seen
+        hop[frontier] = h
+        seen |= frontier
     return hop
 
 

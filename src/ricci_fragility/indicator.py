@@ -281,8 +281,8 @@ def _stack_kappa(high: np.ndarray, dist: np.ndarray, config: WindowConfig) -> li
     order, one array per window: one `_prim`, one hop count and one
     `_curvatures` call. Edges mode reads hop counts only up to 3, all that
     an edge's measures can see, so it takes `_clipped_hops`, one boolean
-    product, in place of `_hops`'s squarings to the stack's diameter;
-    pairs mode needs the true distances."""
+    product, in place of `_hops`'s one product per hop of the stack's
+    diameter; pairs mode needs the true distances."""
     adj = _stack_adjacency(high, dist)
     hops = _clipped_hops if config.averaging_mode == "edges" else _hops
     return _curvatures(adj, np.where(adj, dist, 0.0), hops(adj), config.averaging_mode,

@@ -447,8 +447,8 @@ def _assert_hops(adj):
         assert np.array_equal(_hops(a), expected)
 
 
-# Squaring halves a path's length per level, so a path of n nodes needs
-# every level back on the way down; odd and even lengths, both forms.
+# A path of n nodes is the deepest graph on n nodes: its search runs
+# n - 1 frontier steps; odd and even lengths, both forms.
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 17, 65, 129])
 def test_hops_of_paths_reach_diameter_n_minus_one(n):
     adj = _path_adj(n)
@@ -458,8 +458,8 @@ def test_hops_of_paths_reach_diameter_n_minus_one(n):
 
 
 # One stack of paths of every length 1..n - 1, padded with isolated
-# nodes, in a shuffled order: each graph unwinds through levels that
-# others needed.
+# nodes, in a shuffled order: each graph's frontier empties while others
+# still need steps.
 @pytest.mark.parametrize("n", [6, 17, 40])
 def test_hops_of_stacks_mixing_diameters(n):
     stack = np.zeros((n - 1, n, n), dtype=bool)
@@ -478,6 +478,21 @@ def test_hops_of_edgeless_complete_and_single_node_graphs():
         _assert_hops(complete)
         _assert_hops(np.stack([empty, complete, empty]))
         assert np.array_equal(_hops(empty), np.where(np.eye(n, dtype=bool), 0.0, UNREACHABLE))
+
+
+# Complete multipartite graphs, K_300 (parts of one node) and K_150,150:
+# 1 across parts, 2 within a part. K_300's frontier products count up to
+# 299 neighbours, past 255; K_256,300's hop-2 counts are exactly 256 and
+# 300, so a product dtype that wraps at 256 loses hop 2.
+@pytest.mark.parametrize("sides", [(1,) * 300, (150, 150), (256, 300)],
+                         ids=["K_300", "K_150,150", "K_256,300"])
+def test_hops_of_complete_multipartite_graphs(sides):
+    part = np.repeat(np.arange(len(sides)), sides)
+    same = part[:, None] == part[None, :]
+    expected = np.where(same, 2.0, 1.0)
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(_hops(~same), expected)
+    assert np.array_equal(_hops(np.stack([~same, ~same])), np.stack([expected, expected]))
 
 
 # Isolated nodes and the zero padding of the stacks `bounds._draw` BFSes:

@@ -565,7 +565,7 @@ class TestStacks:
                         monkeypatch.undo()
                     assert runs[0] == runs[1] == runs[2], (mode, xi, weighting)
 
-    # Edges mode reads hop counts clipped at 3. Seidel's true counts in
+    # Edges mode reads hop counts clipped at 3. `_hops`'s true counts in
     # their place give every edge's kappa the same bits, on every 7th
     # window, up to the MST-only windows of xi 1.0 (diameters up to 27).
     # The 8 co-moving assets never sit more than 3 hops apart.
@@ -593,7 +593,7 @@ class TestStacks:
                 assert all(extra for _, _, extra, _ in runs[0])
         assert (sum(clipped) > 0) == longer
 
-    # The rolling edges path makes no Seidel `_hops` call, only one
+    # The rolling edges path makes no `_hops` call, only one
     # `_clipped_hops` call per stack; pairs mode makes one `_hops` call
     # per stack.
     @pytest.mark.parametrize("mode", AVERAGING_MODES)

@@ -1437,7 +1437,7 @@ def test_average_curvature_rejects_nan_and_negative_hop_entries(bad):
 
 
 # Without a hop matrix, edges mode counts hops only up to 3, with no
-# Seidel `_hops` call, and gives the bits of the true hop matrix, on a long
+# `_hops` call, and gives the bits of the true hop matrix, on a long
 # path and on a disconnected graph; pairs mode still counts them all.
 def test_average_curvature_edges_mode_reads_clipped_hops(monkeypatch):
     calls = []
