@@ -26,7 +26,9 @@ checkouts compute bit-identical values exactly when they print the same lines:
 - ``subsample_indicator_series`` on the same rows 300..480 with
   ``SubsampleConfig(m=5, restarts=2, max_iters=3)`` under both weightings
   (complete window graphs: closed-form scans, engine-scored subsets),
-  hashing the series as above and the chosen subsets;
+  hashing the series as above and the chosen subsets; and the same under
+  ``edge_weight`` with ``objective="maximize"``, where the swap pick walks
+  the negated scores' running minima;
 - ``extremal_subgraph(window_graph(...), SubsampleConfig(m=5, restarts=5))``
   on the windows starting at rows 100, 300 and 420 (filtered graphs: every
   swap scan goes through the engine), hashing the nodes and the raw bits of
@@ -127,11 +129,13 @@ def main() -> None:
     for s in range(8):
         reports += run_bounds_suite(100, s, WEIGHTINGS[s % 2]).reports
     print(f"bounds suites=8 reports={len(reports)} sha256={reports_digest(reports)}")
-    for weighting in WEIGHTINGS:
+    searches = [(w, "minimize") for w in WEIGHTINGS] + [("edge_weight", "maximize")]
+    for weighting, objective in searches:
         series, subsets = subsample_indicator_series(
             prices.window(300, 481), WindowConfig(weighting=weighting),
-            SubsampleConfig(m=5, restarts=2, max_iters=3))
-        print(f"subsample m=5 weighting={weighting} windows={len(series.values)} "
+            SubsampleConfig(m=5, objective=objective, restarts=2, max_iters=3))
+        tag = "" if objective == "minimize" else f" objective={objective}"
+        print(f"subsample m=5 weighting={weighting}{tag} windows={len(series.values)} "
               f"gaps={series.gap_count()} sha256={series_digest(series)} "
               f"subsets={hashlib.sha256(repr(subsets).encode()).hexdigest()}")
     for k in (100, 300, 420):

@@ -48,7 +48,7 @@ from .errors import ConfigError, GraphError
 from .graphs import MarketGraph, _dense, _hops, induced_subgraph
 from .indicator import WindowConfig, _rolling_series
 from .ingestion import PriceMatrix
-from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures, _measure_rows, average_curvature
+from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures, average_curvature
 
 OBJECTIVES = ("minimize", "maximize")
 
@@ -80,13 +80,15 @@ class SubsampleConfig:
     restarts: int = 20
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
+        if type(self.m) is not int or self.m < 2:
             raise ConfigError(f"m must be an integer >= 2, got {self.m!r}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.max_iters) is not int or self.max_iters < 1:
             raise ConfigError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 0:
+        if type(self.restarts) is not int or self.restarts < 0:
             raise ConfigError(f"restarts must be a nonnegative integer, got {self.restarts!r}")
 
     def to_dict(self) -> dict:
@@ -139,24 +141,29 @@ def _generic_scorer(adj: np.ndarray, w: np.ndarray, mode: str, weighting: str):
 def _clique_scorer(adj: np.ndarray, w: np.ndarray, weighting: str):
     """Score candidates of a complete dense host ``(adj, w)`` in closed form.
 
-    Every candidate induces K_m, where all hop distances are 1, so W1 is
-    the total variation distance and kappa(a, b) = sum_v min(mu_a(v),
-    mu_b(v)), with the measures of `_measure_rows` on K_m. Edges and node
-    pairs of K_m coincide, so one formula serves both averaging modes.
+    Every candidate induces K_m, whose edges and node pairs coincide and
+    whose hop distances are all 1, so W1 is the total variation distance
+    and kappa(a, b) = sum_v min(mu_a(v), mu_b(v)) in both averaging modes,
+    with `_measure_rows`' measures as columns: ``w`` is symmetric, so a
+    block of it over its row totals along the other axis is them transposed.
     """
     def score(candidates: np.ndarray) -> np.ndarray:
         m = candidates.shape[1]
-        # sum_{a<b} min(x_a, x_b) over a column: its k-th smallest entry
-        # (from 0) is the minimum of its pairs with the m - 1 - k above it.
-        # Each row is summed on its own, not by a BLAS product, so its score
-        # does not depend on its position in the call.
+        # sum_{a<b} min(x_a, x_b) over a row: its k-th smallest entry (from 0)
+        # is the minimum of its pairs with the m - 1 - k above it. Each sum
+        # runs along the contiguous last axis of one row, not by a BLAS
+        # product, so a score does not depend on its position in the call.
         above = np.arange(m - 1, -1, -1, dtype=float)
+        uniform = ~np.eye(m, dtype=bool) / (m - 1)
         out = []
         step = max(1, CLIQUE_BATCH // (m * m))
-        for s in range(0, candidates.shape[0], step):
-            block = (candidates[s:s + step, :, None], candidates[s:s + step, None, :])
-            mu = _measure_rows(adj[block], w[block], weighting)
-            out.append((np.sort(mu, axis=1).sum(axis=2) * above).sum(axis=1))
+        for rows in np.split(candidates, np.arange(step, len(candidates), step)):
+            block = w.take(rows[:, :, None] * len(w) + rows[:, None, :])
+            total = block.sum(axis=-1)[:, None, :]
+            mu = np.divide(block, total, out=np.broadcast_to(uniform, block.shape).copy(),
+                           where=(total > 0.0) & (weighting != "uniform"))
+            mu.sort(axis=-1)
+            out.append((np.ascontiguousarray(mu.swapaxes(1, 2)).sum(axis=2) * above).sum(axis=1))
         return np.concatenate(out) / (m * (m - 1) / 2)
     return score
 
@@ -183,15 +190,15 @@ def _grow_connected_subset(adj: np.ndarray, m: int, rng: random.Random) -> tuple
     starts = list(range(len(adj)))
     rng.shuffle(starts)
     for start in starts:
-        chosen = [start]
-        member = np.arange(len(adj)) == start
+        chosen, reach = [start], adj[start].copy()
         while len(chosen) < m:
-            frontier = np.flatnonzero(adj[chosen].any(axis=0) & ~member)
+            reach[chosen] = False
+            frontier = np.flatnonzero(reach)
             if not frontier.size:
                 break
             nxt = int(frontier[rng.randrange(frontier.size)])
             chosen.append(nxt)
-            member[nxt] = True
+            reach |= adj[nxt]
         if len(chosen) == m:
             return tuple(sorted(chosen))
     raise GraphError(f"no connected subset of {m} nodes exists")
@@ -199,10 +206,13 @@ def _grow_connected_subset(adj: np.ndarray, m: int, rng: random.Random) -> tuple
 
 def _best_swap(scores: np.ndarray, value: float, objective: str):
     """First-come strict improvements on ``value`` in scan order; returns
-    ``(index or None, best value)``. The best so far only improves on
-    ``value``, so only candidates better than ``value`` (never NaN) can win."""
+    ``(index or None, best value)``. A winner beats ``value`` (NaN never
+    does) and lies over `IMPROVE_TOL` past the best so far, where no earlier
+    score lies: only running minima (of -scores to maximize) are walked."""
+    beat = np.flatnonzero(_is_better(scores, value, objective))
+    keys = scores[beat] if objective == "minimize" else -scores[beat]
     best, best_value = None, value
-    for c in np.flatnonzero(_is_better(scores, value, objective)):
+    for c in beat[keys == np.minimum.accumulate(keys)]:
         if _is_better(scores[c], best_value, objective):
             best, best_value = int(c), float(scores[c])
     return best, best_value

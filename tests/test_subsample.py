@@ -1,5 +1,6 @@
 """Tests for extremal-subgraph search and the sub-sampled indicator."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -38,7 +39,7 @@ from ricci_fragility.subsample import (
     subsample_indicator_series,
 )
 from ricci_fragility.synthetic import comoving, iid, regime_switch
-from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS, NodeMeasure
+from ricci_fragility.transport import AVERAGING_MODES, WEIGHTINGS, NodeMeasure, _measure_rows
 from ricci_fragility.transport import average_curvature
 
 
@@ -69,6 +70,18 @@ class TestSubsampleConfig:
             SubsampleConfig(m=3, max_iters=0)
         with pytest.raises(ConfigError):
             SubsampleConfig(m=3, restarts=-1)
+        # The search adds the seed to restart strides, so a seed that is not
+        # an integer would fail there with a raw TypeError.
+        for seed in ("x", 1.5, None, True):
+            with pytest.raises(ConfigError, match="seed"):
+                SubsampleConfig(m=5, seed=seed)
+        for field in ("max_iters", "restarts"):
+            for flag in (True, False):
+                with pytest.raises(ConfigError, match=field):
+                    SubsampleConfig(m=3, **{field: flag})
+        config = SubsampleConfig(m=3, seed=-7, restarts=1)
+        nodes, _ = extremal_subgraph(star_graph(6), config)
+        assert config.seed == -7 and 0 in nodes
 
     def test_to_dict_round_trip(self):
         cfg = SubsampleConfig(m=5, objective="maximize", seed=9, max_iters=50, restarts=3)
@@ -256,6 +269,39 @@ class TestSearchQuality:
             assert _best_swap(scores, value, objective) == \
                 sequential_walk(scores.tolist(), value, objective)
 
+    # Scans as long as the search's (225 candidates at n = 50, m = 5, up to
+    # 400 at m = 10) made of runs that move towards the objective in steps
+    # of 0.5-1.5 tolerances from near ``value``: each step sets a running
+    # record, but one that is within a tolerance of the last pick is no
+    # improvement. NaN gaps are scattered over the scan.
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_record_walk_equals_sequential_walk_on_long_scans(self, objective):
+        rng = np.random.default_rng(20 + len(objective))
+        sign = 1.0 if objective == "minimize" else -1.0
+        records = moves = 0
+        for _ in range(300):
+            value = float(rng.uniform(-1, 1))
+            size = int(rng.integers(225, 401))
+            steps = IMPROVE_TOL * rng.uniform(0.5, 1.5, size)
+            run_start = rng.random(size) < 0.08
+            run_start[0] = True
+            offsets = np.cumsum(steps)
+            base = np.maximum.accumulate(np.where(run_start, np.arange(size), 0))
+            offsets -= offsets[base] - IMPROVE_TOL * rng.uniform(-3, 3, size)[base]
+            scores = value - sign * offsets
+            scores[rng.random(size) < 0.1] = np.nan
+            assert _best_swap(scores, value, objective) == \
+                sequential_walk(scores.tolist(), value, objective)
+            record, best = math.inf, value
+            for score in scores.tolist():
+                if _is_better(score, value, objective):
+                    records += sign * score < record
+                    record = min(record, sign * score)
+                if _is_better(score, best, objective):
+                    moves, best = moves + 1, score
+        # Over a quarter of the records the runs set improve on no pick.
+        assert records - moves > records // 4
+
     @pytest.mark.parametrize("objective, k, expected", [
         ("minimize", 100, (7, 10, 15, 18, 21, 27, 35, 38, 39, 41)),
         ("minimize", 440, (0, 8, 11, 18, 22, 28, 32, 35, 40, 43)),
@@ -355,6 +401,54 @@ class TestLocalSearch:
             if host == "complete" and weighting == "uniform":
                 assert found == (start, lone[0])
 
+    # Subsets and RNG states recorded from the growth that rebuilt its
+    # frontier from every chosen row. On the first two hosts, growth from a
+    # start in the component smaller than m (nodes 0..small - 1) stalls after
+    # drawing from it, and moves on to the next shuffled start (seeds 0 and
+    # 3); every draw, the shuffle of all starts included, advances the
+    # seeded RNG.
+    @pytest.mark.parametrize("host, m, expected", [
+        ("cycle_and_path", 6, [
+            ((6, 7, 8, 9, 10, 11), "e6c64575c2af555d"), ((5, 6, 7, 8, 9, 10), "7a0c39220e956136"),
+            ((6, 7, 8, 9, 10, 11), "375e67674bcb35a7"), ((5, 6, 7, 8, 9, 10), "5dedf03c286ea0e1"),
+            ((6, 7, 8, 9, 10, 11), "bbdeadf2d02fc829"), ((6, 7, 8, 9, 10, 11), "ed68cadaf1a16d4c")]),
+        ("star_and_path", 5, [
+            ((7, 8, 9, 10, 11), "8232a4a293c3f287"), ((6, 7, 8, 9, 10), "6afa9dc19acfe2b7"),
+            ((7, 8, 9, 10, 11), "21f846fdda356844"), ((6, 7, 8, 9, 10), "f582625fc22a8c25"),
+            ((7, 8, 9, 10, 11), "3220e487eb8341b7"), ((7, 8, 9, 10, 11), "9cb205a5cd1f23f9")]),
+        ("star", 4, [
+            ((0, 3, 6, 7), "148df32106bb23fe"), ((0, 1, 5, 6), "276dee4834b7e9f4"),
+            ((0, 3, 6, 8), "1ac3868a66ed319d"), ((0, 1, 4, 7), "ed8b87ecad42ddde"),
+            ((0, 1, 2, 6), "412ad545c71b5ba6"), ((0, 1, 2, 3), "cc98d698a0a99e90")]),
+        ("path", 5, [
+            ((4, 5, 6, 7, 8), "9f6f08c655067b12"), ((2, 3, 4, 5, 6), "c6614392da23ef11"),
+            ((1, 2, 3, 4, 5), "21f846fdda356844"), ((0, 1, 2, 3, 4), "0f24fc28fff8af94"),
+            ((0, 1, 2, 3, 4), "de9051db691abdb1"), ((0, 1, 2, 3, 4), "0c462f5965217599")]),
+    ])
+    def test_growth_subsets_and_draws_are_pinned(self, host, m, expected):
+        def path(a, b):
+            return [(i, i + 1) for i in range(a, b)]
+
+        edges, n, small = {
+            "cycle_and_path": ([(i, (i + 1) % 5) for i in range(5)] + path(5, 11), 12, 5),
+            "star_and_path": ([(0, i) for i in range(1, 4)] + path(4, 11), 12, 4),
+            "star": ([(0, i) for i in range(1, 9)], 9, 0),
+            "path": (path(0, 8), 9, 0),
+        }[host]
+        adj = np.zeros((n, n), dtype=bool)
+        for a, b in edges:
+            adj[a, b] = adj[b, a] = True
+        stalls = []
+        for seed, (subset, state) in enumerate(expected):
+            rng = random.Random(seed)
+            assert _grow_connected_subset(adj, m, rng) == subset
+            assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16] == state
+            starts = list(range(n))
+            random.Random(seed).shuffle(starts)
+            if starts[0] < small:
+                stalls.append(seed)
+        assert stalls == ([0, 3] if small else [])
+
     # A start whose induced subgraph is disconnected (three leaves of a
     # star) still raises, after the one call that scores it.
     def test_disconnected_start_raises(self):
@@ -384,7 +478,53 @@ def random_complete_graph(rng, n):
     return graph, dead
 
 
+def clique_formula(adj, w, weighting, candidates):
+    """`_clique_scorer`'s scores as first written: the candidates' adjacency
+    and weight blocks through `_measure_rows`, sorted down each column."""
+    m = candidates.shape[1]
+    block = (candidates[:, :, None], candidates[:, None, :])
+    mu = _measure_rows(adj[block], w[block], weighting)
+    above = np.arange(m - 1, -1, -1, dtype=float)
+    return (np.sort(mu, axis=1).sum(axis=2) * above).sum(axis=1) / (m * (m - 1) / 2)
+
+
 class TestCliqueScorer:
+    # Same bits as the first formula, which sums along the columns of a
+    # (k-th smallest, v) layout; m >= 9 puts those sums on numpy's pairwise
+    # branch. The first candidate holds the node with no positive weight.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_bits_equal_first_formula(self, m, weighting):
+        rng = np.random.default_rng(200 + m + len(weighting))
+        for _ in range(3):
+            g, dead = random_complete_graph(rng, 14)
+            adj, w = _dense(g)
+            others = [v for v in g.nodes if v != dead]
+            candidates = np.array([[dead, *others[:m - 1]]]
+                                  + [rng.permutation(g.n)[:m] for _ in range(40)])
+            assert np.array_equal(_clique_scorer(adj, w, weighting)(candidates),
+                                  clique_formula(adj, w, weighting, candidates))
+
+    # A score does not depend on its row's position in the call or on the
+    # CLIQUE_BATCH cuts: one candidate per block, two, and five with a
+    # remainder.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("batch", [1, 50, 125])
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_scores_do_not_depend_on_order_or_batches(self, monkeypatch, weighting, batch):
+        rng = np.random.default_rng(batch + len(weighting))
+        g, dead = random_complete_graph(rng, 12)
+        adj, w = _dense(g)
+        others = [v for v in g.nodes if v != dead]
+        candidates = np.array([[dead, *others[:4]]]
+                              + [rng.permutation(g.n)[:5] for _ in range(36)])
+        whole = _clique_scorer(adj, w, weighting)(candidates)
+        order = rng.permutation(len(candidates))
+        monkeypatch.setattr(subsample, "CLIQUE_BATCH", batch)
+        assert np.array_equal(_clique_scorer(adj, w, weighting)(candidates[order]),
+                              whole[order])
+
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     @pytest.mark.parametrize("mode", AVERAGING_MODES)
     @pytest.mark.parametrize("m", range(2, 7))
