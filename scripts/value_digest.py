@@ -23,6 +23,10 @@ checkouts compute bit-identical values exactly when they print the same lines:
 - ``run_bounds_suite(100, s, WEIGHTINGS[s % 2])`` for suite seeds 0..7
   (the benchmark's ``bounds`` suites at its seed 0), hashing each report's
   name, pair, label and flag and the raw bits of its lhs, rhs and slack;
+  and ``run_bounds_suite(1000, 8, "edge_weight")`` with
+  ``run_bounds_suite(1000, 9, "uniform")``, longer suites that the golden
+  test does not cover, whose draws run in batches of several rounds and
+  whose reports span several stacks;
 - ``subsample_indicator_series`` on the same rows 300..480 with
   ``SubsampleConfig(m=5, restarts=2, max_iters=3)`` under both weightings
   (complete window graphs: closed-form scans, engine-scored subsets),
@@ -129,6 +133,10 @@ def main() -> None:
     for s in range(8):
         reports += run_bounds_suite(100, s, WEIGHTINGS[s % 2]).reports
     print(f"bounds suites=8 reports={len(reports)} sha256={reports_digest(reports)}")
+    reports = [*run_bounds_suite(1000, 8, "edge_weight").reports,
+               *run_bounds_suite(1000, 9, "uniform").reports]
+    print(f"bounds suites=2 trials=1000 seeds=8,9 reports={len(reports)} "
+          f"sha256={reports_digest(reports)}")
     searches = [(w, "minimize") for w in WEIGHTINGS] + [("edge_weight", "maximize")]
     for weighting, objective in searches:
         series, subsets = subsample_indicator_series(

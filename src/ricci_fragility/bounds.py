@@ -200,14 +200,16 @@ def _draw(seeds, n_low: int = 4, n_high: int = 12, weight_low: float = 0.05,
     """`random_instance`'s draw of each of ``seeds`` as arrays, from the same
     stream: ``(adj, w, hop, x, y, w_new)``, the boolean adjacency, the
     weights (0 off the edges), the hop matrix, the absent edge ``x < y`` and
-    its weight.
+    its weight; read-only views of their round's stacks.
 
     The draws run in rounds. In a round every pending seed draws its next
-    candidate that has an absent edge (n, p, edges, weights), one `_hops`
-    call runs on the zero-padded stack of the round's candidates, whose
-    ``[:n, :n]`` blocks are each graph's own hop counts, and each connected
-    candidate draws its new edge and weight; the rest go to the next round.
-    A seed gets 1000 candidates, complete graphs included.
+    candidate that has an absent edge (n, p, edges, weights) into one
+    zero-padded adjacency and weight stack (an n-node graph's edge slots are
+    those of ``_upper(size)`` with column below n, in order), one `_hops`
+    call runs on it, and each connected candidate, whose block holds n * n +
+    size - n finite hop counts (the padding's diagonal is 0), draws its new
+    edge and weight; the rest go to the next round. A seed gets 1000
+    candidates, complete graphs included.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     tries, draws, pending = [0] * len(rngs), [None] * len(rngs), range(len(rngs))
@@ -219,28 +221,31 @@ def _draw(seeds, n_low: int = 4, n_high: int = 12, weight_low: float = 0.05,
                 tries[k] += 1
                 n = int(rng.integers(n_low, n_high + 1))
                 p = float(rng.uniform(0.25, 0.75))
-                iu, ju = _upper(n)
-                drawn = rng.random(iu.size) < p
+                drawn = rng.random(n * (n - 1) // 2) < p
                 if not drawn.all():  # else no absent edge to add
                     break
             else:
                 raise DataError(f"could not generate a connected instance for seed {seeds[k]}")
-            i, j = iu[drawn], ju[drawn]
-            adj = np.zeros((n, n), dtype=bool)
-            adj[i, j] = adj[j, i] = True
-            w = np.zeros((n, n))
-            w[i, j] = w[j, i] = rng.uniform(weight_low, weight_high, i.size)
-            round_.append((k, adj, w, np.flatnonzero(~drawn)))
-        hops, pending = _hops(_padded([adj for _, adj, *_ in round_])), []
-        for (k, adj, w, absent), hop in zip(round_, hops):
-            n = len(adj)
-            if not np.isfinite(hop[:n, :n]).all():
-                pending.append(k)
-                continue
-            iu, ju = _upper(n)
-            m = absent[int(rngs[k].integers(absent.size))]
-            draws[k] = (adj, w, hop[:n, :n].copy(), int(iu[m]), int(ju[m]),
-                        float(rngs[k].uniform(weight_low, weight_high)))
+            round_.append((k, n, drawn, rng.uniform(weight_low, weight_high, drawn.sum())))
+        ks, ns, drawn, weights = zip(*round_)
+        ns, size = np.array(ns), max(ns)
+        iu, ju = _upper(size)
+        upper = np.zeros((len(ks), iu.size), dtype=bool)
+        upper[ju < ns[:, None]] = np.concatenate(drawn)
+        values = np.zeros(upper.shape)
+        values[upper] = np.concatenate(weights)
+        adj, w = np.zeros((len(ks), size, size), dtype=bool), np.zeros((len(ks), size, size))
+        adj[:, iu, ju] = adj[:, ju, iu] = upper
+        w[:, iu, ju] = w[:, ju, iu] = values
+        hops = _hops(adj)
+        adj.flags.writeable = w.flags.writeable = hops.flags.writeable = False
+        connected = np.count_nonzero(np.isfinite(hops), axis=(1, 2)) == ns * ns + size - ns
+        pending = [k for k, ok in zip(ks, connected.tolist()) if not ok]
+        for r in np.flatnonzero(connected).tolist():
+            k, n, drawn = round_[r][:3]
+            m = np.flatnonzero(~drawn)[int(rngs[k].integers(drawn.size - drawn.sum()))]
+            draws[k] = (adj[r, :n, :n], w[r, :n, :n], hops[r, :n, :n], int(_upper(n)[0][m]),
+                        int(_upper(n)[1][m]), float(rngs[k].uniform(weight_low, weight_high)))
     return draws
 
 
@@ -264,10 +269,15 @@ def _upper(n: int) -> tuple:
 
 def _sample_pairs(n: int, x: int, y: int, rng: np.random.Generator) -> list:
     """(x, y) plus up to ``_PAIR_SAMPLES`` distinct position pairs ``a < b``
-    of ``n`` nodes drawn from ``rng``, sorted."""
+    of ``n`` nodes drawn from ``rng``, sorted. A pair is numpy's route for
+    ``rng.choice(n, 2, replace=False)``: Floyd's a < n - 1 and b < n (n - 1
+    if b == a), then the one-step shuffle's draw below 2, which the sorted
+    pair ignores; pairs and ``rng``'s state are those ``choice`` gives."""
     pairs = {(x, y)}
     while len(pairs) < min(_PAIR_SAMPLES + 1, n * (n - 1) // 2):
-        pairs.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+        a, b = int(rng.integers(n - 1)), int(rng.integers(n))
+        rng.integers(2)
+        pairs.add((a, n - 1) if a == b else (min(a, b), max(a, b)))
     return sorted(pairs)
 
 
@@ -278,29 +288,29 @@ def _group_w1(group, weighting: str) -> tuple:
     of the pairs, W^{d*}(mu*_a, mu*_b) of the pairs, the shifts
     W^d(mu_x, mu*_x) and W^d(mu_y, mu*_y)).
 
-    The values come from one `_w1_rows` call over ``dist`` with measure
-    rows from each item's adjacency and weights without and with the new
-    edge; a shift pair's first row is a row of d. The rows of the items of
-    one node count are computed together, unpadded, since zero padding
-    would change numpy's pairwise row sums. A pair's value is the one it
-    has alone (see `_w1_rows`).
-    """
+    Each item's arrays are padded once, repeated for before and after the
+    edge, and the copies after it get the edge. The values come from one
+    `_w1_rows` call over ``dist`` with measure rows from each item's
+    adjacency and weights; a shift pair's first row is a row of d. The rows
+    of the items of one node count are computed together, unpadded, since
+    zero padding would change numpy's pairwise row sums. A pair's value is
+    the one it has alone (see `_w1_rows`)."""
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"unknown weighting {weighting!r}")
-    twice = [arrays for arrays, *_ in group for _ in range(2)]  # before and after the edge
-    adj, w, dist = (_padded([arrays[v] for arrays in twice]) for v in range(3))
+    items = [arrays for arrays, *_ in group]
+    adj, w, dist = (np.repeat(_padded([a[v] for a in items]), 2, axis=0) for v in range(3))
     size, ia, ib = dist.shape[1], [], []
     for k, ((*_, x, y, _), pairs, *_) in enumerate(group):
         first, second = 2 * k * size, (2 * k + 1) * size
         a, b = zip(*pairs)
         ia += [first + v for v in a] + [second + v for v in a] + [first + x, first + y]
         ib += [first + v for v in b] + [second + v for v in (*b, x, y)]
-    x, y, w_new = map(np.array, zip(*(arrays[3:] for arrays in twice[::2])))
+    x, y, w_new = map(np.array, zip(*(a[3:] for a in items)))
     after = np.arange(1, len(dist), 2)
     adj[after, x, y] = adj[after, y, x] = True
     w[after, x, y] = w[after, y, x] = w_new
     dist[after] = _hops_with_edge(dist[after - 1], x, y)
-    ns = np.array([len(arrays[0]) for arrays in twice])
+    ns = np.repeat([len(a[0]) for a in items], 2)
     for n in sorted(set(ns.tolist())):  # the weights become the measure rows
         w[ns == n, :n, :n] = _measure_rows(adj[ns == n, :n, :n], w[ns == n, :n, :n], weighting)
     w1 = iter(_w1_rows(w.reshape(-1, size), dist, np.array(ia), np.array(ib)).tolist())

@@ -453,6 +453,36 @@ class TestSuite:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             run_bounds_suite(trials=3, seed=-1)
 
+    # `_sample_pairs` draws each pair as three bounded integers, numpy's own
+    # route for `choice(n, 2, replace=False)`. The suite's pairs are pinned by
+    # the golden digest, and `run_instance_checks` draws from the caller's
+    # generator, so pairs and the generator's state must stay `choice`'s.
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                               np.random.Philox, np.random.SFC64])
+    def test_sampled_pairs_are_choice_draws(self, bit_generator):
+        for n in [*range(2, 13), 50, 10_001, 2**32 + 5]:
+            for seed in range(200):
+                x, y = seed % (n - 1), n - 1
+                rng, want_rng = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+                assert bounds._sample_pairs(n, x, y, rng) == _choice_pairs(n, x, y, want_rng)
+                assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+                assert rng.integers(2**63) == want_rng.integers(2**63)
+
+
+def _choice_pairs(n, x, y, rng):
+    """`bounds._sample_pairs` with each pair drawn by `Generator.choice`."""
+    pairs = {(x, y)}
+    while len(pairs) < min(4, n * (n - 1) // 2):
+        pairs.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+    return sorted(pairs)
+
+
+def _same_state(got, want):
+    """Whether two ``bit_generator.state`` values are equal, arrays included."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_same_state(got[k], want[k]) for k in want)
+    return np.array_equal(got, want)
+
 
 class TestRandomInstance:
     @pytest.mark.parametrize("n_low, n_high", [(2, 2), (2, 6), (0, 4), (5, 4)])
@@ -536,6 +566,56 @@ class TestRandomInstance:
         first = [_first_candidate(seed) for seed in range(400)]
         assert "complete" in first and "disconnected" in first
 
+    # Off the default ranges a round stacks graphs of 3 to 30 nodes, so a
+    # small graph sits deep in zero padding when its connectivity is counted.
+    # Each seed's draw must still be the plain one, alone and in a round.
+    def test_draws_off_the_default_ranges_match_a_plain_draw(self):
+        ranges = (3, 30, 0.5, 0.5)
+        stacked = bounds._draw(range(150), *ranges)
+        assert {len(arrays[0]) for arrays in stacked} >= {3, 30}
+        for seed, (adj, w, hop, x, y, w_new) in enumerate(stacked):
+            graph, want_x, want_y, want_w_new = _plain_draw(seed, *ranges)
+            want_adj, want_w = _dense(graph)
+            assert np.array_equal(adj, want_adj) and np.array_equal(w, want_w)
+            assert np.array_equal(hop, hop_distances(graph).matrix)
+            assert (x, y, w_new) == (want_x, want_y, want_w_new) == (x, y, 0.5)
+            if seed < 40:
+                inst = random_instance(seed, *ranges)
+                assert (inst.x, inst.y) == (x, y)
+                assert (inst.graph.edges, inst.graph.weights) == (graph.edges, graph.weights)
+
+    # A round's draws are views of its shared stacks: any two that share a
+    # buffer must both be read-only, and so must the buffer, and the suite,
+    # which writes the new edge into its padded copies, must leave every
+    # draw as it was drawn.
+    def test_draws_sharing_memory_are_read_only(self):
+        arrays = [a for draw in bounds._draw(range(60)) for a in draw[:3]]
+        shared = 0
+        for k, a in enumerate(arrays):
+            for b in arrays[k + 1:]:
+                if a.base is not None and a.base is b.base:
+                    shared += 1
+                    assert not (a.flags.writeable or b.flags.writeable
+                                or a.base.flags.writeable)
+        assert shared > 0
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0, 0] = 1
+
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    def test_suite_leaves_draws_unchanged(self, monkeypatch, weighting):
+        drawn, draw = [], bounds._draw
+
+        def recorded(seeds):
+            draws = draw(seeds)
+            drawn.extend((arrays, [np.array(a) for a in arrays[:3]]) for arrays in draws)
+            return draws
+
+        monkeypatch.setattr(bounds, "_draw", recorded)
+        run_bounds_suite(trials=400, seed=5, weighting=weighting)
+        assert len(drawn) == 400
+        for arrays, copies in drawn:
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
+
 
 def _first_candidate(seed):
     """Whether the first candidate graph of ``seed``'s stream is complete,
@@ -550,23 +630,23 @@ def _first_candidate(seed):
     return "connected" if graph.is_connected() else "disconnected"
 
 
-def _plain_draw(seed):
+def _plain_draw(seed, n_low=4, n_high=12, weight_low=0.05, weight_high=2.0):
     """``random_instance``'s draw one value at a time: the graph, the new
     edge and its weight, with connectivity tested on the built graph."""
     rng = np.random.default_rng(seed)
     while True:
-        n = int(rng.integers(4, 13))
+        n = int(rng.integers(n_low, n_high + 1))
         p = float(rng.uniform(0.25, 0.75))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         if len(edges) == n * (n - 1) // 2:
             continue
-        weights = {e: float(rng.uniform(0.05, 2.0)) for e in edges}
+        weights = {e: float(rng.uniform(weight_low, weight_high)) for e in edges}
         graph = MarketGraph(nodes=tuple(range(n)), edges=tuple(edges), weights=weights)
         if not graph.is_connected():
             continue
         absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in weights]
         x, y = absent[int(rng.integers(len(absent)))]
-        return graph, x, y, float(rng.uniform(0.05, 2.0))
+        return graph, x, y, float(rng.uniform(weight_low, weight_high))
 
 
 # ---------------------------------------------------------------------------
