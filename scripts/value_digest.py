@@ -29,10 +29,14 @@ checkouts compute bit-identical values exactly when they print the same lines:
   whose reports span several stacks;
 - ``subsample_indicator_series`` on the same rows 300..480 with
   ``SubsampleConfig(m=5, restarts=2, max_iters=3)`` under both weightings
-  (complete window graphs: closed-form scans, engine-scored subsets),
+  (complete window graphs: closed-form scans and subset values),
   hashing the series as above and the chosen subsets; and the same under
   ``edge_weight`` with ``objective="maximize"``, where the swap pick walks
-  the negated scores' running minima;
+  the negated scores' running minima; in pairs mode under both weightings;
+  with m = 10 (45 pairs per chosen subset); and under ``uniform`` with the
+  default ``SubsampleConfig(m=5)``, whose 20 restarts all tie, so each
+  window's search returns its first start unscanned. The chosen subsets
+  are priced as K_m graphs by the sub-sampled indicator itself;
 - ``extremal_subgraph(window_graph(...), SubsampleConfig(m=5, restarts=5))``
   on the windows starting at rows 100, 300 and 420 (filtered graphs: every
   swap scan goes through the engine), hashing the nodes and the raw bits of
@@ -137,13 +141,21 @@ def main() -> None:
                *run_bounds_suite(1000, 9, "uniform").reports]
     print(f"bounds suites=2 trials=1000 seeds=8,9 reports={len(reports)} "
           f"sha256={reports_digest(reports)}")
-    searches = [(w, "minimize") for w in WEIGHTINGS] + [("edge_weight", "maximize")]
-    for weighting, objective in searches:
+    # Each run changes the search's m=5, restarts=2, max_iters=3 as listed,
+    # and its tag names the changes; the last run is SubsampleConfig(m=5).
+    runs = [(w, "edges", {}) for w in WEIGHTINGS] + [
+        ("edge_weight", "edges", {"objective": "maximize"})]
+    runs += [(w, "pairs", {}) for w in WEIGHTINGS] + [
+        ("edge_weight", "edges", {"m": 10}),
+        ("uniform", "edges", {"restarts": 20, "max_iters": 100})]
+    for weighting, mode, change in runs:
+        sub_config = SubsampleConfig(**{"m": 5, "restarts": 2, "max_iters": 3, **change})
         series, subsets = subsample_indicator_series(
-            prices.window(300, 481), WindowConfig(weighting=weighting),
-            SubsampleConfig(m=5, objective=objective, restarts=2, max_iters=3))
-        tag = "" if objective == "minimize" else f" objective={objective}"
-        print(f"subsample m=5 weighting={weighting}{tag} windows={len(series.values)} "
+            prices.window(300, 481), WindowConfig(weighting=weighting, averaging_mode=mode),
+            sub_config)
+        tag = "".join(f" {k}={v}" for k, v in change.items() if k != "m")
+        tag = tag if mode == "edges" else f" mode={mode}{tag}"
+        print(f"subsample m={sub_config.m} weighting={weighting}{tag} windows={len(series.values)} "
               f"gaps={series.gap_count()} sha256={series_digest(series)} "
               f"subsets={hashlib.sha256(repr(subsets).encode()).hexdigest()}")
     for k in (100, 300, 420):

@@ -23,16 +23,17 @@ sum_v min(mu_a(v), mu_b(v)), and edges and node pairs coincide. On such
 a host (``edge_count == n (n - 1) / 2``) the search scores each swap
 scan's m (n - m) candidates in closed form with a few array operations;
 under ``uniform`` weighting every K_m scores (m - 2) / (m - 1), the
-equality case of the Jost-Liu triangle bound. On any other host a swap
-scan's candidates go through the exact W1 engine as one stack. Either
-way a scan is one scorer call, the first one scoring the start subset
-too. The returned value comes from the engine, and `exhaustive_extremum`
-always uses the public `induced_subgraph` + `average_curvature` route, so
-it stays an independent oracle. The search runs on the host's dense
-arrays; the rolling pipeline hands it each window's distance matrix and
-scores a stack of windows' chosen subsets in one engine call. That stack
-holds K_m graphs only, so the engine prices it as v times each pair's
-moved mass, with v = 1, and never builds pooling keys for it.
+equality case of the Jost-Liu triangle bound, so no swap or restart can
+win and the search returns its first start unscanned. On any other host
+a swap scan's candidates go through the exact W1 engine as one stack.
+Either way a scan is one scorer call, the first one scoring the start
+subset too. `extremal_subgraph` reports through the engine, and
+`exhaustive_extremum` always uses the public `induced_subgraph` +
+`average_curvature` route, so it stays an independent oracle. The search
+runs on the host's dense arrays; the rolling pipeline hands it each
+window's distance matrix and prices the chosen K_m subsets itself
+(`_stack_extrema`) by the engine's arithmetic for a K_m pair's W1, its
+moved mass.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .errors import ConfigError, GraphError
 from .graphs import MarketGraph, _dense, _hops, induced_subgraph
 from .indicator import WindowConfig, _rolling_series
 from .ingestion import PriceMatrix
-from .transport import AVERAGING_MODES, WEIGHTINGS, _curvatures, average_curvature
+from .transport import (AVERAGING_MODES, WEIGHTINGS, _curvatures, _measure_rows, _peel,
+                        average_curvature)
 
 OBJECTIVES = ("minimize", "maximize")
 
@@ -110,32 +112,25 @@ def _evaluate(graph: MarketGraph, subset: tuple, mode: str, weighting: str):
     return average_curvature(sub, mode=mode, weighting=weighting)
 
 
-def _subset_averages(adj: np.ndarray, w: np.ndarray, subsets: np.ndarray, mode: str,
-                     weighting: str) -> np.ndarray:
-    """Average curvature of the subgraph induced on each row c of node
-    positions ``subsets`` (``(C, m)``, each ascending) of the dense host
-    ``(adj, w)``, or of its graph c if ``(adj, w)`` is a ``(C, n, n)``
-    stack, by the exact W1 engine: one `_hops` and one `_curvatures` call
-    per `CLIQUE_BATCH` cells; NaN where that subgraph is disconnected."""
-    count, m = subsets.shape
-    adj, w = (np.broadcast_to(x, (count,) + x.shape[-2:]) for x in (adj, w))
-    out = np.full(count, np.nan)
-    step = max(1, CLIQUE_BATCH // (m * m))
-    for s in range(0, count, step):
-        rows = subsets[s:s + step]
-        block = (np.arange(s, s + len(rows))[:, None, None], rows[:, :, None], rows[:, None, :])
-        sub = adj[block]
-        hop = _hops(sub)
-        ok = np.isfinite(hop).all(axis=(1, 2))
-        kappa = _curvatures(sub[ok], w[block][ok], hop[ok], mode, weighting)
-        out[s:s + step][ok] = [np.mean(k) for k in kappa]
-    return out
-
-
 def _generic_scorer(adj: np.ndarray, w: np.ndarray, mode: str, weighting: str):
-    """Score a scan's candidates together through the exact W1 engine; NaN
-    marks a candidate whose induced subgraph is disconnected."""
-    return lambda rows: _subset_averages(adj, w, np.sort(rows, axis=1), mode, weighting)
+    """Score a scan's candidates, rows of node positions of the dense host
+    ``(adj, w)``, through the exact W1 engine: one `_hops` and one
+    `_curvatures` call per `CLIQUE_BATCH` cells of their induced subgraphs;
+    NaN marks a candidate whose induced subgraph is disconnected."""
+    def score(candidates: np.ndarray) -> np.ndarray:
+        subsets = np.sort(candidates, axis=1)
+        m = subsets.shape[1]
+        out = np.full(len(subsets), np.nan)
+        step = max(1, CLIQUE_BATCH // (m * m))
+        for s in range(0, len(subsets), step):
+            block = (subsets[s:s + step, :, None], subsets[s:s + step, None, :])
+            sub = adj[block]
+            hop = _hops(sub)
+            ok = np.isfinite(hop).all(axis=(1, 2))
+            kappa = _curvatures(sub[ok], w[block][ok], hop[ok], mode, weighting)
+            out[s:s + step][ok] = [np.mean(k) for k in kappa]
+        return out
+    return score
 
 
 def _clique_scorer(adj: np.ndarray, w: np.ndarray, weighting: str):
@@ -248,11 +243,14 @@ def _search(adj: np.ndarray, w: np.ndarray, config: SubsampleConfig, mode: str,
             weighting: str) -> tuple:
     """Node positions of the best m-subset of the dense host ``(adj, w)``
     found over all restarts: closed-form scores on a complete host, the
-    engine per swap scan otherwise."""
+    engine per swap scan otherwise. Under ``uniform`` on a complete host
+    every subset ties, so restart 0's start wins unscanned."""
     n = len(adj)
     if config.m == n:
         return tuple(range(n))
     if adj.sum() == n * (n - 1):
+        if weighting == "uniform":
+            return _grow_connected_subset(adj, config.m, random.Random(config.seed))
         score = _clique_scorer(adj, w, weighting)
     else:
         score = _generic_scorer(adj, w, mode, weighting)
@@ -318,12 +316,22 @@ def exhaustive_extremum(graph: MarketGraph, m: int, objective: str = "minimize",
 def _stack_extrema(high: np.ndarray, dist: np.ndarray, config: WindowConfig, sub_config) -> list:
     """The value and the chosen node positions of `extremal_subgraph` on the
     complete graph of each window of a ``(G, n, n)`` stack of distances:
-    one `_search` per window, one `_subset_averages` call for the stack."""
-    adj = ~np.eye(dist.shape[1], dtype=bool)
-    mode, weighting = config.averaging_mode, config.weighting
-    subsets = [_search(adj, d, sub_config, mode, weighting) for d in dist]
-    return list(zip(_subset_averages(adj, dist, np.array(subsets), mode, weighting).tolist(),
-                    subsets))
+    one `_search` per window, then every chosen K_m priced at once by the
+    engine's own arithmetic, bit for bit, with no engine call. A K_m pair's
+    W1 is its moved mass, so its kappa is 1 - `_peel`'s moved mass between
+    its `_measure_rows` rows (the uniform fallback included), pairs in
+    ``triu`` order over ascending nodes; each window's mean reduces one row
+    of a C-ordered ``(G, pairs)`` array, as `np.mean` does a 1-D one."""
+    subsets = [_search(~np.eye(dist.shape[1], dtype=bool), d, sub_config,
+                       config.averaging_mode, config.weighting) for d in dist]
+    pos = np.array(subsets)
+    size, m = pos.shape
+    w = dist[np.arange(size)[:, None, None], pos[:, :, None], pos[:, None, :]]
+    rows = _measure_rows(np.broadcast_to(~np.eye(m, dtype=bool), w.shape), w,
+                         config.weighting).reshape(-1, m)
+    ia, ib = ((m * np.arange(size)[:, None] + i).ravel() for i in np.triu_indices(m, 1))
+    moved = _peel(rows[ia], rows[ib])[1]
+    return list(zip((1.0 - moved).reshape(size, -1).mean(axis=1).tolist(), subsets))
 
 
 def subsample_indicator_series(prices: PriceMatrix, window_config: WindowConfig,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricci_fragility import indicator, subsample
+from ricci_fragility import graphs, indicator, subsample, transport
 from ricci_fragility.bounds import random_instance
 from ricci_fragility.errors import ConfigError, GraphError
 from ricci_fragility.graphs import MarketGraph, _dense, build_complete_graph, induced_subgraph
@@ -23,6 +23,7 @@ from ricci_fragility.ingestion import PriceMatrix
 from ricci_fragility.subsample import (
     IMPROVE_TOL,
     OBJECTIVES,
+    RESTART_STRIDE,
     SubsampleConfig,
     _best_swap,
     _clique_scorer,
@@ -31,8 +32,8 @@ from ricci_fragility.subsample import (
     _grow_connected_subset,
     _is_better,
     _local_search,
+    _search,
     _stack_extrema,
-    _subset_averages,
     _swap_candidates,
     exhaustive_extremum,
     extremal_subgraph,
@@ -458,6 +459,35 @@ class TestLocalSearch:
             _local_search(6, (1, 2, 3), SubsampleConfig(m=3), spy)
         assert len(calls) == 1 and math.isnan(calls[0][1][0])
 
+    # Under uniform on a complete host every K_m scores (m - 2) / (m - 1),
+    # so no swap moves a search and no restart replaces the first: `_search`
+    # returns restart 0's start, as the full restart loop does, without
+    # building a scorer.
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_uniform_complete_search_returns_first_start(self, monkeypatch, objective):
+        def full_search(adj, w, config):
+            score, best = _clique_scorer(adj, w, "uniform"), None
+            for r in range(config.restarts + 1):
+                start = _grow_connected_subset(
+                    adj, config.m, random.Random(config.seed + RESTART_STRIDE * r))
+                found = _local_search(len(adj), start, config, score)
+                if best is None or _is_better(found[1], best[1], config.objective):
+                    best = found
+            return best[0]
+
+        rng = np.random.default_rng(len(objective))
+        cases = []
+        for t in range(12):
+            adj, w = _dense(random_complete_graph(rng, int(rng.integers(8, 15)))[0])
+            config = SubsampleConfig(m=int(rng.integers(2, 7)), objective=objective, seed=t,
+                                     restarts=t % 6)
+            cases.append((adj, w, config, full_search(adj, w, config)))
+        monkeypatch.setattr(subsample, "_clique_scorer",
+                            lambda *args: pytest.fail("scorer built under uniform"))
+        for adj, w, config, expected in cases:
+            for mode in AVERAGING_MODES:
+                assert _search(adj, w, config, mode, "uniform") == expected
+
 
 # ---------------------------------------------------------------------------
 # Closed-form scoring on complete hosts
@@ -592,7 +622,7 @@ class TestCliqueScorer:
         g = build_complete_graph(dist, rho, nodes=window.tickers)
         nodes, report = extremal_subgraph(g, sub_config, mode, weighting)
         assert tuple(window.tickers[p] for p in subset) == nodes
-        assert value == pytest.approx(report.average, abs=1e-12)
+        assert value == report.average
 
     def test_window_path_builds_no_graph_or_node_measure(self, monkeypatch):
         def refuse(self):
@@ -668,21 +698,6 @@ class TestStackedScoring:
             assert np.array_equal(cut, expected, equal_nan=True)
         assert np.isnan(np.concatenate(whole)).any()
 
-    @pytest.mark.parametrize("batch", [1, 72, 108])
-    def test_stacked_windows_do_not_depend_on_batches(self, monkeypatch, batch):
-        config = WindowConfig(averaging_mode="pairs")
-        prices = regime_switch()
-        dist = np.stack([distance_from_correlation(
-            correlation_matrix(prices.window(k, k + config.T))[0], config.transform)
-            for k in (100, 300, 360, 440, 460)])
-        adj = ~np.eye(dist.shape[1], dtype=bool)
-        subsets = np.sort(np.random.default_rng(5).random((5, dist.shape[1])).argsort(axis=1)
-                          [:, :6], axis=1)
-        alone = [_subset_averages(adj, d, row[None], "pairs", "edge_weight")[0]
-                 for d, row in zip(dist, subsets)]
-        monkeypatch.setattr(subsample, "CLIQUE_BATCH", batch)
-        assert _subset_averages(adj, dist, subsets, "pairs", "edge_weight").tolist() == alone
-
     @pytest.mark.parametrize("weighting", WEIGHTINGS)
     def test_series_does_not_depend_on_stacks(self, monkeypatch, weighting):
         # Rows 300..480 cross the regime switch; by default their 50 windows
@@ -704,6 +719,64 @@ class TestStackedScoring:
             runs.append((np.array(series.values).tobytes(), subsets, max(sizes)))
         assert runs[0][2] > 1 and runs[1][2] == 1
         assert runs[0][:2] == runs[1][:2]
+
+
+# ---------------------------------------------------------------------------
+# Pricing the chosen K_m subsets
+# ---------------------------------------------------------------------------
+
+
+def window_arrays(prices, starts, config):
+    """``(window, rho, dist)`` of each window of ``prices`` starting at ``starts``."""
+    out = []
+    for k in starts:
+        window = prices.window(k, k + config.T)
+        rho, _ = correlation_matrix(window, config.input_mode)
+        out.append((window, rho, distance_from_correlation(rho, config.transform)))
+    return out
+
+
+class TestKmPricing:
+    # Each window's value is `average_curvature` of its induced K_m, bit for
+    # bit, in a stack of three regime-switch windows and alone, and on a
+    # comoving window, whose distances are all zero, so its measures are
+    # the uniform fallback rows. From m = 9 (36 pairs) a window's mean runs
+    # on numpy's pairwise branch.
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    @pytest.mark.parametrize("m", [2, 5, 9, 12])
+    def test_values_equal_public_route_bits(self, m, mode, weighting):
+        config = WindowConfig(weighting=weighting, averaging_mode=mode)
+        sub_config = SubsampleConfig(m=m, seed=m, restarts=1, max_iters=2)
+        stacks = [window_arrays(regime_switch(), (100, 300, 440), config),
+                  window_arrays(comoving(n_assets=16, n_dates=config.T), (0,), config)]
+        for stack in stacks:
+            dist = np.stack([d for _, _, d in stack])
+            found = _stack_extrema(None, dist, config, sub_config)
+            for (window, rho, d), (value, subset) in zip(stack, found):
+                assert _stack_extrema(None, d[None], config, sub_config) == [(value, subset)]
+                g = build_complete_graph(d, rho, nodes=window.tickers)
+                sub = induced_subgraph(g, tuple(window.tickers[p] for p in subset))
+                assert value == average_curvature(sub, mode, weighting).average
+        assert found[0][0] == pytest.approx((m - 2) / (m - 1), abs=1e-15)  # uniform on K_m
+
+    # The rolling path searches each window and prices its K_m without the
+    # W1 engine or a hop count.
+    @pytest.mark.parametrize("weighting", WEIGHTINGS)
+    @pytest.mark.parametrize("mode", AVERAGING_MODES)
+    def test_rolling_path_calls_no_engine(self, monkeypatch, mode, weighting):
+        calls = []
+        for module, name in ((transport, "_w1_rows"), (transport, "_curvatures"),
+                             (subsample, "_curvatures"), (graphs, "_hops"),
+                             (subsample, "_hops")):
+            monkeypatch.setattr(module, name, lambda *args, name=name, f=getattr(module, name):
+                                calls.append(name) or f(*args))
+        series, subsets = subsample_indicator_series(
+            regime_switch().window(300, 481), WindowConfig(weighting=weighting,
+                                                           averaging_mode=mode),
+            SubsampleConfig(m=5, restarts=1, max_iters=2))
+        assert calls == []
+        assert series.gap_count() == 0 and all(len(s) == 5 for s in subsets)
 
 
 # One scan of m (n - m) = 200 candidates of 10 nodes in pairs mode is one

@@ -1163,10 +1163,10 @@ def _clique(m, seed):
     return ~np.eye(m, dtype=bool), w + w.T
 
 
-# A stack of K_m graphs, whose off-diagonal hop counts are all 1, is priced
-# in closed form with no front-end call. Each pair's W1 equals, bit for bit,
-# the same pair's in a call whose stack also holds a path (zero-padded to
-# one node more), which takes the pooled route, in both averaging modes.
+# A stack of K_m graphs, whose off-diagonal hop counts are all 1, goes
+# through one front-end call like any other stack. Each pair's W1 equals,
+# bit for bit, the same pair's in a call whose stack also holds a path
+# (zero-padded to one node more), in both averaging modes.
 @pytest.mark.parametrize("m", range(2, 10))
 @pytest.mark.parametrize("weighting", WEIGHTINGS)
 @pytest.mark.parametrize("mode", ["edges", "pairs"])
@@ -1174,23 +1174,22 @@ def test_one_distance_stack_equals_pooled_route(monkeypatch, m, weighting, mode)
     calls = _block_calls(monkeypatch)
     adj, w = _clique(m, 10 * m + len(weighting))
     kappa = transport._curvatures(adj[None], w[None], 1.0 - np.eye(m)[None], mode, weighting)[0]
-    assert calls == []
+    assert len(calls) == 1
     path = _path_graph(m + 1)
     dist, rows = _stack([(adj, w), _dense(path)], weighting)
     ia, ib = np.triu_indices(m, 1)
     pa, pb = np.array(path.edges).T + m + 1
     pooled = transport._w1_rows(rows.reshape(-1, m + 1), dist, np.concatenate((ia, pa)),
                                 np.concatenate((ib, pb)))
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert kappa.tolist() == (1.0 - pooled[:ia.size]).tolist()
 
 
-# Hand-built one- and two-entry stacks on 5 nodes: the closed form needs
-# every off-diagonal entry to be one finite value. With one off-diagonal 0
-# among 2.5s the pair goes through the front end; with all 2.5s it does
-# not. The oracle reads integer distances, so it solves the matrix over
-# 2.5 (W1 scales with the metric).
-@pytest.mark.parametrize("zero, route", [(True, 1), (False, 0)], ids=["one-zero", "all-equal"])
+# Hand-built one- and two-entry stacks on 5 nodes, with one off-diagonal 0
+# among 2.5s or all 2.5s: either pair goes through the front end and
+# matches the LP and the oracle. The oracle reads integer distances, so it
+# solves the matrix over 2.5 (W1 scales with the metric).
+@pytest.mark.parametrize("zero, route", [(True, 1), (False, 1)], ids=["one-zero", "all-equal"])
 def test_hand_built_one_distance_stacks(monkeypatch, zero, route):
     calls = _block_calls(monkeypatch)
     matrix = 2.5 * (1.0 - np.eye(5))
@@ -1206,8 +1205,8 @@ def test_hand_built_one_distance_stacks(monkeypatch, zero, route):
     assert cost == pytest.approx(2.5 * wasserstein1_oracle(mu, nu, unit), abs=1e-9)
 
 
-# Every off-diagonal entry infinite: no closed form (inf times no moved
-# mass would be NaN). Identical one-atom supports cost 0.
+# Every off-diagonal entry infinite: identical one-atom supports cost 0, as
+# a pair with no residual costs nothing (inf times no moved mass is NaN).
 def test_all_infinite_off_diagonal_costs_nothing_on_one_atom(monkeypatch):
     calls = _block_calls(monkeypatch)
     h = HopDistanceMatrix(nodes=tuple(range(4)), matrix=np.where(np.eye(4) > 0, 0.0, np.inf))
@@ -1220,8 +1219,8 @@ def test_all_infinite_off_diagonal_costs_nothing_on_one_atom(monkeypatch):
 
 
 # K_120 in pairs mode, 7,140 pairs, stays within the 4 MB window budget of
-# the memory tests below: the closed form runs in the front end's blocks
-# (1.4 MB measured, against 2.2 MB through the front end).
+# the memory tests below: its pairs run in the front end's blocks (2.2 MB
+# measured).
 def test_one_distance_stack_memory_stays_flat():
     edges = tuple(itertools.combinations(range(120), 2))
     weights = np.random.default_rng(0).uniform(0.05, 2.0, len(edges))
@@ -1260,7 +1259,7 @@ def test_code_planes_equal_int64_reference(seed):
     else:
         stack = rng.random((size, n, n)).round(4)
     stack = np.minimum(stack, stack.transpose(0, 2, 1))
-    planes = transport._code_planes(stack, np.unique(stack))
+    planes = transport._code_planes(stack)
     reference = _int64_code_planes(stack)
     assert planes.dtype == reference.dtype == np.uint64
     assert np.array_equal(planes, reference)
@@ -1273,7 +1272,7 @@ def test_code_planes_equal_int64_reference(seed):
 def test_code_planes_of_whole_levels_past_256(gap):
     stack = np.random.default_rng(3).permutation(np.arange(2 * 30 * 30) % 300)
     stack = (stack + (gap & (stack >= 7))).reshape(2, 30, 30).astype(float)
-    assert np.array_equal(transport._code_planes(stack, np.unique(stack)),
+    assert np.array_equal(transport._code_planes(stack),
                           _int64_code_planes(stack))
 
 
@@ -1287,7 +1286,7 @@ def test_code_planes_at_word_edges(n, distinct):
     stack = rng.integers(0, distinct, (3, n, n)).astype(float) / 7.0
     stack = np.minimum(stack, stack.transpose(0, 2, 1))
     assert (np.unique(stack).size > 256) == (distinct == 300 and n > 9)
-    planes = transport._code_planes(stack, np.unique(stack))
+    planes = transport._code_planes(stack)
     assert planes.shape[-1] == -(-n // 64)
     assert np.array_equal(planes, _int64_code_planes(stack))
 
